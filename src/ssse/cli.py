@@ -19,8 +19,7 @@ import json
 import logging
 import os
 import sys
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import data as data_mod
 from . import evaluation as eval_mod
@@ -35,6 +34,7 @@ from .erasure import (
 from .errors import InputError, NumericError, SsseError
 from .fisher import (
     BlockSpec,
+    InverseFisher,
     build_inverse_fisher,
     diagonal_inverse_fisher,
     load_inverse_fisher,
@@ -59,6 +59,30 @@ log = logging.getLogger("ssse")
 # Config access
 # ---------------------------------------------------------------------------
 
+MISSING = object()
+
+
+def float_list(text: str) -> list[float]:
+    """Comma-separated numbers; empty cells are skipped."""
+    return [float(cell) for cell in text.split(",") if cell.strip()]
+
+
+def float_pairs(text: str) -> list[tuple[float, float]]:
+    """Semicolon-separated pairs, each pair comma or colon separated."""
+    pairs = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = [p for p in chunk.split(":" if ":" in chunk else ",") if p.strip()]
+        if len(parts) != 2:
+            raise ValueError(f"expected pairs, got {chunk!r}")
+        pairs.append((float(parts[0]), float(parts[1])))
+    if not pairs:
+        raise ValueError("no pairs given")
+    return pairs
+
+
 class ConfigView:
     """Typed access to one parsed config file with section.key error messages."""
 
@@ -72,143 +96,81 @@ class ConfigView:
         except configparser.Error as exc:
             raise InputError(f"config {path}: {exc}") from exc
         self._parser = parser
-        self.path = path
         with open(path, "rb") as fh:
             self.digest = hashlib.sha256(fh.read()).hexdigest()
 
-    _MISSING = object()
-
-    def _raw(self, section: str, key: str, default):
+    def get(self, section: str, key: str, parse=str, default=MISSING):
+        """``parse`` of the stripped value; ``default`` when the key is absent."""
         if not self._parser.has_option(section, key):
-            if default is self._MISSING:
+            if default is MISSING:
                 raise InputError(f"config is missing {section}.{key}")
             return default
-        return self._parser.get(section, key).strip()
-
-    def get_str(self, section: str, key: str, default=_MISSING) -> str:
-        value = self._raw(section, key, default)
-        return value
-
-    def get_int(self, section: str, key: str, default=_MISSING) -> int:
-        value = self._raw(section, key, default)
-        if not isinstance(value, str):
-            return value
+        raw = self._parser.get(section, key).strip()
         try:
-            return int(value)
-        except ValueError:
-            raise InputError(f"{section}.{key} must be an integer, got {value!r}") from None
-
-    def get_float(self, section: str, key: str, default=_MISSING) -> float:
-        value = self._raw(section, key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise InputError(f"{section}.{key} must be a number, got {value!r}") from None
-
-    def get_floats(self, section: str, key: str, default=_MISSING) -> list[float]:
-        value = self._raw(section, key, default)
-        if not isinstance(value, str):
-            return value
-        try:
-            return [float(cell) for cell in value.split(",") if cell.strip()]
-        except ValueError:
-            raise InputError(f"{section}.{key} must be a comma-separated number list") from None
-
-    def get_pairs(self, section: str, key: str, default=_MISSING) -> list[tuple[float, float]]:
-        """Semicolon-separated pairs, each pair comma or colon separated."""
-        value = self._raw(section, key, default)
-        if not isinstance(value, str):
-            return value
-        pairs = []
-        for chunk in value.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            sep = ":" if ":" in chunk else ","
-            parts = [p for p in chunk.split(sep) if p.strip()]
-            if len(parts) != 2:
-                raise InputError(f"{section}.{key}: expected pairs, got {chunk!r}")
-            try:
-                pairs.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise InputError(f"{section}.{key}: bad pair {chunk!r}") from None
-        if not pairs:
-            raise InputError(f"{section}.{key}: no pairs given")
-        return pairs
+            return parse(raw)
+        except ValueError as exc:
+            raise InputError(f"{section}.{key}: bad value {raw!r} ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
 # Pipeline assembly from config
 # ---------------------------------------------------------------------------
 
+# Marks a generator key whose default is data.seed, so the train and test
+# draws share their class centers or attribute directions.
+_DATA_SEED = object()
+
+# source -> (generator, size key, test-size key defaulting to the size,
+#            keyword arguments shared by both draws as key -> (parse, default))
+_SOURCES = {
+    "blobs": (
+        data_mod.make_blobs, "n_per_class", "test_n_per_class",
+        {"centers": (float_pairs, MISSING), "spread": (float, 1.0)},
+    ),
+    "gaussian_classes": (
+        data_mod.make_gaussian_classes, "n_per_class", "test_n_per_class",
+        {"n_features": (int, MISSING), "n_classes": (int, MISSING),
+         "center_scale": (float, 3.0), "spread": (float, 1.0), "center_seed": (int, _DATA_SEED)},
+    ),
+    "attributes": (
+        data_mod.make_attributes, "n", "test_n",
+        {"n_features": (int, MISSING), "n_attrs": (int, MISSING),
+         "frequencies": (float_list, MISSING), "overlap": (float, 0.3),
+         "direction_seed": (int, _DATA_SEED)},
+    ),
+}
+
+
 def build_datasets(cfg: ConfigView) -> tuple[Dataset, Dataset]:
     """Train and test datasets with disjoint id prefixes tr/te."""
-    source = cfg.get_str("data", "source")
-    if source == "blobs":
-        centers = cfg.get_pairs("data", "centers")
-        spread = cfg.get_float("data", "spread", 1.0)
-        n_per_class = cfg.get_int("data", "n_per_class")
-        test_n = cfg.get_int("data", "test_n_per_class", n_per_class)
-        train_ds = data_mod.make_blobs(
-            cfg.get_int("data", "seed"), n_per_class, centers, spread, id_prefix="tr"
+    source = cfg.get("data", "source")
+    if source == "csv":
+        kind = cfg.get("data", "kind")
+        train_ds, test_ds = (
+            data_mod.load_csv(cfg.get("data", f"{pre}features"), cfg.get("data", f"{pre}labels"),
+                              kind, id_prefix=tag)
+            for pre, tag in (("", "tr"), ("test_", "te"))
         )
-        test_ds = data_mod.make_blobs(
-            cfg.get_int("data", "test_seed"), test_n, centers, spread, id_prefix="te"
-        )
-    elif source == "gaussian_classes":
-        kwargs = dict(
-            n_features=cfg.get_int("data", "n_features"),
-            n_classes=cfg.get_int("data", "n_classes"),
-            center_scale=cfg.get_float("data", "center_scale", 3.0),
-            spread=cfg.get_float("data", "spread", 1.0),
-            center_seed=cfg.get_int("data", "center_seed", cfg.get_int("data", "seed")),
-        )
-        n_per_class = cfg.get_int("data", "n_per_class")
-        test_n = cfg.get_int("data", "test_n_per_class", n_per_class)
-        train_ds = data_mod.make_gaussian_classes(
-            cfg.get_int("data", "seed"), n_per_class, id_prefix="tr", **kwargs
-        )
-        test_ds = data_mod.make_gaussian_classes(
-            cfg.get_int("data", "test_seed"), test_n, id_prefix="te", **kwargs
-        )
-    elif source == "attributes":
-        n_attrs = cfg.get_int("data", "n_attrs")
-        freqs = cfg.get_floats("data", "frequencies")
-        kwargs = dict(
-            n_features=cfg.get_int("data", "n_features"),
-            n_attrs=n_attrs,
-            frequencies=freqs,
-            overlap=cfg.get_float("data", "overlap", 0.3),
-            direction_seed=cfg.get_int("data", "direction_seed", cfg.get_int("data", "seed")),
-        )
-        n = cfg.get_int("data", "n")
-        test_n = cfg.get_int("data", "test_n", n)
-        train_ds = data_mod.make_attributes(
-            cfg.get_int("data", "seed"), n, id_prefix="tr", **kwargs
-        )
-        test_ds = data_mod.make_attributes(
-            cfg.get_int("data", "test_seed"), test_n, id_prefix="te", **kwargs
-        )
-    elif source == "csv":
-        kind = cfg.get_str("data", "kind")
-        train_ds = data_mod.load_csv(
-            cfg.get_str("data", "features"), cfg.get_str("data", "labels"), kind, id_prefix="tr"
-        )
-        test_ds = data_mod.load_csv(
-            cfg.get_str("data", "test_features"),
-            cfg.get_str("data", "test_labels"),
-            kind,
-            id_prefix="te",
-        )
-    else:
+        return train_ds, test_ds
+    if source not in _SOURCES:
         raise InputError(f"unknown data.source: {source!r}")
+    generator, size_key, test_size_key, shared = _SOURCES[source]
+    seed = cfg.get("data", "seed", int)
+    kwargs = {
+        key: cfg.get("data", key, parse, seed if default is _DATA_SEED else default)
+        for key, (parse, default) in shared.items()
+    }
+    n = cfg.get("data", size_key, int)
+    train_ds = generator(seed, n, id_prefix="tr", **kwargs)
+    test_ds = generator(
+        cfg.get("data", "test_seed", int), cfg.get("data", test_size_key, int, n),
+        id_prefix="te", **kwargs,
+    )
     return train_ds, test_ds
 
 
 def model_shape(cfg: ConfigView, train_ds: Dataset, test_ds: Dataset) -> Shape:
-    family = cfg.get_str("model", "family")
+    family = cfg.get("model", "family")
     m = train_ds.n_features
     if family == "multi_attr_linear":
         if train_ds.kind != "binary":
@@ -217,54 +179,91 @@ def model_shape(cfg: ConfigView, train_ds: Dataset, test_ds: Dataset) -> Shape:
     if train_ds.kind != "multinomial":
         raise InputError(f"{family} requires multinomial class data")
     inferred = int(max(train_ds.labels.max(), test_ds.labels.max()))
-    n_classes = cfg.get_int("model", "n_classes", inferred)
+    n_classes = cfg.get("model", "n_classes", int, inferred)
     if family == "multinomial_linear":
         return MultinomialLinear(n_classes=n_classes, n_features=m)
     if family == "mlp":
-        return MLP(n_features=m, n_hidden=cfg.get_int("model", "n_hidden"), n_classes=n_classes)
+        return MLP(n_features=m, n_hidden=cfg.get("model", "n_hidden", int), n_classes=n_classes)
     raise InputError(f"unknown model.family: {family!r}")
 
 
 def loss_config(cfg: ConfigView) -> LossConfig:
-    return LossConfig(l2_coeff=cfg.get_float("loss", "l2_coeff", 0.0))
+    return LossConfig(l2_coeff=cfg.get("loss", "l2_coeff", float, 0.0))
 
 
 def train_config(cfg: ConfigView) -> TrainConfig:
-    schedule = cfg.get_pairs("train", "lr_schedule", [])
+    schedule = cfg.get("train", "lr_schedule", float_pairs, [])
     return TrainConfig(
-        lr=cfg.get_float("train", "lr"),
-        epochs=cfg.get_int("train", "epochs"),
-        batch_size=cfg.get_int("train", "batch_size"),
-        seed=cfg.get_int("train", "seed"),
-        momentum=cfg.get_float("train", "momentum", 0.0),
-        grad_tol=cfg.get_float("train", "grad_tol", 1e-5),
+        lr=cfg.get("train", "lr", float),
+        epochs=cfg.get("train", "epochs", int),
+        batch_size=cfg.get("train", "batch_size", int),
+        seed=cfg.get("train", "seed", int),
+        momentum=cfg.get("train", "momentum", float, 0.0),
+        grad_tol=cfg.get("train", "grad_tol", float, 1e-5),
         lr_schedule=tuple((int(e), f) for e, f in schedule),
     )
 
 
 def removal_spec(cfg: ConfigView) -> data_mod.RemovalSpec:
     return data_mod.RemovalSpec(
-        kind=cfg.get_str("removal", "kind"),
-        index=cfg.get_int("removal", "index"),
-        fraction=cfg.get_float("removal", "fraction"),
-        seed=cfg.get_int("removal", "seed"),
+        kind=cfg.get("removal", "kind"),
+        index=cfg.get("removal", "index", int),
+        fraction=cfg.get("removal", "fraction", float),
+        seed=cfg.get("removal", "seed", int),
     )
 
 
 def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int, int]:
-    dampening = cfg.get_float("fisher", "dampening", loss_cfg.l2_coeff)
+    dampening = cfg.get("fisher", "dampening", float, loss_cfg.l2_coeff)
     if dampening <= 0:
         raise InputError("fisher.dampening must be > 0 (set it explicitly when l2_coeff is 0)")
-    batch_size = cfg.get_int("fisher", "batch_size", 1)
-    max_block = cfg.get_int("fisher", "max_block", 4096)
+    batch_size = cfg.get("fisher", "batch_size", int, 1)
+    max_block = cfg.get("fisher", "max_block", int, 4096)
     return dampening, batch_size, max_block
 
 
 def sweep_settings(cfg: ConfigView, train_ds: Dataset) -> tuple[list[float], str]:
-    grid = cfg.get_floats("sweep", "grid")
+    """The validated epsilon grid and the selection criterion."""
+    grid = eval_mod.check_epsilon_grid(cfg.get("sweep", "grid", float_list))
     default_criterion = "max_gamma" if train_ds.kind == "binary" else "min_delta"
-    criterion = cfg.get_str("sweep", "criterion", default_criterion)
-    return grid, criterion
+    return grid, cfg.get("sweep", "criterion", default=default_criterion)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One fit of a config, shared by sweep, demo-boundary and compare-baselines.
+
+    Holds theta*, the retrain-from-scratch reference, the removal splits and
+    the inverse Fisher built at theta*. Commands read their own config
+    sections before :meth:`fit`, so a bad value fails before any training.
+    """
+
+    train_ds: Dataset
+    test_ds: Dataset
+    loss_cfg: LossConfig
+    theta_star: ModelParams
+    retrain: ModelParams
+    splits: data_mod.SplitSet
+    finv: InverseFisher
+
+    @staticmethod
+    def fit(cfg: ConfigView, train_ds: Dataset, test_ds: Dataset) -> "Pipeline":
+        shape = model_shape(cfg, train_ds, test_ds)
+        loss_cfg = loss_config(cfg)
+        tcfg = train_config(cfg)
+        theta_star = train(train_ds, shape, loss_cfg, tcfg).params
+        splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
+        retrain = retrain_scratch(train_ds, splits.removed, shape, loss_cfg, tcfg).params
+        dampening, batch_size, max_block = fisher_settings(cfg, loss_cfg)
+        spec = BlockSpec.from_shape(shape, max_block=max_block)
+        finv = build_inverse_fisher(theta_star, train_ds, loss_cfg, dampening, spec, batch_size)
+        return Pipeline(train_ds, test_ds, loss_cfg, theta_star, retrain, splits, finv)
+
+    def sweep(self, grid: list[float], criterion: str) -> eval_mod.SweepResult:
+        return eval_mod.epsilon_sweep(
+            self.theta_star, self.finv, self.train_ds, self.test_ds, self.splits, grid,
+            criterion, self.retrain, self.loss_cfg,
+        )
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -272,18 +271,12 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    write_atomic(_out_path(out_dir, name), text.encode())
 
 
-def _train_manifest(cfg: ConfigView, result) -> dict:
-    return {
-        "config_digest": cfg.digest,
-        "seed": result.params.seed,
-        "final_loss": result.final_loss,
-        "final_grad_norm": result.final_grad_norm,
-        "epochs_run": result.epochs_run,
-    }
+def _write_json(out_dir: str, name: str, payload: dict) -> None:
+    _write_text(out_dir, name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +287,18 @@ def cmd_train(args) -> int:
     cfg = ConfigView(args.config)
     train_ds, test_ds = build_datasets(cfg)
     shape = model_shape(cfg, train_ds, test_ds)
-    result = train(train_ds, shape, loss_config(cfg), train_config(cfg))
+    loss_cfg = loss_config(cfg)
+    result = train(train_ds, shape, loss_cfg, train_config(cfg))
     log.info("trained: loss %.6g grad norm %.3g after %d epochs",
              result.final_loss, result.final_grad_norm, result.epochs_run)
-    save_model(result.params, loss_config(cfg), _out_path(args.out, "model.bin"))
-    _write_json(_out_path(args.out, "manifest.json"), _train_manifest(cfg, result))
+    save_model(result.params, loss_cfg, _out_path(args.out, "model.bin"))
+    _write_json(args.out, "manifest.json", {
+        "config_digest": cfg.digest,
+        "seed": result.params.seed,
+        "final_loss": result.final_loss,
+        "final_grad_norm": result.final_grad_norm,
+        "epochs_run": result.epochs_run,
+    })
     return 0
 
 
@@ -322,172 +322,129 @@ def cmd_erase(args) -> int:
     finv = load_inverse_fisher(args.fisher)
     splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
     grid, _ = sweep_settings(cfg, train_ds)
-    grad_source = cfg.get_str("sweep", "grad_source", "removed")
+    grad_source = cfg.get("sweep", "grad_source", default="removed")
+    # Every update is computed before the first file is written, so a
+    # failing grid point leaves --out untouched.
+    erased = [
+        ssse_update(params, finv, train_ds, ErasureRequest(
+            removed_ids=splits.removed, epsilon=eps, grad_source=grad_source), loss_cfg)
+        for eps in grid
+    ]
     written = []
-    for i, eps in enumerate(grid):
-        req = ErasureRequest(
-            removed_ids=splits.removed, epsilon=eps, method="ssse", grad_source=grad_source
-        )
-        erased = ssse_update(params, finv, train_ds, req, loss_cfg)
+    for i, (eps, theta) in enumerate(zip(grid, erased)):
         name = f"erased_{i:03d}_eps_{eps!r}.bin"
-        save_model(erased, loss_cfg, _out_path(args.out, name))
+        save_model(theta, loss_cfg, _out_path(args.out, name))
         written.append({"epsilon": eps, "file": name})
-    _write_json(
-        _out_path(args.out, "erase_manifest.json"),
-        {"config_digest": cfg.digest, "outputs": written, "removed": len(splits.removed)},
-    )
+    _write_json(args.out, "erase_manifest.json",
+                {"config_digest": cfg.digest, "outputs": written, "removed": len(splits.removed)})
     log.info("wrote %d erased models", len(written))
     return 0
 
 
-def _sweep_pipeline(cfg: ConfigView):
-    """Shared by sweep/demo/baselines: full train, fisher, retrain, splits."""
-    train_ds, test_ds = build_datasets(cfg)
-    shape = model_shape(cfg, train_ds, test_ds)
-    loss_cfg = loss_config(cfg)
-    tcfg = train_config(cfg)
-    result = train(train_ds, shape, loss_cfg, tcfg)
-    splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
-    retrain = retrain_scratch(train_ds, splits.removed, shape, loss_cfg, tcfg)
-    dampening, batch_size, max_block = fisher_settings(cfg, loss_cfg)
-    spec = BlockSpec.from_shape(shape, max_block=max_block)
-    finv = build_inverse_fisher(result.params, train_ds, loss_cfg, dampening, spec, batch_size)
-    return train_ds, test_ds, loss_cfg, result, retrain, splits, finv
-
-
 def cmd_sweep(args) -> int:
     cfg = ConfigView(args.config)
-    train_ds, test_ds, loss_cfg, result, retrain, splits, finv = _sweep_pipeline(cfg)
+    train_ds, test_ds = build_datasets(cfg)
     grid, criterion = sweep_settings(cfg, train_ds)
-    sweep = eval_mod.epsilon_sweep(
-        result.params, finv, train_ds, test_ds, splits, grid, criterion,
-        retrain.params, loss_cfg,
-    )
-    log.info("sweep done: best epsilon %g by %s", sweep.best_epsilon, criterion)
-    save_model(result.params, loss_cfg, _out_path(args.out, "model.bin"))
-    save_model(retrain.params, loss_cfg, _out_path(args.out, "retrain.bin"))
-    save_inverse_fisher(finv, _out_path(args.out, "fisher.bin"))
-    write_atomic(
-        _out_path(args.out, "sweep_report.txt"),
-        eval_mod.sweep_report_text(sweep).encode(),
-    )
-    write_atomic(
-        _out_path(args.out, "sweep_report.csv"),
-        eval_mod.sweep_csv_text(sweep).encode(),
-    )
+    run = Pipeline.fit(cfg, train_ds, test_ds)
+    sweep = run.sweep(grid, criterion)
+    log.info("sweep done: best epsilon %g by %s", sweep.best_epsilon, sweep.criterion)
+    save_model(run.theta_star, run.loss_cfg, _out_path(args.out, "model.bin"))
+    save_model(run.retrain, run.loss_cfg, _out_path(args.out, "retrain.bin"))
+    save_inverse_fisher(run.finv, _out_path(args.out, "fisher.bin"))
+    _write_text(args.out, "sweep_report.txt", eval_mod.sweep_report_text(sweep))
+    _write_text(args.out, "sweep_report.csv", eval_mod.sweep_csv_text(sweep))
     return 0
-
-
-def _boundary_grid(cfg: ConfigView) -> eval_mod.GridSpec:
-    return eval_mod.GridSpec(
-        x_min=cfg.get_float("boundary", "x_min", -6.0),
-        x_max=cfg.get_float("boundary", "x_max", 6.0),
-        y_min=cfg.get_float("boundary", "y_min", -6.0),
-        y_max=cfg.get_float("boundary", "y_max", 6.0),
-        nx=cfg.get_int("boundary", "nx", 161),
-        ny=cfg.get_int("boundary", "ny", 161),
-    )
 
 
 def cmd_demo_boundary(args) -> int:
     cfg = ConfigView(args.config)
-    probe_ds, _ = build_datasets(cfg)
-    if probe_ds.n_features != 2:
+    train_ds, test_ds = build_datasets(cfg)
+    if train_ds.n_features != 2:
         raise InputError(
-            f"demo-boundary requires 2-feature data, got {probe_ds.n_features} features"
+            f"demo-boundary requires 2-feature data, got {train_ds.n_features} features"
         )
-    train_ds, test_ds, loss_cfg, result, retrain, splits, finv = _sweep_pipeline(cfg)
     grid, criterion = sweep_settings(cfg, train_ds)
-    sweep = eval_mod.epsilon_sweep(
-        result.params, finv, train_ds, test_ds, splits, grid, criterion,
-        retrain.params, loss_cfg,
-    )
-    best_req = ErasureRequest(removed_ids=splits.removed, epsilon=sweep.best_epsilon)
-    theta_ssse = ssse_update(result.params, finv, train_ds, best_req, loss_cfg)
-    theta_inf_full = influence_update(result.params, train_ds, best_req, loss_cfg, "full")
-    theta_inf_lko = influence_update(result.params, train_ds, best_req, loss_cfg, "lko")
-
-    gspec = _boundary_grid(cfg)
-    pts = gspec.points()
+    run = Pipeline.fit(cfg, train_ds, test_ds)
+    sweep = run.sweep(grid, criterion)
+    theta, loss_cfg = run.theta_star, run.loss_cfg
+    best_req = ErasureRequest(removed_ids=run.splits.removed, epsilon=sweep.best_epsilon)
     variants = {
-        "original": result.params,
-        "retrain": retrain.params,
-        "ssse": theta_ssse,
-        "influence_full": theta_inf_full,
-        "influence_lko": theta_inf_lko,
+        "original": theta,
+        "retrain": run.retrain,
+        "ssse": ssse_update(theta, run.finv, train_ds, best_req, loss_cfg),
+        "influence_full": influence_update(theta, train_ds, best_req, loss_cfg, "full"),
+        "influence_lko": influence_update(theta, train_ds, best_req, loss_cfg, "lko"),
     }
+
+    gspec = eval_mod.GridSpec(
+        x_min=cfg.get("boundary", "x_min", float, -6.0),
+        x_max=cfg.get("boundary", "x_max", float, 6.0),
+        y_min=cfg.get("boundary", "y_min", float, -6.0),
+        y_max=cfg.get("boundary", "y_max", float, 6.0),
+        nx=cfg.get("boundary", "nx", int, 161),
+        ny=cfg.get("boundary", "ny", int, 161),
+    )
+    pts = gspec.points()
     preds = {name: predict_labels(p, pts) for name, p in variants.items()}
     lines = ["x,y," + ",".join(f"pred_{name}" for name in variants)]
     for i in range(pts.shape[0]):
         cells = [repr(float(pts[i, 0])), repr(float(pts[i, 1]))]
         cells.extend(str(int(preds[name][i])) for name in variants)
         lines.append(",".join(cells))
-    write_atomic(_out_path(args.out, "boundary_grid.csv"), ("\n".join(lines) + "\n").encode())
+    _write_text(args.out, "boundary_grid.csv", "\n".join(lines) + "\n")
 
-    summary = {"best_epsilon": sweep.best_epsilon, "criterion": criterion}
+    summary = {"best_epsilon": sweep.best_epsilon, "criterion": sweep.criterion}
     for name in ("original", "ssse", "influence_full", "influence_lko"):
         summary[f"disagreement_{name}"] = eval_mod.boundary_disagreement(
-            variants[name], retrain.params, gspec
+            variants[name], run.retrain, gspec
         )
-    _write_json(_out_path(args.out, "demo_summary.json"), summary)
+    _write_json(args.out, "demo_summary.json", summary)
     log.info("boundary demo written: best epsilon %g", sweep.best_epsilon)
     return 0
 
 
 def cmd_compare_baselines(args) -> int:
     cfg = ConfigView(args.config)
-    train_ds, test_ds, loss_cfg, result, retrain, splits, finv = _sweep_pipeline(cfg)
-    split_data = eval_mod.SplitData.from_splits(train_ds, test_ds, splits)
-
-    eps = cfg.get_float("baselines", "ssse_epsilon", 1.0)
-    ga_lr = cfg.get_float("baselines", "ga_lr")
-    scrub_eps = cfg.get_float("baselines", "scrub_epsilon", eps)
-    scrub_sigma = cfg.get_float("baselines", "scrub_noise_sigma", 0.0)
-    scrub_seed = cfg.get_int("baselines", "scrub_noise_seed", 0)
-    dampening, _, _ = fisher_settings(cfg, loss_cfg)
-
-    req = ErasureRequest(removed_ids=splits.removed, epsilon=eps)
-    scrub_req = ErasureRequest(
-        removed_ids=splits.removed,
-        epsilon=scrub_eps,
-        method="diag_scrub",
-        noise_sigma=scrub_sigma,
-        noise_seed=scrub_seed,
+    eps = cfg.get("baselines", "ssse_epsilon", float, 1.0)
+    ga_lr = cfg.get("baselines", "ga_lr", float)
+    scrub = dict(
+        epsilon=cfg.get("baselines", "scrub_epsilon", float, eps),
+        noise_sigma=cfg.get("baselines", "scrub_noise_sigma", float, 0.0),
+        noise_seed=cfg.get("baselines", "scrub_noise_seed", int, 0),
     )
-    diag_finv = diagonal_inverse_fisher(result.params, train_ds, loss_cfg, dampening)
+    run = Pipeline.fit(cfg, *build_datasets(cfg))
+    theta, train_ds, loss_cfg = run.theta_star, run.train_ds, run.loss_cfg
+    removed = run.splits.removed
+
+    req = ErasureRequest(removed_ids=removed, epsilon=eps)
+    scrub_req = ErasureRequest(removed_ids=removed, **scrub)
+    diag_finv = diagonal_inverse_fisher(theta, train_ds, loss_cfg, run.finv.dampening)
     rows = {
-        "original": result.params,
-        "retrain": retrain.params,
-        "ssse": ssse_update(result.params, finv, train_ds, req, loss_cfg),
-        "gradient_ascent": gradient_ascent_step(
-            result.params, train_ds, splits.removed, ga_lr, loss_cfg
-        ),
-        "diag_scrub": diag_scrub_update(result.params, diag_finv, train_ds, scrub_req, loss_cfg),
+        "original": theta,
+        "retrain": run.retrain,
+        "ssse": ssse_update(theta, run.finv, train_ds, req, loss_cfg),
+        "gradient_ascent": gradient_ascent_step(theta, train_ds, removed, ga_lr, loss_cfg),
+        "diag_scrub": diag_scrub_update(theta, diag_finv, train_ds, scrub_req, loss_cfg),
     }
 
+    split_data = eval_mod.SplitData.from_splits(train_ds, run.test_ds, run.splits)
     split_sets = {
         "lko_train": split_data.lko_train,
         "removed": split_data.removed,
         "lko_test": split_data.lko_test,
         "removed_test": split_data.removed_test,
     }
-    ref = {name: eval_mod.accuracy(retrain.params, ds) for name, ds in split_sets.items()}
-    header = ["method"]
-    header += [f"acc_{s}" for s in split_sets]
-    header += [f"d_{s}" for s in split_sets]
+    ref = [eval_mod.accuracy(run.retrain, ds) for ds in split_sets.values()]
+    header = ["method", *(f"acc_{s}" for s in split_sets), *(f"d_{s}" for s in split_sets)]
     lines = [",".join(header)]
     for method, params in rows.items():
-        accs = {name: eval_mod.accuracy(params, ds) for name, ds in split_sets.items()}
-        cells = [method]
-        cells += [repr(accs[s]) for s in split_sets]
-        cells += [repr(abs(accs[s] - ref[s])) for s in split_sets]
-        lines.append(",".join(cells))
-    write_atomic(_out_path(args.out, "baselines.csv"), ("\n".join(lines) + "\n").encode())
-
+        accs = [eval_mod.accuracy(params, ds) for ds in split_sets.values()]
+        deltas = [abs(a - r) for a, r in zip(accs, ref)]
+        lines.append(",".join([method] + [repr(v) for v in accs + deltas]))
+    _write_text(args.out, "baselines.csv", "\n".join(lines) + "\n")
     text = ["# baseline comparison (accuracy deltas vs retrain)"]
-    for line in lines:
-        text.append(line.replace(",", "  "))
-    write_atomic(_out_path(args.out, "baselines.txt"), ("\n".join(text) + "\n").encode())
+    text += [line.replace(",", "  ") for line in lines]
+    _write_text(args.out, "baselines.txt", "\n".join(text) + "\n")
     log.info("baseline comparison written")
     return 0
 
@@ -535,7 +492,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (InputError, SsseError) as exc:
+    except SsseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

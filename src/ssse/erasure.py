@@ -32,7 +32,6 @@ from .models import (
     params_digest,
 )
 
-_METHODS = ("ssse", "influence_full", "influence_lko", "gradient_ascent", "diag_scrub")
 _GRAD_SOURCES = ("removed", "remaining")
 
 
@@ -49,8 +48,6 @@ class ErasureRequest:
 
     removed_ids: tuple[str, ...]
     epsilon: float = 1.0
-    method: str = "ssse"
-    lr: float | None = None
     noise_sigma: float = 0.0
     noise_seed: int = 0
     grad_source: str = "removed"
@@ -64,11 +61,6 @@ class ErasureRequest:
         object.__setattr__(self, "removed_ids", ids)
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise InputError("epsilon must be finite and >= 0")
-        if self.method not in _METHODS:
-            raise InputError(f"unknown erasure method: {self.method!r}")
-        if self.method == "gradient_ascent":
-            if self.lr is None or not np.isfinite(self.lr) or self.lr < 0:
-                raise InputError("gradient_ascent requires a finite lr >= 0")
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise InputError("noise_sigma must be finite and >= 0")
         if self.grad_source not in _GRAD_SOURCES:

@@ -268,6 +268,18 @@ def evaluate_erasure(
 _CRITERIA = ("max_gamma", "min_delta")
 
 
+def check_epsilon_grid(grid: Sequence[float]) -> list[float]:
+    """The grid as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
+    grid = [float(e) for e in grid]
+    if not grid:
+        raise InputError("epsilon grid must be nonempty")
+    if any(not np.isfinite(e) or e < 0 for e in grid):
+        raise InputError("epsilon grid entries must be finite and >= 0")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError("epsilon grid must be strictly increasing")
+    return grid
+
+
 def epsilon_sweep(
     theta_star: ModelParams,
     finv: InverseFisher,
@@ -281,18 +293,12 @@ def epsilon_sweep(
 ) -> SweepResult:
     """Erase at every epsilon on the grid and pick the best one.
 
-    The grid must be nonempty and strictly increasing. ``max_gamma``
+    The grid must pass :func:`check_epsilon_grid`. ``max_gamma``
     applies to binary tasks and picks the largest gamma, ``min_delta``
     to multinomial tasks and picks the smallest delta; ties keep the
     lowest epsilon because the scan only replaces on strict improvement.
     """
-    grid = [float(e) for e in grid]
-    if not grid:
-        raise InputError("epsilon grid must be nonempty")
-    if any(not np.isfinite(e) or e < 0 for e in grid):
-        raise InputError("epsilon grid entries must be finite and >= 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InputError("epsilon grid must be strictly increasing")
+    grid = check_epsilon_grid(grid)
     if criterion not in _CRITERIA:
         raise InputError(f"unknown sweep criterion: {criterion!r}")
     if criterion == "max_gamma" and train.kind != "binary":
@@ -305,7 +311,7 @@ def epsilon_sweep(
     best_idx = 0
     best_value: float | None = None
     for i, eps in enumerate(grid):
-        req = ErasureRequest(removed_ids=splits.removed, epsilon=eps, method="ssse")
+        req = ErasureRequest(removed_ids=splits.removed, epsilon=eps)
         theta_hat = ssse_update(theta_star, finv, train, req, loss_cfg)
         report = evaluate_erasure(theta_hat, eps, theta_star, theta_retrain, split_data, loss_cfg)
         reports.append(report)

@@ -178,28 +178,33 @@ def sherman_morrison_step(inv_block: np.ndarray, g: np.ndarray, count: int) -> n
     return (out + out.T) / 2.0
 
 
+def _gradient_chunks(
+    params: ModelParams, dataset: Dataset, cfg: LossConfig, chunk: int, error: str
+):
+    """Yield per-sample gradient rows over consecutive id-ordered chunks.
+
+    A non-finite row raises NumericError with ``error`` formatted with the
+    offending sample id.
+    """
+    ordered = dataset.sorted_by_id()
+    for start in range(0, ordered.n, chunk):
+        stop = min(start + chunk, ordered.n)
+        g = grad_matrix(params, ordered.features[start:stop], ordered.labels[start:stop], cfg)
+        bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
+        if bad.size:
+            raise NumericError(error.format(sample_id=ordered.ids[start + int(bad[0])]))
+        yield g
+
+
 def _batch_gradients(
     params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_size: int
 ):
-    """Yield (batch_mean_gradient,) over consecutive id-ordered batches."""
-    ordered = dataset.sorted_by_id()
-    n = ordered.n
+    """Yield the mean gradient of each consecutive id-ordered batch."""
     chunk = batch_size * max(1, 512 // batch_size)
-    for chunk_start in range(0, n, chunk):
-        chunk_stop = min(chunk_start + chunk, n)
-        g = grad_matrix(
-            params,
-            ordered.features[chunk_start:chunk_stop],
-            ordered.labels[chunk_start:chunk_stop],
-            cfg,
-        )
-        bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
-        if bad.size:
-            sample_id = ordered.ids[chunk_start + int(bad[0])]
-            raise NumericError(f"non-finite gradient for sample {sample_id}")
-        for lo in range(0, chunk_stop - chunk_start, batch_size):
-            hi = min(lo + batch_size, chunk_stop - chunk_start)
-            yield g[lo:hi].mean(axis=0)
+    error = "non-finite gradient for sample {sample_id}"
+    for g in _gradient_chunks(params, dataset, cfg, chunk, error):
+        for lo in range(0, g.shape[0], batch_size):
+            yield g[lo:lo + batch_size].mean(axis=0)
 
 
 def build_inverse_fisher(
@@ -262,15 +267,11 @@ def diagonal_inverse_fisher(
         raise InputError("dampening must be finite and > 0")
     if dataset.n == 0:
         raise InputError("cannot build a Fisher estimate from an empty dataset")
-    ordered = dataset.sorted_by_id()
     acc = np.zeros(params.shape.n_params, dtype=np.float64)
-    for start in range(0, ordered.n, 512):
-        stop = min(start + 512, ordered.n)
-        g = grad_matrix(params, ordered.features[start:stop], ordered.labels[start:stop], cfg)
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient while accumulating the diagonal")
+    error = "non-finite gradient while accumulating the diagonal"
+    for g in _gradient_chunks(params, dataset, cfg, 512, error):
         acc += np.square(g).sum(axis=0)
-    return 1.0 / (dampening + acc / ordered.n)
+    return 1.0 / (dampening + acc / dataset.n)
 
 
 # ---------------------------------------------------------------------------

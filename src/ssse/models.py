@@ -252,35 +252,20 @@ class Dataset:
 
     # -- subsetting ---------------------------------------------------------
 
-    def index_of(self, ids: Iterable[str]) -> np.ndarray:
-        lookup = {s: i for i, s in enumerate(self.ids)}
-        rows = []
-        for s in ids:
-            if s not in lookup:
-                raise InputError(f"unknown sample id: {s}")
-            rows.append(lookup[s])
-        return np.asarray(rows, dtype=np.int64)
-
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """Rows with the given ids, kept in this dataset's own row order."""
-        keep = set(ids)
-        missing = keep.difference(self.ids)
-        if missing:
-            raise InputError(f"unknown sample ids: {sorted(missing)[:3]}")
-        rows = [i for i, s in enumerate(self.ids) if s in keep]
-        idx = np.asarray(rows, dtype=np.int64)
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            ids=tuple(self.ids[i] for i in rows),
-        )
+        return self._select(ids, keep=True)
 
     def without(self, ids: Iterable[str]) -> "Dataset":
-        drop = set(ids)
-        missing = drop.difference(self.ids)
+        """Rows without the given ids, kept in this dataset's own row order."""
+        return self._select(ids, keep=False)
+
+    def _select(self, ids: Iterable[str], keep: bool) -> "Dataset":
+        chosen = set(ids)
+        missing = chosen.difference(self.ids)
         if missing:
             raise InputError(f"unknown sample ids: {sorted(missing)[:3]}")
-        rows = [i for i, s in enumerate(self.ids) if s not in drop]
+        rows = [i for i, s in enumerate(self.ids) if (s in chosen) is keep]
         idx = np.asarray(rows, dtype=np.int64)
         return Dataset(
             features=self.features[idx],
@@ -309,10 +294,9 @@ def onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def _check_task_match(params: ModelParams, dataset: Dataset) -> None:
     shape = params.shape
-    if dataset.n_features != _shape_n_features(shape):
+    if dataset.n_features != shape.n_features:
         raise InputError(
-            f"dataset has {dataset.n_features} features, shape expects "
-            f"{_shape_n_features(shape)}"
+            f"dataset has {dataset.n_features} features, shape expects {shape.n_features}"
         )
     if isinstance(shape, MultiAttrLinear):
         if dataset.kind != "binary":
@@ -327,10 +311,6 @@ def _check_task_match(params: ModelParams, dataset: Dataset) -> None:
         n_classes = shape.n_classes
         if dataset.n and dataset.labels.max() > n_classes:
             raise InputError("class label out of range for the model shape")
-
-
-def _shape_n_features(shape: Shape) -> int:
-    return shape.n_features
 
 
 # ---------------------------------------------------------------------------

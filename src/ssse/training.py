@@ -95,10 +95,14 @@ class TrainResult:
 
 
 def init_params(shape: Shape, seed: int) -> ModelParams:
-    """Entrywise uniform(-1/sqrt(m), 1/sqrt(m)) draws, m = feature count."""
+    """The initial parameters :func:`train` starts from for this shape and seed."""
     shape.validate()
+    return _draw_init(shape, SplitMix64(seed), seed)
+
+
+def _draw_init(shape: Shape, stream: SplitMix64, seed: int) -> ModelParams:
+    """Entrywise uniform(-1/sqrt(m), 1/sqrt(m)) draws, m = feature count."""
     bound = 1.0 / np.sqrt(shape.n_features)
-    stream = SplitMix64(seed)
     values = stream.uniform_vector(shape.n_params, -bound, bound)
     return ModelParams(values=values, shape=shape, seed=seed)
 
@@ -111,9 +115,9 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
     # The same stream feeds initialization and every epoch shuffle, so the
     # whole trajectory is a function of (seed, data, config) alone.
     stream = SplitMix64(cfg.seed)
-    bound = 1.0 / np.sqrt(shape.n_features)
-    theta = stream.uniform_vector(shape.n_params, -bound, bound)
-    _check_task_match(ModelParams(values=theta, shape=shape, seed=cfg.seed), dataset)
+    start = _draw_init(shape, stream, cfg.seed)
+    _check_task_match(start, dataset)
+    theta = start.values
 
     velocity = np.zeros_like(theta)
     lr = cfg.lr

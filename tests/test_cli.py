@@ -179,6 +179,67 @@ def test_divergence_exits_three(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, old, new, key",
+    [
+        ("train", "n_per_class = 20", "n_per_class = twenty", "data.n_per_class"),
+        ("train", "spread = 1.0", "spread = wide", "data.spread"),
+        ("train", "centers = -2,0; 2,0", "centers = -2,0; 2", "data.centers"),
+        ("sweep", "grid = 0.5, 1, 2", "grid = 0.5, one, 2", "sweep.grid"),
+    ],
+    ids=["int", "float", "pair", "list"],
+)
+def test_malformed_value_exits_two_naming_the_key(tmp_path, capsys, command, old, new, key):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [",", "1, -1"], ids=["empty", "negative"])
+def test_erase_rejects_bad_grid_before_writing(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path)
+    t, f, e = (str(tmp_path / d) for d in ("t", "f", "e"))
+    assert main(["train", "--config", cfg, "--out", t]) == 0
+    model = os.path.join(t, "model.bin")
+    assert main(["fisher", "--config", cfg, "--out", f, "--model", model]) == 0
+    bad_text = BASE_CONFIG.replace("grid = 0.5, 1, 2", f"grid = {grid}")
+    bad = write_config(tmp_path, bad_text, "bad.cfg")
+    code = main([
+        "erase", "--config", bad, "--out", e, "--model", model,
+        "--fisher", os.path.join(f, "fisher.bin"),
+    ])
+    assert code == 2
+    assert "epsilon grid" in capsys.readouterr().err
+    assert not os.path.exists(e) or os.listdir(e) == []
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("sweep", "grid = 0.5, 1, 2", "grid = ,"),
+        ("demo-boundary", "grid = 0.5, 1, 2", "grid = ,"),
+        ("compare-baselines", "ga_lr = 0.05", ""),
+    ],
+    ids=["sweep", "demo-boundary", "compare-baselines"],
+)
+def test_command_sections_are_checked_before_training(tmp_path, capsys, command, old, new):
+    # this training run would diverge with exit 3; the bad section must fail first
+    text = BASE_CONFIG.replace("lr = 0.4", "lr = 1e150").replace(old, new)
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_config(tmp_path, text), "--out", out]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_demo_boundary_rejects_non_2d_data_without_writing(tmp_path, capsys):
+    three_features = "source = gaussian_classes\nn_features = 3\nn_classes = 2"
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("source = blobs", three_features))
+    out = str(tmp_path / "demo")
+    assert main(["demo-boundary", "--config", cfg, "--out", out]) == 2
+    assert "2-feature" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_unknown_command_raises_system_exit(tmp_path):
     with pytest.raises(SystemExit):
         main(["polish", "--config", "x", "--out", "y"])

@@ -130,10 +130,6 @@ def test_request_validation():
     with pytest.raises(InputError):
         ErasureRequest(removed_ids=("a",), epsilon=-0.1)
     with pytest.raises(InputError):
-        ErasureRequest(removed_ids=("a",), method="magic")
-    with pytest.raises(InputError):
-        ErasureRequest(removed_ids=("a",), method="gradient_ascent")  # lr missing
-    with pytest.raises(InputError):
         ErasureRequest(removed_ids=("a",), grad_source="elsewhere")
 
 
@@ -208,28 +204,24 @@ def test_diag_scrub_formula_and_noise_determinism():
     diag = diagonal_inverse_fisher(params, ds, cfg, 0.2)
     removed = ds.ids[:2]
 
-    quiet = ErasureRequest(removed_ids=removed, epsilon=0.9, method="diag_scrub")
+    quiet = ErasureRequest(removed_ids=removed, epsilon=0.9)
     out = diag_scrub_update(params, diag, ds, quiet, cfg)
     g = grad_sum(params, ds, removed, cfg)
     expected = params.values + (0.9 / (ds.n - 2)) * (diag * g)
     np.testing.assert_allclose(out.values, expected, rtol=1e-12)
 
-    noisy = ErasureRequest(
-        removed_ids=removed, epsilon=0.9, method="diag_scrub", noise_sigma=0.1, noise_seed=5
-    )
+    noisy = ErasureRequest(removed_ids=removed, epsilon=0.9, noise_sigma=0.1, noise_seed=5)
     a = diag_scrub_update(params, diag, ds, noisy, cfg)
     b = diag_scrub_update(params, diag, ds, noisy, cfg)
     np.testing.assert_array_equal(a.values, b.values)
-    other = ErasureRequest(
-        removed_ids=removed, epsilon=0.9, method="diag_scrub", noise_sigma=0.1, noise_seed=6
-    )
+    other = ErasureRequest(removed_ids=removed, epsilon=0.9, noise_sigma=0.1, noise_seed=6)
     c = diag_scrub_update(params, diag, ds, other, cfg)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_diag_scrub_rejects_bad_diagonal():
     _, ds, cfg, params, _ = _setup(seed=8)
-    req = ErasureRequest(removed_ids=ds.ids[:1], method="diag_scrub")
+    req = ErasureRequest(removed_ids=ds.ids[:1])
     with pytest.raises(InputError):
         diag_scrub_update(params, np.ones(3), ds, req, cfg)
     with pytest.raises(InputError):

@@ -19,6 +19,7 @@ from ssse import (
     InverseFisher,
     LossConfig,
     MLP,
+    ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
     NumericError,
@@ -151,6 +152,19 @@ def test_build_input_validation():
         build_inverse_fisher(params, ds, LossConfig(), 0.1, batch_size=0)
     with pytest.raises(InputError):
         build_inverse_fisher(params, ds, LossConfig(), 0.1, BlockSpec.single(3))
+
+
+def test_non_finite_gradients_are_refused():
+    shape = MultinomialLinear(n_classes=2, n_features=2)
+    params = ModelParams(values=np.array([10.0, 0.0, -10.0, 0.0]), shape=shape)
+    # the logits of sample b overflow, so its gradient row is NaN
+    features = np.array([[0.5, 0.0], [1e308, 0.0], [1.0, 1.0]])
+    ds = Dataset(features=features, labels=np.array([1, 2, 1]), ids=("a", "b", "c"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="for sample b"):
+            build_inverse_fisher(params, ds, LossConfig(), 0.1)
+        with pytest.raises(NumericError, match="accumulating the diagonal"):
+            diagonal_inverse_fisher(params, ds, LossConfig(), 0.1)
 
 
 def test_apply_inverse_is_block_matvec():
