@@ -104,13 +104,25 @@ class ByteWriter:
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename over."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    """Write via a uniquely named temp file in the same directory, rename it
+    over ``path``, then fsync the directory so the rename is durable."""
+    directory = os.path.dirname(path) or "."
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def read_file(path: str) -> bytes:

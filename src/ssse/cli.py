@@ -4,7 +4,7 @@ Every command reads one sectioned key=value config file (INI syntax,
 grammar documented in the README) plus an output directory, and writes
 deterministic files: rerunning a command with an identical config
 produces byte-identical outputs. Nothing here depends on wall-clock
-time, and all files are written atomically (temp file plus rename).
+time, and all files are written atomically (unique temp file plus rename).
 
 Exit codes: 0 success, 2 configuration or input errors, 3 numeric
 failures such as divergence or a failed factorization.
@@ -222,6 +222,14 @@ def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int, 
     return dampening, batch_size, max_block
 
 
+def _removed_only(text: str) -> str:
+    """``sweep.grad_source`` for sweep and demo-boundary, which evaluate only
+    the removed-gradient update; ``erase`` also accepts ``remaining``."""
+    if text != "removed":
+        raise ValueError("sweep and demo-boundary support only 'removed'")
+    return text
+
+
 def sweep_settings(cfg: ConfigView, train_ds: Dataset) -> tuple[list[float], str]:
     """The validated epsilon grid and the selection criterion."""
     grid = eval_mod.check_epsilon_grid(cfg.get("sweep", "grid", float_list))
@@ -345,6 +353,7 @@ def cmd_sweep(args) -> int:
     cfg = ConfigView(args.config)
     train_ds, test_ds = build_datasets(cfg)
     grid, criterion = sweep_settings(cfg, train_ds)
+    cfg.get("sweep", "grad_source", _removed_only, "removed")
     run = Pipeline.fit(cfg, train_ds, test_ds)
     sweep = run.sweep(grid, criterion)
     log.info("sweep done: best epsilon %g by %s", sweep.best_epsilon, sweep.criterion)
@@ -364,6 +373,7 @@ def cmd_demo_boundary(args) -> int:
             f"demo-boundary requires 2-feature data, got {train_ds.n_features} features"
         )
     grid, criterion = sweep_settings(cfg, train_ds)
+    cfg.get("sweep", "grad_source", _removed_only, "removed")
     run = Pipeline.fit(cfg, train_ds, test_ds)
     sweep = run.sweep(grid, criterion)
     theta, loss_cfg = run.theta_star, run.loss_cfg

@@ -27,6 +27,7 @@ from .models import (
     Dataset,
     LossConfig,
     ModelParams,
+    grad_matrix,
     grad_sum,
     hessian_dense,
     params_digest,
@@ -84,8 +85,7 @@ def _erasure_direction(
     if req.grad_source == "removed":
         return grad_sum(theta_star, dataset, req.removed_ids, cfg)
     remaining = dataset.without(req.removed_ids)
-    g = grad_sum(theta_star, remaining, remaining.ids, cfg)
-    return -g
+    return -grad_matrix(theta_star, remaining.features, remaining.labels, cfg).sum(axis=0)
 
 
 def _finite_params(theta: ModelParams, values: np.ndarray, what: str) -> ModelParams:
@@ -104,12 +104,17 @@ def ssse_update(
     """Single-step erasure through the inverse Fisher estimate.
 
     Refuses an inverse Fisher whose stored digest does not match
-    ``theta_star``: the estimate is only valid at the exact parameters it
-    was built at.
+    ``theta_star``, or that was built on a different number of samples
+    than ``dataset`` holds: the estimate is only valid at the exact
+    parameters and for the training set it was built at.
     """
     if finv.built_at_digest != params_digest(theta_star):
         raise StaleFisherError(
             "inverse Fisher was built at different parameters than supplied"
+        )
+    if finv.n_samples != dataset.n:
+        raise StaleFisherError(
+            f"inverse Fisher was built on {finv.n_samples} samples, dataset has {dataset.n}"
         )
     if finv.n_params != theta_star.shape.n_params:
         raise InputError("inverse Fisher size does not match the parameter vector")

@@ -22,7 +22,7 @@ class ContainerError(InputError):
 
 
 class StaleFisherError(InputError):
-    """Inverse-Fisher file was built at different parameters than supplied."""
+    """Inverse Fisher was built at other parameters or on another sample count."""
 
 
 class NumericError(SsseError):

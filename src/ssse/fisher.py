@@ -32,10 +32,7 @@ from .errors import ContainerError, InputError, NumericError
 from .models import (
     Dataset,
     LossConfig,
-    MLP,
     ModelParams,
-    MultiAttrLinear,
-    MultinomialLinear,
     Shape,
     grad_matrix,
     params_digest,
@@ -76,17 +73,18 @@ class BlockSpec:
 
     @staticmethod
     def from_shape(shape: Shape, max_block: int = DEFAULT_MAX_BLOCK) -> "BlockSpec":
-        """Natural per-unit intervals, each split to at most max_block entries."""
+        """Natural per-unit intervals, each split to at most max_block entries.
+
+        A unit is one output row of a single-layer model, one layer otherwise.
+        """
         if max_block < 1:
             raise InputError("max_block must be >= 1")
-        if isinstance(shape, MultiAttrLinear):
-            units = [shape.n_features] * shape.n_attrs
-        elif isinstance(shape, MultinomialLinear):
-            units = [shape.n_features] * shape.n_classes
-        elif isinstance(shape, MLP):
-            units = [shape.n_hidden * shape.n_features, shape.n_classes * shape.n_hidden]
+        layers = shape.layers
+        if len(layers) == 1:
+            rows, cols = layers[0]
+            units = [cols] * rows
         else:
-            raise InputError(f"unknown shape type: {type(shape).__name__}")
+            units = [rows * cols for rows, cols in layers]
         ranges = []
         cursor = 0
         for size in units:

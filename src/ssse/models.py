@@ -6,17 +6,21 @@ Three bias-free families are supported:
 * ``MultinomialLinear``: a single softmax layer over ``c`` classes.
 * ``MLP``: one tanh hidden layer followed by a softmax output layer.
 
-Parameters are always carried as a flat float64 vector whose layout is
-row-major per weight matrix (output row by output row, layer by layer for
-the MLP). Every per-sample loss includes the full L2 term, so the mean
-training loss is ``mean_i nll_i + (l2_coeff / 2) * ||theta||^2`` and each
-per-sample gradient carries ``l2_coeff * theta``.
+All three are one tanh network of depth 0 or 1: each shape's ``layers``
+lists the (out, in) shape of every weight matrix in parameter order, and
+one forward pass, one backward pass and the Fisher's block layout follow
+``layers`` for every family; only the head (a clipped sigmoid or a
+softmax) differs. Parameters are always carried as a flat float64 vector
+whose layout is row-major per weight matrix (output row by output row,
+layer by layer). Every per-sample loss includes the full L2 term, so the
+mean training loss is ``mean_i nll_i + (l2_coeff / 2) * ||theta||^2`` and
+each per-sample gradient carries ``l2_coeff * theta``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
 import numpy as np
@@ -34,16 +38,24 @@ DENSE_HESSIAN_CAP = 4096
 # Shapes and parameters
 # ---------------------------------------------------------------------------
 
+class _Network:
+    """Bias-free tanh network; ``layers`` is each weight's (out, in) in parameter order."""
+
+    @property
+    def n_params(self) -> int:
+        return sum(rows * cols for rows, cols in self.layers)
+
+
 @dataclass(frozen=True)
-class MultiAttrLinear:
+class MultiAttrLinear(_Network):
     """Independent binary heads: weight matrix (n_attrs, n_features)."""
 
     n_attrs: int
     n_features: int
 
     @property
-    def n_params(self) -> int:
-        return self.n_attrs * self.n_features
+    def layers(self) -> tuple[tuple[int, int], ...]:
+        return ((self.n_attrs, self.n_features),)
 
     def validate(self) -> None:
         if self.n_attrs < 1 or self.n_features < 1:
@@ -51,15 +63,15 @@ class MultiAttrLinear:
 
 
 @dataclass(frozen=True)
-class MultinomialLinear:
+class MultinomialLinear(_Network):
     """Softmax layer: weight matrix (n_classes, n_features)."""
 
     n_classes: int
     n_features: int
 
     @property
-    def n_params(self) -> int:
-        return self.n_classes * self.n_features
+    def layers(self) -> tuple[tuple[int, int], ...]:
+        return ((self.n_classes, self.n_features),)
 
     def validate(self) -> None:
         if self.n_classes < 2 or self.n_features < 1:
@@ -67,7 +79,7 @@ class MultinomialLinear:
 
 
 @dataclass(frozen=True)
-class MLP:
+class MLP(_Network):
     """One hidden tanh layer: (n_hidden, n_features) then (n_classes, n_hidden)."""
 
     n_features: int
@@ -75,8 +87,8 @@ class MLP:
     n_classes: int
 
     @property
-    def n_params(self) -> int:
-        return self.n_hidden * self.n_features + self.n_classes * self.n_hidden
+    def layers(self) -> tuple[tuple[int, int], ...]:
+        return ((self.n_hidden, self.n_features), (self.n_classes, self.n_hidden))
 
     def validate(self) -> None:
         if self.n_features < 1 or self.n_hidden < 1 or self.n_classes < 2:
@@ -85,36 +97,30 @@ class MLP:
 
 Shape = Union[MultiAttrLinear, MultinomialLinear, MLP]
 
-_SHAPE_KIND_CODES = {MultiAttrLinear: 1, MultinomialLinear: 2, MLP: 3}
+# Serialized kind codes are 1-based positions here; the three serialized
+# dims are a shape's dataclass fields in order, zero-padded.
+_SHAPES = (MultiAttrLinear, MultinomialLinear, MLP)
 
 
 def shape_kind_code(shape: Shape) -> int:
     """Stable integer tag for serialization (1, 2, 3 in the order above)."""
-    try:
-        return _SHAPE_KIND_CODES[type(shape)]
-    except KeyError:
-        raise InputError(f"unknown shape type: {type(shape).__name__}") from None
+    if type(shape) not in _SHAPES:
+        raise InputError(f"unknown shape type: {type(shape).__name__}")
+    return _SHAPES.index(type(shape)) + 1
 
 
 def shape_from_kind_code(code: int, dims: tuple[int, int, int]) -> Shape:
-    if code == 1:
-        return MultiAttrLinear(n_attrs=dims[0], n_features=dims[1])
-    if code == 2:
-        return MultinomialLinear(n_classes=dims[0], n_features=dims[1])
-    if code == 3:
-        return MLP(n_features=dims[0], n_hidden=dims[1], n_classes=dims[2])
-    raise InputError(f"unknown shape kind code {code}")
+    if not 1 <= code <= len(_SHAPES):
+        raise InputError(f"unknown shape kind code {code}")
+    cls = _SHAPES[code - 1]
+    return cls(*dims[:len(fields(cls))])
 
 
 def shape_dims(shape: Shape) -> tuple[int, int, int]:
     """Three u64-serializable dims; unused slots are zero."""
-    if isinstance(shape, MultiAttrLinear):
-        return (shape.n_attrs, shape.n_features, 0)
-    if isinstance(shape, MultinomialLinear):
-        return (shape.n_classes, shape.n_features, 0)
-    if isinstance(shape, MLP):
-        return (shape.n_features, shape.n_hidden, shape.n_classes)
-    raise InputError(f"unknown shape type: {type(shape).__name__}")
+    shape_kind_code(shape)  # rejects a foreign shape type
+    dims = tuple(getattr(shape, f.name) for f in fields(shape))
+    return dims + (0,) * (3 - len(dims))
 
 
 @dataclass(frozen=True)
@@ -317,17 +323,13 @@ def _check_task_match(params: ModelParams, dataset: Dataset) -> None:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _weights(params: ModelParams) -> tuple[np.ndarray, ...]:
-    shape = params.shape
-    v = params.values
-    if isinstance(shape, MultiAttrLinear):
-        return (v.reshape(shape.n_attrs, shape.n_features),)
-    if isinstance(shape, MultinomialLinear):
-        return (v.reshape(shape.n_classes, shape.n_features),)
-    cut = shape.n_hidden * shape.n_features
-    w1 = v[:cut].reshape(shape.n_hidden, shape.n_features)
-    w2 = v[cut:].reshape(shape.n_classes, shape.n_hidden)
-    return (w1, w2)
+def _weights(params: ModelParams) -> list[np.ndarray]:
+    """Views of the weight matrices of ``shape.layers`` into the flat vector."""
+    weights, cut = [], 0
+    for rows, cols in params.shape.layers:
+        weights.append(params.values[cut:cut + rows * cols].reshape(rows, cols))
+        cut += rows * cols
+    return weights
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -349,10 +351,23 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _mlp_forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w1, w2 = _weights(params)
-    hidden = np.tanh(features @ w1.T)
-    return hidden, _softmax(hidden @ w2.T)
+def _forward(params: ModelParams, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The input of every layer, then the head's probabilities.
+
+    Hidden layers are tanh; the head is a clipped sigmoid per attribute for
+    the multi-attribute family and a softmax otherwise.
+    """
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != params.shape.n_features:
+        raise InputError("feature matrix does not match the model shape")
+    *hidden, head = _weights(params)
+    inputs = [features]
+    for w in hidden:
+        inputs.append(np.tanh(inputs[-1] @ w.T))
+    z = inputs[-1] @ head.T
+    if isinstance(params.shape, MultiAttrLinear):
+        return inputs, np.clip(_sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return inputs, _softmax(z)
 
 
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -361,18 +376,7 @@ def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
     Returns (n, n_attrs) independent sigmoid probabilities for the
     multi-attribute family and (n, n_classes) softmax rows otherwise.
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.shape.n_features:
-        raise InputError("feature matrix does not match the model shape")
-    shape = params.shape
-    if isinstance(shape, MultiAttrLinear):
-        (w,) = _weights(params)
-        p = _sigmoid(features @ w.T)
-        return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    if isinstance(shape, MultinomialLinear):
-        (w,) = _weights(params)
-        return _softmax(features @ w.T)
-    return _mlp_forward(params, features)[1]
+    return _forward(params, features)[1]
 
 
 def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -420,27 +424,25 @@ def grad_matrix(
     the mean over rows equals the full-batch gradient of :func:`loss`.
     """
     shape = params.shape
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    n = features.shape[0]
+    inputs, p = _forward(params, features)
     if isinstance(shape, MultiAttrLinear):
-        p = predict_proba(params, features)
-        resid = p - np.asarray(labels, dtype=np.float64)
-        g = np.einsum("na,nm->nam", resid, features).reshape(n, shape.n_params)
-    elif isinstance(shape, MultinomialLinear):
-        p = predict_proba(params, features)
-        resid = p - onehot(np.asarray(labels), shape.n_classes)
-        g = np.einsum("nc,nm->ncm", resid, features).reshape(n, shape.n_params)
+        delta = p - np.asarray(labels, dtype=np.float64)
     else:
-        hidden, p = _mlp_forward(params, features)
-        _, w2 = _weights(params)
-        d2 = p - onehot(np.asarray(labels), shape.n_classes)
-        g2 = np.einsum("nc,nh->nch", d2, hidden)
-        d1 = (d2 @ w2) * (1.0 - hidden * hidden)
-        g1 = np.einsum("nh,nm->nhm", d1, features)
-        cut = shape.n_hidden * shape.n_features
-        g = np.empty((n, shape.n_params), dtype=np.float64)
-        g[:, :cut] = g1.reshape(n, cut)
-        g[:, cut:] = g2.reshape(n, shape.n_params - cut)
+        delta = p - onehot(np.asarray(labels), p.shape[1])
+    n = p.shape[0]
+    g = np.empty((n, shape.n_params), dtype=np.float64)
+    weights = _weights(params)
+    stop = shape.n_params
+    for layer in reversed(range(len(weights))):
+        rows, cols = weights[layer].shape
+        start = stop - rows * cols
+        # Per-sample outer products go straight into this layer's columns.
+        out = g[:, start:stop].reshape(n, rows, cols)
+        np.einsum("nr,nc->nrc", delta, inputs[layer], out=out)
+        if layer:
+            x = inputs[layer]
+            delta = (delta @ weights[layer]) * (1.0 - x * x)
+        stop = start
     if cfg.l2_coeff:
         g += cfg.l2_coeff * params.values
     return g

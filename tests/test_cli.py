@@ -214,20 +214,26 @@ def test_erase_rejects_bad_grid_before_writing(tmp_path, capsys, grid):
 
 
 @pytest.mark.parametrize(
-    "command, old, new",
+    "command, old, new, named",
     [
-        ("sweep", "grid = 0.5, 1, 2", "grid = ,"),
-        ("demo-boundary", "grid = 0.5, 1, 2", "grid = ,"),
-        ("compare-baselines", "ga_lr = 0.05", ""),
+        ("sweep", "grid = 0.5, 1, 2", "grid = ,", "epsilon grid"),
+        ("demo-boundary", "grid = 0.5, 1, 2", "grid = ,", "epsilon grid"),
+        ("compare-baselines", "ga_lr = 0.05", "", "baselines.ga_lr"),
+        ("sweep", "criterion", "grad_source = remaining\ncriterion", "sweep.grad_source"),
+        ("demo-boundary", "criterion", "grad_source = remaining\ncriterion", "sweep.grad_source"),
     ],
-    ids=["sweep", "demo-boundary", "compare-baselines"],
+    ids=["sweep", "demo-boundary", "compare-baselines", "sweep-grad_source",
+         "demo-boundary-grad_source"],
 )
-def test_command_sections_are_checked_before_training(tmp_path, capsys, command, old, new):
+def test_command_sections_are_checked_before_training(
+    tmp_path, capsys, command, old, new, named
+):
     # this training run would diverge with exit 3; the bad section must fail first
     text = BASE_CONFIG.replace("lr = 0.4", "lr = 1e150").replace(old, new)
     out = str(tmp_path / "o")
     assert main([command, "--config", write_config(tmp_path, text), "--out", out]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and named in err
     assert not os.path.exists(out)
 
 

@@ -114,6 +114,13 @@ def test_stale_fisher_is_refused():
         ssse_update(moved, finv, ds, ErasureRequest(removed_ids=ds.ids[:1]), cfg)
 
 
+def test_fisher_built_on_another_sample_count_is_refused():
+    _, ds, cfg, params, finv = _setup(seed=4)
+    fewer = ds.subset(ds.ids[:-3])
+    with pytest.raises(StaleFisherError, match="samples"):
+        ssse_update(params, finv, fewer, ErasureRequest(removed_ids=fewer.ids[:1]), cfg)
+
+
 def test_removal_validation():
     _, ds, cfg, params, finv = _setup(seed=5)
     with pytest.raises(InputError, match="not in the dataset"):

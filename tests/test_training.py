@@ -1,5 +1,7 @@
 """Determinism, convergence, divergence, and the model container."""
 
+import os
+import struct
 import warnings
 
 import numpy as np
@@ -10,6 +12,8 @@ from ssse import (
     ContainerError,
     InputError,
     LossConfig,
+    MLP,
+    MultiAttrLinear,
     MultinomialLinear,
     TrainConfig,
     TrainingError,
@@ -162,17 +166,38 @@ def test_retrain_scratch_warns_when_a_class_empties():
 # Model container
 # ---------------------------------------------------------------------------
 
-def test_model_round_trip(tmp_path):
-    shape = MultinomialLinear(n_classes=3, n_features=4)
+@pytest.mark.parametrize(
+    "shape, kind, dims",
+    [
+        (MultiAttrLinear(n_attrs=2, n_features=4), 1, (2, 4, 0)),
+        (MultinomialLinear(n_classes=3, n_features=4), 2, (3, 4, 0)),
+        (MLP(n_features=3, n_hidden=5, n_classes=4), 3, (3, 5, 4)),
+    ],
+    ids=["multi_attr", "multinomial", "mlp"],
+)
+def test_model_round_trip(tmp_path, shape, kind, dims):
     params = random_params(shape, 21)
     lc = LossConfig(l2_coeff=0.125)
     path = str(tmp_path / "m.bin")
     save_model(params, lc, path)
+    # header: magic (8 bytes), version (u8), shape kind (u8), dims (u64 x 3)
+    assert struct.unpack_from("<B3Q", (tmp_path / "m.bin").read_bytes(), 9) == (kind, *dims)
     loaded, loaded_lc = load_model(path)
     assert loaded.shape == shape
     assert loaded.seed == params.seed
     assert loaded_lc == lc
     np.testing.assert_array_equal(loaded.values, params.values)
+
+
+def test_write_survives_a_stale_temp_directory(tmp_path):
+    path = tmp_path / "model.bin"
+    (tmp_path / "model.bin.tmp").mkdir()
+    params = random_params(MultinomialLinear(n_classes=2, n_features=2), 3)
+    save_model(params, LossConfig(), str(path))
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "model.bin.tmp"]
 
 
 def test_model_file_rejects_fisher_magic(tmp_path):
