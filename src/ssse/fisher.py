@@ -1,23 +1,27 @@
-"""Inverse empirical Fisher information via rank-one updates.
+"""Inverse empirical Fisher information, built block by block in closed form.
 
 The empirical Fisher of a model at theta is the mean outer product of
 per-sample loss gradients plus a dampening ridge:
 
     F = dampening * I + (1/count) * sum_j g_j g_j^T
 
-Instead of forming F and inverting it, the inverse is maintained
-directly: starting from (1/dampening) * I, each gradient applies one
-Sherman-Morrison update, so the cost is one matrix-vector product per
-gradient per block. Blocks are contiguous parameter intervals that
-follow the model's natural units (attribute rows, class rows, layers),
-split further when a unit exceeds the configured maximum block size;
-everything outside the block diagonal is treated as zero.
+Blocks are contiguous parameter intervals that follow the model's
+natural units (attribute rows, class rows, layers), split further when a
+unit exceeds the configured maximum block size; everything outside the
+block diagonal is treated as zero. Each block of side s stores the
+explicit inverse of its part of F, formed in one of two ways:
+
+- primal (count >= s): the Gram product G_b^T G_b is accumulated over
+  id-ordered gradient chunks, and dampening * I + G_b^T G_b / count is
+  inverted through its Cholesky factor;
+- dual (count < s): by the Woodbury identity the inverse is
+  (I - G_b^T K^{-1} G_b) / dampening with the count x count matrix
+  K = G_b G_b^T + count * dampening * I, so only K is factored.
 
 With a batch size b > 1, gradients are averaged over consecutive batches
 of b samples (in id order, last batch possibly smaller) and each batch
-mean counts as a single rank-one term, with ``count`` equal to the
-number of batches. Block builds are independent of each other, so they
-could run in parallel; this implementation processes them in sequence.
+mean counts as a single row of G, with ``count`` equal to the number of
+batches.
 """
 
 from __future__ import annotations
@@ -155,15 +159,17 @@ class InverseFisher:
 # ---------------------------------------------------------------------------
 
 def sherman_morrison_step(inv_block: np.ndarray, g: np.ndarray, count: int) -> np.ndarray:
-    """Fold one rank-one term (1/count) g g^T into a maintained inverse.
+    """Reference rank-one step: fold (1/count) g g^T into a maintained inverse.
 
-    Given ``inv_block`` = A^{-1}, returns the exact inverse of
+    ``build_inverse_fisher`` does not call it; it is the independent
+    oracle that the closed-form block builds are checked against. Given
+    ``inv_block`` = A^{-1}, returns the exact inverse of
     ``A + (1/count) g g^T``:
 
         A^{-1} - (A^{-1} g g^T A^{-1}) / (count + g^T A^{-1} g)
 
     The result is re-symmetrized by averaging with its transpose so
-    rounding cannot drift the blocks away from symmetry over long runs.
+    rounding cannot drift a folded block away from symmetry.
     """
     if count < 1:
         raise InputError("count must be >= 1")
@@ -194,15 +200,54 @@ def _gradient_chunks(
         yield g
 
 
-def _batch_gradients(
-    params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_size: int
-):
-    """Yield the mean gradient of each consecutive id-ordered batch."""
+def _batch_means(params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_size: int):
+    """Yield the mean gradients of consecutive id-ordered batches, a chunk of rows at a time."""
     chunk = batch_size * max(1, 512 // batch_size)
     error = "non-finite gradient for sample {sample_id}"
     for g in _gradient_chunks(params, dataset, cfg, chunk, error):
-        for lo in range(0, g.shape[0], batch_size):
-            yield g[lo:lo + batch_size].mean(axis=0)
+        if batch_size == 1:
+            yield g
+            continue
+        starts = np.arange(0, g.shape[0], batch_size)
+        means = np.add.reduceat(g, starts, axis=0)
+        means /= np.minimum(batch_size, g.shape[0] - starts)[:, None]
+        yield means
+
+
+# The factor and the solves use numpy's LAPACK, which the block check in
+# InverseFisher already uses; scipy.linalg would bring in a second BLAS
+# whose work buffers its first call makes resident.
+def _cholesky(f: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a Fisher block (or its dual); NumericError unless finite and PD."""
+    if not np.all(np.isfinite(f)):
+        raise NumericError("Fisher block has non-finite entries (gradient products overflow)")
+    try:
+        return np.linalg.cholesky(f)
+    except np.linalg.LinAlgError:
+        raise NumericError("Fisher block is not positive definite") from None
+
+
+def _primal_inverse(gram: np.ndarray, count: int, dampening: float) -> np.ndarray:
+    """Inverse of ``dampening * I + gram / count`` as W^T W with W = L^{-1}, L its Cholesky factor.
+
+    ``gram`` is overwritten.
+    """
+    gram /= count
+    gram.flat[::gram.shape[0] + 1] += dampening
+    w = np.linalg.solve(_cholesky(gram), np.eye(gram.shape[0]))
+    return w.T @ w
+
+
+def _dual_inverse(rows: np.ndarray, dampening: float) -> np.ndarray:
+    """Inverse of ``dampening * I + rows^T rows / count`` through a count x count factor."""
+    count, side = rows.shape
+    k = rows @ rows.T
+    k.flat[::count + 1] += count * dampening
+    z = np.linalg.solve(_cholesky(k), rows)
+    inv = z.T @ z
+    inv *= -1.0 / dampening
+    inv.flat[::side + 1] += 1.0 / dampening
+    return inv
 
 
 def build_inverse_fisher(
@@ -217,8 +262,9 @@ def build_inverse_fisher(
 
     For ``batch_size`` 1 and a single full block the result equals the
     dense inverse of ``dampening * I + (1/n) sum_i g_i g_i^T``; larger
-    batches fold batch-mean gradients with the batch count as the
+    batches use batch-mean gradients with the batch count as the
     denominator count. Samples are processed in lexicographic id order.
+    A block with fewer rows than its side is built in the dual form.
     """
     if dampening <= 0 or not np.isfinite(dampening):
         raise InputError("dampening must be finite and > 0")
@@ -232,10 +278,21 @@ def build_inverse_fisher(
         raise InputError("block spec does not cover the parameter vector")
 
     count = math.ceil(dataset.n / batch_size)
-    blocks = [np.eye(hi - lo) / dampening for lo, hi in spec.ranges]
-    for g in _batch_gradients(params, dataset, cfg, batch_size):
-        for i, (lo, hi) in enumerate(spec.ranges):
-            blocks[i] = sherman_morrison_step(blocks[i], g[lo:hi], count)
+    dual = [count < hi - lo for lo, hi in spec.ranges]
+    # dual blocks keep their count x s rows, primal blocks their s x s Gram product
+    acc = [np.empty((count, hi - lo)) if is_dual else np.zeros((hi - lo, hi - lo))
+           for is_dual, (lo, hi) in zip(dual, spec.ranges)]
+    row = 0
+    for means in _batch_means(params, dataset, cfg, batch_size):
+        for a, is_dual, (lo, hi) in zip(acc, dual, spec.ranges):
+            g_b = means[:, lo:hi]
+            if is_dual:
+                a[row:row + means.shape[0]] = g_b
+            else:
+                a += g_b.T @ g_b
+        row += means.shape[0]
+    blocks = [_dual_inverse(a, dampening) if is_dual else _primal_inverse(a, count, dampening)
+              for a, is_dual in zip(acc, dual)]
     return InverseFisher(
         blocks=tuple(blocks),
         spec=spec,

@@ -110,10 +110,17 @@ def shape_kind_code(shape: Shape) -> int:
 
 
 def shape_from_kind_code(code: int, dims: tuple[int, int, int]) -> Shape:
+    """Inverse of ``shape_kind_code`` / ``shape_dims``; an unused dim must be zero."""
     if not 1 <= code <= len(_SHAPES):
         raise InputError(f"unknown shape kind code {code}")
     cls = _SHAPES[code - 1]
-    return cls(*dims[:len(fields(cls))])
+    used = len(fields(cls))
+    for slot in range(used, len(dims)):
+        if dims[slot] != 0:
+            raise InputError(
+                f"dim {slot} is {dims[slot]}, but {cls.__name__} leaves it unused (0)"
+            )
+    return cls(*dims[:used])
 
 
 def shape_dims(shape: Shape) -> tuple[int, int, int]:

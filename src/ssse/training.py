@@ -234,7 +234,10 @@ def load_model(path: str) -> tuple[ModelParams, LossConfig]:
     seed = r.i64("seed")
     l2_coeff = r.f64("l2_coeff")
     d = r.u64("parameter count")
-    shape = shape_from_kind_code(kind, dims)
+    try:
+        shape = shape_from_kind_code(kind, dims)
+    except InputError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
     if d != shape.n_params:
         raise ContainerError(
             f"{path}: parameter count {d} does not match shape ({shape.n_params})"

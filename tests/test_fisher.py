@@ -1,4 +1,4 @@
-"""Sherman-Morrison accumulation, block structure, and the file container."""
+"""Closed-form block builds, the reference rank-one step, block structure, the container."""
 
 import numpy as np
 import pytest
@@ -35,7 +35,7 @@ from ssse import (
 
 
 # ---------------------------------------------------------------------------
-# The rank-one step itself
+# The reference rank-one step
 # ---------------------------------------------------------------------------
 
 def test_step_scalar_oracle():
@@ -92,19 +92,38 @@ def test_build_matches_dense_inverse_single_block(seed):
     np.testing.assert_allclose(finv.blocks[0], oracle, atol=1e-9)
 
 
-def test_build_block_diagonal_matches_per_block_dense_inverse():
-    shape = MultinomialLinear(n_classes=3, n_features=4)
-    ds = multinomial_dataset(3, 9, 4, 3)
+@pytest.mark.parametrize(
+    "shape, n, batch_size",
+    [
+        (MultinomialLinear(n_classes=3, n_features=4), 9, 1),
+        # blocks of 12 and 8 with 10 rows: the first is dual, the second primal
+        (MLP(n_features=3, n_hidden=4, n_classes=2), 10, 1),
+        (MLP(n_features=3, n_hidden=4, n_classes=2), 29, 3),
+    ],
+    ids=["multinomial", "mlp-both-forms", "mlp-both-forms-batched"],
+)
+def test_build_block_diagonal_matches_per_block_dense_inverse(shape, n, batch_size):
+    ds = multinomial_dataset(3, n, shape.n_features, shape.n_classes)
     cfg = LossConfig(l2_coeff=0.05)
     params = random_params(shape, 4)
     lam = 0.3
     spec = BlockSpec.from_shape(shape)
-    finv = build_inverse_fisher(params, ds, cfg, lam, spec, 1)
-    g = grad_matrix(params, ds.features, ds.labels, cfg)
+    finv = build_inverse_fisher(params, ds, cfg, lam, spec, batch_size)
+    ordered = ds.sorted_by_id()
+    g = grad_matrix(params, ordered.features, ordered.labels, cfg)
+    means = np.array([g[i:i + batch_size].mean(axis=0) for i in range(0, n, batch_size)])
+    count = finv.rank_one_count
+    assert means.shape[0] == count
+    if isinstance(shape, MLP):
+        assert {count < hi - lo for lo, hi in spec.ranges} == {True, False}
     for block, (lo, hi) in zip(finv.blocks, spec.ranges):
-        gb = g[:, lo:hi]
-        dense = lam * np.eye(hi - lo) + (gb.T @ gb) / ds.n
+        gb = means[:, lo:hi]
+        dense = lam * np.eye(hi - lo) + (gb.T @ gb) / count
         np.testing.assert_allclose(block, np.linalg.inv(dense), atol=1e-9)
+        folded = np.eye(hi - lo) / lam
+        for row in gb:
+            folded = sherman_morrison_step(folded, row, count)
+        np.testing.assert_allclose(block, folded, atol=1e-9)
 
 
 def test_build_is_independent_of_row_order():
@@ -135,11 +154,9 @@ def test_batching_averages_id_ordered_groups():
 
     ordered = ds.sorted_by_id()
     g = grad_matrix(params, ordered.features, ordered.labels, cfg)
-    means = [g[0:3].mean(axis=0), g[3:6].mean(axis=0), g[6:7].mean(axis=0)]
-    manual = np.eye(shape.n_params) / lam
-    for gm in means:
-        manual = sherman_morrison_step(manual, gm, 3)
-    np.testing.assert_array_equal(finv.blocks[0], manual)
+    means = np.array([g[0:3].mean(axis=0), g[3:6].mean(axis=0), g[6:7].mean(axis=0)])
+    dense = lam * np.eye(shape.n_params) + (means.T @ means) / 3
+    np.testing.assert_allclose(finv.blocks[0], np.linalg.inv(dense), atol=1e-9)
 
 
 def test_build_input_validation():
@@ -165,6 +182,18 @@ def test_non_finite_gradients_are_refused():
             build_inverse_fisher(params, ds, LossConfig(), 0.1)
         with pytest.raises(NumericError, match="accumulating the diagonal"):
             diagonal_inverse_fisher(params, ds, LossConfig(), 0.1)
+
+
+@pytest.mark.parametrize("spec", [BlockSpec.single(4), None], ids=["dual", "primal"])
+def test_overflowing_fisher_block_is_refused(spec):
+    shape = MultinomialLinear(n_classes=2, n_features=2)
+    params = ModelParams(values=np.zeros(4), shape=shape)
+    # finite gradient rows whose squares overflow: 3 rows, blocks of 4 (dual) or 2 (primal)
+    features = np.array([[1e200, 0.0], [0.5, 1.0], [1.0, 1.0]])
+    ds = Dataset(features=features, labels=np.array([1, 2, 1]), ids=("a", "b", "c"))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="gradient products overflow"):
+            build_inverse_fisher(params, ds, LossConfig(), 0.1, spec)
 
 
 def test_apply_inverse_is_block_matvec():

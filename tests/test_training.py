@@ -189,6 +189,21 @@ def test_model_round_trip(tmp_path, shape, kind, dims):
     np.testing.assert_array_equal(loaded.values, params.values)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [MultiAttrLinear(n_attrs=2, n_features=4), MultinomialLinear(n_classes=3, n_features=4)],
+    ids=["multi_attr", "multinomial"],
+)
+def test_model_file_rejects_a_nonzero_unused_dim(tmp_path, shape):
+    path = tmp_path / "m.bin"
+    save_model(random_params(shape, 21), LossConfig(), str(path))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<Q", blob, 26, 7)  # dim 2, unused by single-layer shapes
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContainerError, match="dim 2 is 7"):
+        load_model(str(path))
+
+
 def test_write_survives_a_stale_temp_directory(tmp_path):
     path = tmp_path / "model.bin"
     (tmp_path / "model.bin.tmp").mkdir()
