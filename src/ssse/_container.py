@@ -17,7 +17,10 @@ from .errors import ContainerError
 
 MODEL_MAGIC = b"SSSEMODL"
 FISHER_MAGIC = b"SSSEFISH"
+# The two file kinds are versioned separately: model files are still at
+# version 1, inverse-Fisher files store block factors since version 2.
 CONTAINER_VERSION = 1
+FISHER_VERSION = 2
 
 
 class ByteReader:

@@ -33,7 +33,6 @@ from .erasure import (
 )
 from .errors import InputError, NumericError, SsseError
 from .fisher import (
-    BlockSpec,
     InverseFisher,
     build_inverse_fisher,
     diagonal_inverse_fisher,
@@ -213,13 +212,11 @@ def removal_spec(cfg: ConfigView) -> data_mod.RemovalSpec:
     )
 
 
-def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int, int]:
+def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int]:
     dampening = cfg.get("fisher", "dampening", float, loss_cfg.l2_coeff)
     if dampening <= 0:
         raise InputError("fisher.dampening must be > 0 (set it explicitly when l2_coeff is 0)")
-    batch_size = cfg.get("fisher", "batch_size", int, 1)
-    max_block = cfg.get("fisher", "max_block", int, 4096)
-    return dampening, batch_size, max_block
+    return dampening, cfg.get("fisher", "batch_size", int, 1)
 
 
 def _removed_only(text: str) -> str:
@@ -262,9 +259,9 @@ class Pipeline:
         theta_star = train(train_ds, shape, loss_cfg, tcfg).params
         splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
         retrain = retrain_scratch(train_ds, splits.removed, shape, loss_cfg, tcfg).params
-        dampening, batch_size, max_block = fisher_settings(cfg, loss_cfg)
-        spec = BlockSpec.from_shape(shape, max_block=max_block)
-        finv = build_inverse_fisher(theta_star, train_ds, loss_cfg, dampening, spec, batch_size)
+        dampening, batch_size = fisher_settings(cfg, loss_cfg)
+        finv = build_inverse_fisher(theta_star, train_ds, loss_cfg, dampening,
+                                    batch_size=batch_size)
         return Pipeline(train_ds, test_ds, loss_cfg, theta_star, retrain, splits, finv)
 
     def sweep(self, grid: list[float], criterion: str) -> eval_mod.SweepResult:
@@ -314,11 +311,12 @@ def cmd_fisher(args) -> int:
     cfg = ConfigView(args.config)
     train_ds, _ = build_datasets(cfg)
     params, loss_cfg = load_model(args.model)
-    dampening, batch_size, max_block = fisher_settings(cfg, loss_cfg)
-    spec = BlockSpec.from_shape(params.shape, max_block=max_block)
-    finv = build_inverse_fisher(params, train_ds, loss_cfg, dampening, spec, batch_size)
-    log.info("built inverse Fisher: %d blocks, dampening %g, batch %d",
-             len(finv.blocks), dampening, batch_size)
+    dampening, batch_size = fisher_settings(cfg, loss_cfg)
+    finv = build_inverse_fisher(params, train_ds, loss_cfg, dampening, batch_size=batch_size)
+    dual = sum(b.shape[0] < hi - lo for b, (lo, hi) in zip(finv.blocks, finv.spec.ranges))
+    log.info("built inverse Fisher: %d primal and %d dual blocks, %d bytes stored, "
+             "dampening %g, batch %d", len(finv.blocks) - dual, dual,
+             sum(b.nbytes for b in finv.blocks), dampening, batch_size)
     save_inverse_fisher(finv, _out_path(args.out, "fisher.bin"))
     return 0
 

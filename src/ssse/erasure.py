@@ -84,8 +84,10 @@ def _erasure_direction(
     """Summed gradients driving the update, honoring grad_source."""
     if req.grad_source == "removed":
         return grad_sum(theta_star, dataset, req.removed_ids, cfg)
-    remaining = dataset.without(req.removed_ids)
-    return -grad_matrix(theta_star, remaining.features, remaining.labels, cfg).sum(axis=0)
+    # the retained rows of the already validated arrays, in dataset order
+    removed = set(req.removed_ids)
+    keep = [i for i, s in enumerate(dataset.ids) if s not in removed]
+    return -grad_matrix(theta_star, dataset.features[keep], dataset.labels[keep], cfg).sum(axis=0)
 
 
 def _finite_params(theta: ModelParams, values: np.ndarray, what: str) -> ModelParams:

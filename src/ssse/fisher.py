@@ -6,17 +6,21 @@ per-sample loss gradients plus a dampening ridge:
     F = dampening * I + (1/count) * sum_j g_j g_j^T
 
 Blocks are contiguous parameter intervals that follow the model's
-natural units (attribute rows, class rows, layers), split further when a
-unit exceeds the configured maximum block size; everything outside the
-block diagonal is treated as zero. Each block of side s stores the
-explicit inverse of its part of F, formed in one of two ways:
+natural units (attribute rows, class rows, layers); everything outside
+the block diagonal is treated as zero. Each block of side s is stored as
+the factor its build computes, in one of two forms picked by the row
+count against s:
 
 - primal (count >= s): the Gram product G_b^T G_b is accumulated over
-  id-ordered gradient chunks, and dampening * I + G_b^T G_b / count is
-  inverted through its Cholesky factor;
-- dual (count < s): by the Woodbury identity the inverse is
-  (I - G_b^T K^{-1} G_b) / dampening with the count x count matrix
-  K = G_b G_b^T + count * dampening * I, so only K is factored.
+  id-ordered gradient chunks, dampening * I + G_b^T G_b / count is
+  factored as L L^T, and the block stores the lower-triangular
+  W = L^{-1}; its inverse is W^T W;
+- dual (count < s): the count x count matrix
+  K = G_b G_b^T + count * dampening * I is factored as L L^T, and the
+  block stores Z = L^{-1} G_b; by the Woodbury identity its inverse is
+  (I - Z^T Z) / dampening.
+
+Applying the estimate is two mat-vecs with each factor; no inverse is formed.
 
 With a batch size b > 1, gradients are averaged over consecutive batches
 of b samples (in id order, last batch possibly smaller) and each batch
@@ -26,6 +30,7 @@ batches.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,11 +46,6 @@ from .models import (
     grad_matrix,
     params_digest,
 )
-
-DEFAULT_MAX_BLOCK = 4096
-
-_SYMMETRY_TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # Block layout
@@ -76,29 +76,16 @@ class BlockSpec:
         return BlockSpec(ranges=((0, n_params),))
 
     @staticmethod
-    def from_shape(shape: Shape, max_block: int = DEFAULT_MAX_BLOCK) -> "BlockSpec":
-        """Natural per-unit intervals, each split to at most max_block entries.
-
-        A unit is one output row of a single-layer model, one layer otherwise.
-        """
-        if max_block < 1:
-            raise InputError("max_block must be >= 1")
+    def from_shape(shape: Shape) -> "BlockSpec":
+        """One interval per unit: an output row of a single-layer model, a layer otherwise."""
         layers = shape.layers
         if len(layers) == 1:
             rows, cols = layers[0]
             units = [cols] * rows
         else:
             units = [rows * cols for rows, cols in layers]
-        ranges = []
-        cursor = 0
-        for size in units:
-            done = 0
-            while done < size:
-                step = min(max_block, size - done)
-                ranges.append((cursor + done, cursor + done + step))
-                done += step
-            cursor += size
-        return BlockSpec(ranges=tuple(ranges))
+        edges = list(itertools.accumulate(units, initial=0))
+        return BlockSpec(ranges=tuple(zip(edges, edges[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +94,15 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class InverseFisher:
-    """Block-diagonal inverse empirical Fisher tied to a parameter digest."""
+    """Block-diagonal inverse empirical Fisher tied to a parameter digest.
+
+    ``blocks`` holds one factor per interval of ``spec`` (forms in the
+    module docstring). Construction checks that each factor is finite,
+    has the shape ``rank_one_count`` implies for its side, and gives a
+    positive-definite inverse: a primal W is exactly lower triangular
+    with a positive diagonal, and a dual Z has I - Z Z^T positive
+    definite, which holds exactly when its spectral norm is below 1.
+    """
 
     blocks: tuple[np.ndarray, ...]
     spec: BlockSpec
@@ -125,20 +120,20 @@ class InverseFisher:
             raise InputError("n_samples and batch_size must be >= 1")
         if len(self.built_at_digest) != 32:
             raise InputError("parameter digest must be 32 bytes")
+        count = self.rank_one_count
         frozen = []
         for block, (lo, hi) in zip(self.blocks, self.spec.ranges):
             arr = np.ascontiguousarray(block, dtype=np.float64)
-            if arr.shape != (hi - lo, hi - lo):
-                raise InputError("block shape does not match its index interval")
-            if not np.all(np.isfinite(arr)):
-                raise NumericError("inverse Fisher block has non-finite entries")
-            scale = max(float(np.abs(arr).max()), 1.0)
-            if float(np.abs(arr - arr.T).max()) > _SYMMETRY_TOL * scale:
-                raise NumericError("inverse Fisher block is not symmetric")
-            try:
-                np.linalg.cholesky(arr)
-            except np.linalg.LinAlgError:
-                raise NumericError("inverse Fisher block is not positive definite") from None
+            side = hi - lo
+            if arr.shape != (min(count, side), side):
+                raise InputError(f"factor shape {arr.shape} wrong for side {side}, count {count}")
+            if not np.isfinite(arr).all():
+                raise NumericError("inverse Fisher factor has non-finite entries")
+            if count >= side:
+                if np.triu(arr, 1).any() or arr.diagonal().min() <= 0:
+                    raise NumericError("primal factor is not triangular with a positive diagonal")
+            else:
+                _cholesky(np.eye(count) - arr @ arr.T)
             arr = arr.copy() if arr is block else arr
             arr.setflags(write=False)
             frozen.append(arr)
@@ -214,9 +209,8 @@ def _batch_means(params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_s
         yield means
 
 
-# The factor and the solves use numpy's LAPACK, which the block check in
-# InverseFisher already uses; scipy.linalg would bring in a second BLAS
-# whose work buffers its first call makes resident.
+# The factor and the solves use numpy's LAPACK; scipy.linalg would bring in
+# a second BLAS whose work buffers its first call makes resident.
 def _cholesky(f: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a Fisher block (or its dual); NumericError unless finite and PD."""
     if not np.all(np.isfinite(f)):
@@ -227,27 +221,23 @@ def _cholesky(f: np.ndarray) -> np.ndarray:
         raise NumericError("Fisher block is not positive definite") from None
 
 
-def _primal_inverse(gram: np.ndarray, count: int, dampening: float) -> np.ndarray:
-    """Inverse of ``dampening * I + gram / count`` as W^T W with W = L^{-1}, L its Cholesky factor.
+def _primal_factor(gram: np.ndarray, count: int, dampening: float) -> np.ndarray:
+    """W = L^{-1} for the Cholesky factor L of ``dampening * I + gram / count``.
 
-    ``gram`` is overwritten.
+    ``gram`` is overwritten. The solve leaves rounding residues above the
+    diagonal, which are cut so the stored W is exactly triangular.
     """
     gram /= count
     gram.flat[::gram.shape[0] + 1] += dampening
-    w = np.linalg.solve(_cholesky(gram), np.eye(gram.shape[0]))
-    return w.T @ w
+    return np.tril(np.linalg.solve(_cholesky(gram), np.eye(gram.shape[0])))
 
 
-def _dual_inverse(rows: np.ndarray, dampening: float) -> np.ndarray:
-    """Inverse of ``dampening * I + rows^T rows / count`` through a count x count factor."""
-    count, side = rows.shape
+def _dual_factor(rows: np.ndarray, dampening: float) -> np.ndarray:
+    """Z = L^{-1} rows for the Cholesky factor L of ``rows rows^T + count * dampening * I``."""
+    count = rows.shape[0]
     k = rows @ rows.T
     k.flat[::count + 1] += count * dampening
-    z = np.linalg.solve(_cholesky(k), rows)
-    inv = z.T @ z
-    inv *= -1.0 / dampening
-    inv.flat[::side + 1] += 1.0 / dampening
-    return inv
+    return np.linalg.solve(_cholesky(k), rows)
 
 
 def build_inverse_fisher(
@@ -291,7 +281,7 @@ def build_inverse_fisher(
             else:
                 a += g_b.T @ g_b
         row += means.shape[0]
-    blocks = [_dual_inverse(a, dampening) if is_dual else _primal_inverse(a, count, dampening)
+    blocks = [_dual_factor(a, dampening) if is_dual else _primal_factor(a, count, dampening)
               for a, is_dual in zip(acc, dual)]
     return InverseFisher(
         blocks=tuple(blocks),
@@ -310,7 +300,9 @@ def apply_inverse(finv: InverseFisher, v: np.ndarray) -> np.ndarray:
         raise InputError(f"vector length {v.shape} does not match d={finv.n_params}")
     out = np.empty_like(v)
     for block, (lo, hi) in zip(finv.blocks, finv.spec.ranges):
-        out[lo:hi] = block @ v[lo:hi]
+        x = v[lo:hi]
+        y = block.T @ (block @ x)
+        out[lo:hi] = (x - y) / finv.dampening if block.shape[0] < hi - lo else y
     return out
 
 
@@ -337,7 +329,7 @@ def save_inverse_fisher(finv: InverseFisher, path: str) -> None:
     """Serialize to the inverse-Fisher container (layout in the README)."""
     w = cont.ByteWriter()
     w.magic(cont.FISHER_MAGIC)
-    w.u8(cont.CONTAINER_VERSION)
+    w.u8(cont.FISHER_VERSION)
     w.f64(finv.dampening)
     w.u64(finv.n_samples)
     w.u64(finv.batch_size)
@@ -345,6 +337,7 @@ def save_inverse_fisher(finv: InverseFisher, path: str) -> None:
     w.u64(len(finv.blocks))
     for block in finv.blocks:
         w.u64(block.shape[0])
+        w.u64(block.shape[1])
         w.f64_array(block.reshape(-1))
     cont.write_atomic(path, w.getvalue())
 
@@ -353,8 +346,9 @@ def load_inverse_fisher(path: str) -> InverseFisher:
     r = cont.ByteReader(cont.read_file(path), path)
     r.magic(cont.FISHER_MAGIC)
     version = r.u8("version")
-    if version != cont.CONTAINER_VERSION:
-        raise ContainerError(f"{path}: unsupported container version {version} at byte 8")
+    if version != cont.FISHER_VERSION:
+        raise ContainerError(f"{path}: unsupported inverse-Fisher container version {version} "
+                             f"at byte 8; rebuild it with `ssse fisher`")
     dampening = r.f64("dampening")
     n_samples = r.u64("n_samples")
     batch_size = r.u64("batch_size")
@@ -364,12 +358,14 @@ def load_inverse_fisher(path: str) -> InverseFisher:
     ranges = []
     cursor = 0
     for i in range(n_blocks):
-        dim = r.u64(f"block {i} dim")
-        if dim == 0 or dim > 10**9:
-            raise ContainerError(f"{path}: implausible block dim {dim} at byte {r.offset - 8}")
-        blocks.append(r.f64_array(dim * dim, f"block {i} payload").reshape(dim, dim))
-        ranges.append((cursor, cursor + dim))
-        cursor += dim
+        rows = r.u64(f"block {i} rows")
+        side = r.u64(f"block {i} side")
+        if not 0 < rows <= side <= 10**9:
+            raise ContainerError(f"{path}: implausible block {i} rows {rows}, side {side} "
+                                 f"at byte {r.offset - 16}")
+        blocks.append(r.f64_array(rows * side, f"block {i} payload").reshape(rows, side))
+        ranges.append((cursor, cursor + side))
+        cursor += side
     r.expect_end()
     return InverseFisher(
         blocks=tuple(blocks),

@@ -115,9 +115,27 @@ def dense_fisher_inverse(params, dataset, cfg, dampening):
     return np.linalg.inv(dense_fisher(params, dataset, cfg, dampening))
 
 
+def dense_block(finv, i):
+    """Block ``i`` of an inverse Fisher as a dense matrix.
+
+    The blocks are stored as factors, so the block is formed by applying
+    the estimate to the identity columns of its index interval.
+    """
+    from ssse import apply_inverse
+
+    lo, hi = finv.spec.ranges[i]
+    columns = []
+    for j in range(lo, hi):
+        unit = np.zeros(finv.n_params)
+        unit[j] = 1.0
+        columns.append(apply_inverse(finv, unit)[lo:hi])
+    return np.column_stack(columns)
+
+
 __all__ = [
     "binary_dataset",
     "dataset_for_shape",
+    "dense_block",
     "dense_fisher",
     "dense_fisher_inverse",
     "fd_grad",

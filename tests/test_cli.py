@@ -1,11 +1,15 @@
 """Exit codes, file outputs, and determinism of the command pipelines."""
 
 import json
+import logging
 import os
+import struct
 import textwrap
 
+import numpy as np
 import pytest
 
+from ssse import BlockSpec, load_model, params_digest
 from ssse.cli import main
 
 BASE_CONFIG = textwrap.dedent(
@@ -72,12 +76,15 @@ def test_train_writes_model_and_manifest(tmp_path):
     assert len(manifest["config_digest"]) == 64
 
 
-def test_full_command_chain(tmp_path):
+def test_full_command_chain(tmp_path, caplog):
     cfg = write_config(tmp_path)
     t, f, e = (str(tmp_path / d) for d in ("t", "f", "e"))
     assert main(["train", "--config", cfg, "--out", t]) == 0
     model = os.path.join(t, "model.bin")
-    assert main(["fisher", "--config", cfg, "--out", f, "--model", model]) == 0
+    with caplog.at_level(logging.INFO, logger="ssse"):
+        assert main(["fisher", "--config", cfg, "--out", f, "--model", model, "--verbose"]) == 0
+    # two class rows of 2 weights and 40 gradient rows: two primal 2 x 2 factors
+    assert "2 primal and 0 dual blocks, 64 bytes stored" in caplog.text
     fisher = os.path.join(f, "fisher.bin")
     assert main(["erase", "--config", cfg, "--out", e, "--model", model, "--fisher", fisher]) == 0
     names = sorted(os.listdir(e))
@@ -171,6 +178,27 @@ def test_stale_fisher_exits_two(tmp_path, capsys):
     ])
     assert code == 2
     assert "different parameters" in capsys.readouterr().err
+
+
+def test_erase_refuses_a_version_1_fisher_file(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    t, e = str(tmp_path / "t"), str(tmp_path / "e")
+    assert main(["train", "--config", cfg, "--out", t]) == 0
+    model = os.path.join(t, "model.bin")
+    params, _ = load_model(model)
+    # version 1 stored each block as its explicit inverse: the side s, then s * s entries
+    spec = BlockSpec.from_shape(params.shape)
+    blob = b"SSSEFISH" + bytes([1]) + struct.pack("<dQQ", 0.01, 40, 1) + params_digest(params)
+    blob += struct.pack("<Q", len(spec.ranges))
+    for lo, hi in spec.ranges:
+        blob += struct.pack("<Q", hi - lo) + (np.eye(hi - lo) / 0.01).astype("<f8").tobytes()
+    fisher = tmp_path / "v1.bin"
+    fisher.write_bytes(blob)
+    code = main(["erase", "--config", cfg, "--out", e, "--model", model, "--fisher", str(fisher)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "version 1" in err and "ssse fisher" in err
+    assert not os.path.exists(e)
 
 
 def test_divergence_exits_three(tmp_path, capsys):

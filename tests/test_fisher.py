@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     dataset_for_shape,
+    dense_block,
     dense_fisher,
     dense_fisher_inverse,
     multinomial_dataset,
@@ -89,7 +90,7 @@ def test_build_matches_dense_inverse_single_block(seed):
     lam = float(rng.uniform(0.05, 1.0))
     finv = build_inverse_fisher(params, ds, cfg, lam, BlockSpec.single(shape.n_params), 1)
     oracle = dense_fisher_inverse(params, ds, cfg, lam)
-    np.testing.assert_allclose(finv.blocks[0], oracle, atol=1e-9)
+    np.testing.assert_allclose(dense_block(finv, 0), oracle, atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +117,8 @@ def test_build_block_diagonal_matches_per_block_dense_inverse(shape, n, batch_si
     assert means.shape[0] == count
     if isinstance(shape, MLP):
         assert {count < hi - lo for lo, hi in spec.ranges} == {True, False}
-    for block, (lo, hi) in zip(finv.blocks, spec.ranges):
+    for i, (lo, hi) in enumerate(spec.ranges):
+        block = dense_block(finv, i)
         gb = means[:, lo:hi]
         dense = lam * np.eye(hi - lo) + (gb.T @ gb) / count
         np.testing.assert_allclose(block, np.linalg.inv(dense), atol=1e-9)
@@ -156,7 +158,7 @@ def test_batching_averages_id_ordered_groups():
     g = grad_matrix(params, ordered.features, ordered.labels, cfg)
     means = np.array([g[0:3].mean(axis=0), g[3:6].mean(axis=0), g[6:7].mean(axis=0)])
     dense = lam * np.eye(shape.n_params) + (means.T @ means) / 3
-    np.testing.assert_allclose(finv.blocks[0], np.linalg.inv(dense), atol=1e-9)
+    np.testing.assert_allclose(dense_block(finv, 0), np.linalg.inv(dense), atol=1e-9)
 
 
 def test_build_input_validation():
@@ -203,8 +205,8 @@ def test_apply_inverse_is_block_matvec():
     finv = build_inverse_fisher(params, ds, LossConfig(), 0.5, None, 1)
     v = np.arange(1.0, 7.0)
     full = np.zeros((6, 6))
-    for block, (lo, hi) in zip(finv.blocks, finv.spec.ranges):
-        full[lo:hi, lo:hi] = block
+    for i, (lo, hi) in enumerate(finv.spec.ranges):
+        full[lo:hi, lo:hi] = dense_block(finv, i)
     np.testing.assert_allclose(apply_inverse(finv, v), full @ v, rtol=1e-14)
     with pytest.raises(InputError):
         apply_inverse(finv, np.ones(5))
@@ -237,11 +239,6 @@ def test_from_shape_blocks_per_family():
     )
 
 
-def test_from_shape_splits_at_max_block():
-    spec = BlockSpec.from_shape(MultinomialLinear(n_classes=2, n_features=5), max_block=2)
-    assert spec.ranges == ((0, 2), (2, 4), (4, 5), (5, 7), (7, 9), (9, 10))
-
-
 def test_block_spec_validation():
     with pytest.raises(InputError):
         BlockSpec(ranges=((0, 2), (3, 4)))  # gap
@@ -251,24 +248,37 @@ def test_block_spec_validation():
         BlockSpec(ranges=())
 
 
-def test_inverse_fisher_rejects_asymmetric_and_indefinite_blocks():
-    spec = BlockSpec.single(2)
-    digest = bytes(32)
-    good = np.eye(2)
-    with pytest.raises(NumericError):
+@pytest.mark.parametrize(
+    "n_samples, factor, digest, error, match",
+    [
+        # one sample per row: count 3 >= side 2 is primal, count 1 < side 2 is dual
+        (3, [[1.0, 0.5], [0.0, 1.0]], bytes(32), NumericError, "triangular"),
+        (3, [[1.0, 0.0], [0.5, 0.0]], bytes(32), NumericError, "positive diagonal"),
+        (3, [[1.0, 0.0], [0.5, -1.0]], bytes(32), NumericError, "positive diagonal"),
+        (1, [[1.0, 0.0]], bytes(32), NumericError, "not positive definite"),
+        (1, [[0.9, 0.9]], bytes(32), NumericError, "not positive definite"),
+        (1, [[0.5, 0.0], [0.0, 0.5]], bytes(32), InputError, "shape"),
+        (3, [[0.5, 0.0]], bytes(32), InputError, "shape"),
+        (3, [[1.0, 0.0], [np.nan, 1.0]], bytes(32), NumericError, "non-finite"),
+        (3, [[1.0, 0.0], [0.5, 1.0]], b"short", InputError, "digest"),
+    ],
+    ids=["non-triangular", "zero-diagonal", "negative-diagonal", "dual-norm-one",
+         "dual-norm-above-one", "primal-rows-for-dual", "dual-rows-for-primal", "non-finite",
+         "short-digest"],
+)
+def test_inverse_fisher_rejects_bad_factors(n_samples, factor, digest, error, match):
+    with pytest.raises(error, match=match):
         InverseFisher(
-            blocks=(np.array([[1.0, 0.5], [0.0, 1.0]]),),
-            spec=spec, dampening=1.0, n_samples=1, batch_size=1, built_at_digest=digest,
+            blocks=(np.array(factor),), spec=BlockSpec.single(2), dampening=1.0,
+            n_samples=n_samples, batch_size=1, built_at_digest=digest,
         )
-    with pytest.raises(NumericError):
+
+
+def test_inverse_fisher_accepts_factors_of_both_forms():
+    for n_samples, factor in ((3, [[1.0, 0.0], [0.5, 1.0]]), (1, [[0.6, 0.7]])):
         InverseFisher(
-            blocks=(-good,),
-            spec=spec, dampening=1.0, n_samples=1, batch_size=1, built_at_digest=digest,
-        )
-    with pytest.raises(InputError):
-        InverseFisher(
-            blocks=(good,),
-            spec=spec, dampening=1.0, n_samples=1, batch_size=1, built_at_digest=b"short",
+            blocks=(np.array(factor),), spec=BlockSpec.single(2), dampening=1.0,
+            n_samples=n_samples, batch_size=1, built_at_digest=bytes(32),
         )
 
 
@@ -333,6 +343,21 @@ def test_container_trailing_bytes_rejected(tmp_path):
     blob = open(path, "rb").read()
     open(path, "wb").write(blob + b"\x00")
     with pytest.raises(ContainerError, match="trailing"):
+        load_inverse_fisher(path)
+
+
+# block 0's row count follows the magic, version, dampening, n_samples,
+# batch_size, digest and block count: byte 8 + 1 + 8 + 8 + 8 + 32 + 8 = 73
+@pytest.mark.parametrize("rows", [0, 4], ids=["zero", "above-side"])
+def test_container_rejects_block_rows_out_of_range(tmp_path, rows):
+    _, finv = _sample_finv()
+    path = str(tmp_path / "f.bin")
+    save_inverse_fisher(finv, path)
+    blob = bytearray(open(path, "rb").read())
+    assert int.from_bytes(blob[73:81], "little") == 3
+    blob[73:81] = rows.to_bytes(8, "little")
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(ContainerError, match=f"block 0 rows {rows}, side 3 at byte 73"):
         load_inverse_fisher(path)
 
 
