@@ -4,6 +4,8 @@ SplitMix64 is a tiny stateless mixer: output i is a pure function of
 (seed, i). That keeps parameter initialization and epoch shuffling
 reproducible across platforms and numpy versions, which matters because
 retraining from scratch must start from bit-identical initial weights.
+Because each output depends only on its counter, a whole run of draws is
+computed at once with numpy's wrapping uint64 arithmetic.
 """
 
 from __future__ import annotations
@@ -12,12 +14,8 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-
-
-def _mix(z: int) -> int:
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
-    return z ^ (z >> 31)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 class SplitMix64:
@@ -26,24 +24,29 @@ class SplitMix64:
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix(self._state)
+    def _draws(self, count: int) -> np.ndarray:
+        """The next ``count`` outputs as a uint64 array."""
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * _MIX1
+        z = (z ^ (z >> np.uint64(27))) * _MIX2
+        return z ^ (z >> np.uint64(31))
 
-    def next_float(self) -> float:
-        # 53 significant bits, uniform in [0, 1).
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+    def next_u64(self) -> int:
+        return int(self._draws(1)[0])
 
     def uniform_vector(self, size: int, low: float, high: float) -> np.ndarray:
-        out = np.empty(size, dtype=np.float64)
-        span = high - low
-        for i in range(size):
-            out[i] = low + span * self.next_float()
-        return out
+        # 53 significant bits per draw, uniform in [low, high).
+        return low + (high - low) * ((self._draws(size) >> np.uint64(11)) * 2.0**-53)
 
     def shuffle(self, items: np.ndarray) -> None:
         """In-place Fisher-Yates using this stream's draws."""
         n = len(items)
-        for i in range(n - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            items[i], items[j] = items[j], items[i]
+        if n < 2:
+            return
+        picks = (self._draws(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        out = items.tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
+            out[i], out[j] = out[j], out[i]
+        items[:] = out

@@ -86,17 +86,21 @@ class ConfigView:
     """Typed access to one parsed config file with section.key error messages."""
 
     def __init__(self, path: str) -> None:
-        parser = configparser.ConfigParser(interpolation=None)
+        # One read: the digest describes exactly the bytes that were parsed.
         try:
-            with open(path) as fh:
-                parser.read_file(fh)
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError as exc:
             raise InputError(f"cannot read config {path}: {exc}") from exc
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            parser.read_string(raw.decode("utf-8"), source=path)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config {path} is not UTF-8 text: {exc}") from exc
         except configparser.Error as exc:
             raise InputError(f"config {path}: {exc}") from exc
         self._parser = parser
-        with open(path, "rb") as fh:
-            self.digest = hashlib.sha256(fh.read()).hexdigest()
+        self.digest = hashlib.sha256(raw).hexdigest()
 
     def get(self, section: str, key: str, parse=str, default=MISSING):
         """``parse`` of the stripped value; ``default`` when the key is absent."""

@@ -243,9 +243,11 @@ def make_parallel_planes_binary(
 
 def _read_rows(path: str) -> tuple[list[list[str]], int]:
     """Rows plus the 1-based line number of the first data row."""
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
-    rows = [row for row in rows if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read CSV {path}: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: no data rows")
     start = 1

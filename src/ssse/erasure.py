@@ -27,7 +27,8 @@ from .models import (
     Dataset,
     LossConfig,
     ModelParams,
-    grad_matrix,
+    _grad_total,
+    _targets,
     grad_sum,
     hessian_dense,
     params_digest,
@@ -87,7 +88,9 @@ def _erasure_direction(
     # the retained rows of the already validated arrays, in dataset order
     removed = set(req.removed_ids)
     keep = [i for i, s in enumerate(dataset.ids) if s not in removed]
-    return -grad_matrix(theta_star, dataset.features[keep], dataset.labels[keep], cfg).sum(axis=0)
+    shape = theta_star.shape
+    targets = _targets(shape, dataset.labels[keep])
+    return -_grad_total(shape, theta_star.values, dataset.features[keep], targets, cfg.l2_coeff)
 
 
 def _finite_params(theta: ModelParams, values: np.ndarray, what: str) -> ModelParams:

@@ -182,16 +182,23 @@ def _gradient_chunks(
 ):
     """Yield per-sample gradient rows over consecutive id-ordered chunks.
 
-    A non-finite row raises NumericError with ``error`` formatted with the
-    offending sample id.
+    Every chunk is written into one buffer allocated per call, so a
+    yielded array is overwritten by the next chunk. A non-finite row
+    raises NumericError with ``error`` formatted with the offending
+    sample id.
     """
-    ordered = dataset.sorted_by_id()
-    for start in range(0, ordered.n, chunk):
-        stop = min(start + chunk, ordered.n)
-        g = grad_matrix(params, ordered.features[start:stop], ordered.labels[start:stop], cfg)
-        bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
-        if bad.size:
-            raise NumericError(error.format(sample_id=ordered.ids[start + int(bad[0])]))
+    # the rows of the already validated arrays, in lexicographic id order
+    order = np.argsort(np.asarray(dataset.ids, dtype=object))
+    buf = np.empty((min(chunk, dataset.n), params.shape.n_params))
+    finite = np.empty(buf.shape, dtype=bool)
+    for start in range(0, dataset.n, chunk):
+        rows = order[start:start + chunk]
+        g = grad_matrix(params, dataset.features[rows], dataset.labels[rows], cfg,
+                        out=buf[:len(rows)])
+        mask = np.isfinite(g, out=finite[:len(rows)])
+        if not mask.all():
+            bad = np.flatnonzero(~mask.all(axis=1))
+            raise NumericError(error.format(sample_id=dataset.ids[rows[bad[0]]]))
         yield g
 
 

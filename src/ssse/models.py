@@ -330,11 +330,11 @@ def _check_task_match(params: ModelParams, dataset: Dataset) -> None:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _weights(params: ModelParams) -> list[np.ndarray]:
+def _weights(shape: Shape, values: np.ndarray) -> list[np.ndarray]:
     """Views of the weight matrices of ``shape.layers`` into the flat vector."""
     weights, cut = [], 0
-    for rows, cols in params.shape.layers:
-        weights.append(params.values[cut:cut + rows * cols].reshape(rows, cols))
+    for rows, cols in shape.layers:
+        weights.append(values[cut:cut + rows * cols].reshape(rows, cols))
         cut += rows * cols
     return weights
 
@@ -358,21 +358,28 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _forward(params: ModelParams, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _checked_features(shape: Shape, features: np.ndarray) -> np.ndarray:
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != shape.n_features:
+        raise InputError("feature matrix does not match the model shape")
+    return features
+
+
+def _forward(
+    shape: Shape, values: np.ndarray, features: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
     """The input of every layer, then the head's probabilities.
 
     Hidden layers are tanh; the head is a clipped sigmoid per attribute for
     the multi-attribute family and a softmax otherwise.
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.shape.n_features:
-        raise InputError("feature matrix does not match the model shape")
-    *hidden, head = _weights(params)
+    features = _checked_features(shape, features)
+    *hidden, head = _weights(shape, values)
     inputs = [features]
     for w in hidden:
         inputs.append(np.tanh(inputs[-1] @ w.T))
     z = inputs[-1] @ head.T
-    if isinstance(params.shape, MultiAttrLinear):
+    if isinstance(shape, MultiAttrLinear):
         return inputs, np.clip(_sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
     return inputs, _softmax(z)
 
@@ -383,7 +390,7 @@ def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
     Returns (n, n_attrs) independent sigmoid probabilities for the
     multi-attribute family and (n, n_classes) softmax rows otherwise.
     """
-    return _forward(params, features)[1]
+    return _forward(params.shape, params.values, features)[1]
 
 
 def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -419,40 +426,78 @@ def loss(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> float:
     return value
 
 
+def _targets(shape: Shape, labels: np.ndarray) -> np.ndarray:
+    """The head's float targets: the 0/1 attributes, or one-hot classes."""
+    if isinstance(shape, MultiAttrLinear):
+        return np.asarray(labels, dtype=np.float64)
+    return onehot(np.asarray(labels), shape.n_classes)
+
+
+def _backward(shape: Shape, values: np.ndarray, features: np.ndarray, targets: np.ndarray):
+    """Yield ``(start, stop, delta, layer_input)`` for each layer, last layer first.
+
+    ``delta`` is the data loss's gradient with respect to the layer's
+    pre-activation, so sample i's data gradient in columns start:stop is
+    ``outer(delta[i], layer_input[i])`` in the flat layout.
+    """
+    inputs, p = _forward(shape, values, features)
+    weights = _weights(shape, values)
+    delta = p - targets
+    stop = shape.n_params
+    for layer in reversed(range(len(weights))):
+        rows, cols = weights[layer].shape
+        start = stop - rows * cols
+        yield start, stop, delta, inputs[layer]
+        if layer:
+            x = inputs[layer]
+            delta = (delta @ weights[layer]) * (1.0 - x * x)
+        stop = start
+
+
+def _grad_total(
+    shape: Shape, values: np.ndarray, features: np.ndarray, targets: np.ndarray, l2_coeff: float
+) -> np.ndarray:
+    """Sum over rows of the per-sample regularized gradients, one product per layer."""
+    total = np.empty(shape.n_params, dtype=np.float64)
+    for start, stop, delta, x in _backward(shape, values, features, targets):
+        np.matmul(delta.T, x, out=total[start:stop].reshape(delta.shape[1], x.shape[1]))
+    if l2_coeff:
+        total += (features.shape[0] * l2_coeff) * values
+    return total
+
+
 def grad_matrix(
     params: ModelParams,
     features: np.ndarray,
     labels: np.ndarray,
     cfg: LossConfig,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample gradients of the regularized per-sample loss, one row each.
 
     Row i is the gradient of ``nll_i + (l2_coeff / 2) * ||theta||^2``, so
     the mean over rows equals the full-batch gradient of :func:`loss`.
+    Only the Fisher estimates need the rows themselves; every mean or
+    summed gradient in the package is one product per layer instead.
+    ``out``, a C-contiguous float64 (rows, n_params) array, receives the
+    rows in place of a fresh array.
     """
     shape = params.shape
-    inputs, p = _forward(params, features)
-    if isinstance(shape, MultiAttrLinear):
-        delta = p - np.asarray(labels, dtype=np.float64)
-    else:
-        delta = p - onehot(np.asarray(labels), p.shape[1])
-    n = p.shape[0]
-    g = np.empty((n, shape.n_params), dtype=np.float64)
-    weights = _weights(params)
-    stop = shape.n_params
-    for layer in reversed(range(len(weights))):
-        rows, cols = weights[layer].shape
-        start = stop - rows * cols
+    features = _checked_features(shape, features)
+    n, d = features.shape[0], shape.n_params
+    if out is None:
+        out = np.empty((n, d), dtype=np.float64)
+    elif out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise InputError(f"out must be a C-contiguous float64 array of shape {(n, d)}")
+    targets = _targets(shape, labels)
+    for start, stop, delta, x in _backward(shape, params.values, features, targets):
         # Per-sample outer products go straight into this layer's columns.
-        out = g[:, start:stop].reshape(n, rows, cols)
-        np.einsum("nr,nc->nrc", delta, inputs[layer], out=out)
-        if layer:
-            x = inputs[layer]
-            delta = (delta @ weights[layer]) * (1.0 - x * x)
-        stop = start
+        layer_out = out[:, start:stop].reshape(n, delta.shape[1], x.shape[1])
+        np.einsum("nr,nc->nrc", delta, x, out=layer_out)
     if cfg.l2_coeff:
-        g += cfg.l2_coeff * params.values
-    return g
+        out += cfg.l2_coeff * params.values
+    return out
 
 
 def grad(params: ModelParams, x: np.ndarray, y, cfg: LossConfig) -> np.ndarray:
@@ -470,7 +515,9 @@ def grad_mean(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.ndar
     _check_task_match(params, dataset)
     if dataset.n == 0:
         raise InputError("gradient is undefined on an empty dataset")
-    return grad_matrix(params, dataset.features, dataset.labels, cfg).mean(axis=0)
+    targets = _targets(params.shape, dataset.labels)
+    total = _grad_total(params.shape, params.values, dataset.features, targets, cfg.l2_coeff)
+    return total / dataset.n
 
 
 def grad_sum(params: ModelParams, dataset: Dataset, ids: Iterable[str], cfg: LossConfig) -> np.ndarray:
@@ -478,7 +525,8 @@ def grad_sum(params: ModelParams, dataset: Dataset, ids: Iterable[str], cfg: Los
     sub = dataset.subset(ids)
     if sub.n == 0:
         raise InputError("gradient sum over an empty id set")
-    return grad_matrix(params, sub.features, sub.labels, cfg).sum(axis=0)
+    targets = _targets(params.shape, sub.labels)
+    return _grad_total(params.shape, params.values, sub.features, targets, cfg.l2_coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,40 @@ from ssse import (
 )
 
 
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+class ScalarSplitMix64:
+    """One Python-int SplitMix64 draw at a time: the oracle for ``ssse._splitmix``."""
+
+    def __init__(self, seed):
+        self._state = seed & _MASK
+
+    def next_u64(self):
+        self._state = (self._state + _GAMMA) & _MASK
+        return _mix(self._state)
+
+    def uniform_vector(self, size, low, high):
+        out = np.empty(size, dtype=np.float64)
+        span = high - low
+        for i in range(size):
+            out[i] = low + span * ((self.next_u64() >> 11) * (1.0 / (1 << 53)))
+        return out
+
+    def shuffle(self, items):
+        """In-place Fisher-Yates."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.next_u64() % (i + 1)
+            items[i], items[j] = items[j], items[i]
+
+
 def fd_grad(f, x0, h=1e-6):
     """Central-difference gradient of a scalar function of a flat vector."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -133,6 +167,7 @@ def dense_block(finv, i):
 
 
 __all__ = [
+    "ScalarSplitMix64",
     "binary_dataset",
     "dataset_for_shape",
     "dense_block",

@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and determinism of the command pipelines."""
 
+import hashlib
 import json
 import logging
 import os
@@ -147,6 +148,29 @@ def test_missing_config_exits_two(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE_CONFIG.replace("[model]", "# caf\xe9\n[model]").encode("latin-1"))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_config_digest_covers_the_parsed_bytes(tmp_path):
+    text = BASE_CONFIG.replace("[model]", "# caf\u00e9\n[model]")
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", write_config(tmp_path, text), "--out", out]) == 0
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["config_digest"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_missing_csv_exits_two_naming_the_path(tmp_path, capsys):
+    text = BASE_CONFIG.replace("source = blobs", "source = csv\nkind = multinomial\n"
+                               f"features = {tmp_path / 'absent_x.csv'}\n"
+                               f"labels = {tmp_path / 'absent_y.csv'}")
+    assert main(["train", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+    assert "absent_x.csv" in capsys.readouterr().err
 
 
 def test_missing_key_exits_two(tmp_path, capsys):

@@ -143,6 +143,17 @@ def test_csv_errors_carry_row_numbers(tmp_path):
         load_csv(fpath, lpath, "multinomial")
 
 
+def test_unreadable_csv_raises_input_error_naming_the_path(tmp_path):
+    fpath, lpath = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+    open(lpath, "w").write("1\n2\n")
+    with pytest.raises(InputError, match="x.csv"):
+        load_csv(fpath, lpath, "multinomial")
+
+    open(fpath, "wb").write(b"f\xe9,f2\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(InputError, match="x.csv"):
+        load_csv(fpath, lpath, "multinomial")
+
+
 def test_csv_label_count_mismatch(tmp_path):
     fpath, lpath = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
     open(fpath, "w").write("1.0,2.0\n3.0,4.0\n")

@@ -22,6 +22,7 @@ from ssse import (
     build_inverse_fisher,
     diag_scrub_update,
     diagonal_inverse_fisher,
+    grad_matrix,
     grad_mean,
     grad_sum,
     gradient_ascent_step,
@@ -105,6 +106,19 @@ def test_grad_source_remaining_differs_by_the_full_gradient():
 
     gap = a.values - b.values
     np.testing.assert_allclose(gap, scale * apply_inverse(finv, full), atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_remaining_direction_is_the_negated_retained_row_sum(seed):
+    from ssse.erasure import _erasure_direction
+
+    _, ds, cfg, params, _ = _setup(seed=seed, n=12)
+    removed = (ds.ids[2], ds.ids[7])
+    req = ErasureRequest(removed_ids=removed, grad_source="remaining")
+    keep = [i for i, s in enumerate(ds.ids) if s not in removed]
+    rows = grad_matrix(params, ds.features[keep], ds.labels[keep], cfg)
+    np.testing.assert_allclose(_erasure_direction(params, ds, req, cfg), -rows.sum(axis=0),
+                               rtol=1e-12)
 
 
 def test_stale_fisher_is_refused():

@@ -128,6 +128,31 @@ def test_build_block_diagonal_matches_per_block_dense_inverse(shape, n, batch_si
         np.testing.assert_allclose(block, folded, atol=1e-9)
 
 
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize(
+    "shape",
+    [MultinomialLinear(n_classes=3, n_features=2), MLP(n_features=2, n_hidden=3, n_classes=2)],
+    ids=["multinomial", "mlp"],
+)
+def test_build_over_several_chunks_matches_dense_inverse(shape, batch_size):
+    # 1100 rows: three gradient chunks, the last one short, and with
+    # batch_size 3 a last batch of 2 rows
+    n = 1100
+    ds = multinomial_dataset(5, n, shape.n_features, shape.n_classes)
+    cfg = LossConfig(l2_coeff=0.02)
+    params = random_params(shape, 6)
+    lam = 0.3
+    finv = build_inverse_fisher(params, ds, cfg, lam, None, batch_size)
+    ordered = ds.sorted_by_id()
+    g = grad_matrix(params, ordered.features, ordered.labels, cfg)
+    means = np.array([g[i:i + batch_size].mean(axis=0) for i in range(0, n, batch_size)])
+    assert means.shape[0] == finv.rank_one_count
+    for i, (lo, hi) in enumerate(finv.spec.ranges):
+        gb = means[:, lo:hi]
+        dense = lam * np.eye(hi - lo) + (gb.T @ gb) / means.shape[0]
+        np.testing.assert_allclose(dense_block(finv, i), np.linalg.inv(dense), atol=1e-9)
+
+
 def test_build_is_independent_of_row_order():
     shape = MultinomialLinear(n_classes=2, n_features=3)
     ds = multinomial_dataset(6, 10, 3, 2)

@@ -169,6 +169,45 @@ def test_grad_sum_adds_selected_rows():
     np.testing.assert_allclose(total, rows[[1, 4, 6]].sum(axis=0), rtol=1e-12)
 
 
+FAMILIES = [
+    MultiAttrLinear(n_attrs=3, n_features=4),
+    MultinomialLinear(n_classes=3, n_features=4),
+    MLP(n_features=4, n_hidden=5, n_classes=3),
+]
+
+
+@pytest.mark.parametrize("n", [1, 23])
+@pytest.mark.parametrize("l2_coeff", [0.0, 0.07])
+@pytest.mark.parametrize("shape", FAMILIES, ids=["multi_attr", "multinomial", "mlp"])
+def test_grad_mean_and_sum_match_the_per_sample_rows(shape, l2_coeff, n):
+    ds = dataset_for_shape(shape, 3, n)
+    params = random_params(shape, 4)
+    cfg = LossConfig(l2_coeff=l2_coeff)
+    rows = grad_matrix(params, ds.features, ds.labels, cfg)
+    np.testing.assert_allclose(grad_mean(params, ds, cfg), rows.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(grad_sum(params, ds, ds.ids, cfg), rows.sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(grad_sum(params, ds, ds.ids[-1:], cfg), rows[-1], rtol=1e-12)
+
+
+def test_grad_matrix_writes_into_out_and_refuses_a_wrong_buffer():
+    shape = MultinomialLinear(n_classes=3, n_features=2)
+    ds = multinomial_dataset(2, 4, 2, 3)
+    params = random_params(shape, 3)
+    cfg = LossConfig(l2_coeff=0.1)
+    buf = np.empty((4, shape.n_params))
+    assert grad_matrix(params, ds.features, ds.labels, cfg, out=buf) is buf
+    np.testing.assert_array_equal(buf, grad_matrix(params, ds.features, ds.labels, cfg))
+    wrong = [
+        np.empty((3, shape.n_params)),
+        np.empty((4, shape.n_params + 1)),
+        np.empty((4, shape.n_params), dtype=np.float32),
+        np.empty((shape.n_params, 4)).T,
+    ]
+    for bad in wrong:
+        with pytest.raises(InputError, match="out must be"):
+            grad_matrix(params, ds.features, ds.labels, cfg, out=bad)
+
+
 def test_two_class_softmax_gradient_mirrors_binary_head():
     """A 2-class softmax with row one pinned at zero is the sigmoid model."""
     m = 3

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import multinomial_dataset, random_params
+from helpers import ScalarSplitMix64, multinomial_dataset, random_params
 from ssse import (
     ContainerError,
     InputError,
@@ -24,6 +24,7 @@ from ssse import (
     save_model,
     train,
 )
+from ssse._splitmix import SplitMix64
 
 TWO_BLOBS = [(-2.0, 0.0), (2.0, 0.0)]
 
@@ -45,6 +46,32 @@ def test_init_params_is_seed_deterministic_and_bounded():
     assert not np.array_equal(a.values, c.values)
     assert np.abs(a.values).max() < 1.0 / np.sqrt(16)
     assert a.seed == 42
+
+
+def test_scalar_oracle_gives_the_published_first_output():
+    assert ScalarSplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 2000])
+@pytest.mark.parametrize("seed", [0, 5, -3, 2**64 - 1])
+def test_splitmix_draws_are_bit_identical_to_the_scalar_oracle(seed, size):
+    fast, slow = SplitMix64(seed), ScalarSplitMix64(seed)
+    a = np.arange(size, dtype=np.int64)
+    b = a.copy()
+    fast.shuffle(a)
+    slow.shuffle(b)
+    np.testing.assert_array_equal(a, b)
+    assert fast.next_u64() == slow.next_u64()
+    u, v = fast.uniform_vector(size, -0.3, 0.7), slow.uniform_vector(size, -0.3, 0.7)
+    assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
+    assert fast.next_u64() == slow.next_u64()
+
+
+def test_init_params_equals_the_scalar_oracle_draws():
+    shape = MLP(n_features=50, n_hidden=64, n_classes=10)
+    bound = 1.0 / np.sqrt(50)
+    expected = ScalarSplitMix64(7).uniform_vector(shape.n_params, -bound, bound)
+    assert init_params(shape, 7).values.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
