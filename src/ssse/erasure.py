@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericError, StaleFisherError
-from .fisher import InverseFisher, apply_inverse
+from .fisher import InverseFisher, _cholesky, apply_inverse
 from .models import (
     Dataset,
     LossConfig,
@@ -155,10 +154,10 @@ def influence_update(
     h = hessian_dense(theta_star, base, cfg)
     g = grad_sum(theta_star, dataset, req.removed_ids, cfg)
     try:
-        factor = scipy.linalg.cho_factor(h, check_finite=False)
-        step = scipy.linalg.cho_solve(factor, g, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        lower = _cholesky(h, "Hessian")
+    except NumericError as exc:
         raise NumericError(f"Hessian solve failed: {exc}") from exc
+    step = np.linalg.solve(lower.T, np.linalg.solve(lower, g))
     values = theta_star.values + step / (dataset.n - k)
     return _finite_params(theta_star, values, "influence update")
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .erasure import ErasureRequest, ssse_update
 from .errors import InputError
@@ -47,25 +46,46 @@ from .data import SplitSet
 # Scalar metrics
 # ---------------------------------------------------------------------------
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, tied values sharing their mean rank; all NaN if any is NaN.
+
+    Each tie run spans sorted positions [start, end) and gets the mean
+    (start + end + 1) / 2 of its ranks, a half-integer, so exact in float64.
+    """
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [x.size]))
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney ROC AUC with ties counted one half.
 
     By convention a degenerate split (no positives or no negatives,
     including an empty input) scores 0. That makes an attribute with a
     single class on the evaluation samples contribute nothing to the
-    performance-similarity distance between two models.
+    performance-similarity distance between two models. Non-finite
+    scores raise InputError rather than turning the area into NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be matching vectors")
+    if not np.all(np.isfinite(scores)):
+        raise InputError("scores must be finite")
     pos = labels == 1
     neg = labels == 0
     n_pos = int(pos.sum())
     n_neg = int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         return 0.0
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -218,14 +218,19 @@ def _batch_means(params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_s
 
 # The factor and the solves use numpy's LAPACK; scipy.linalg would bring in
 # a second BLAS whose work buffers its first call makes resident.
-def _cholesky(f: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a Fisher block (or its dual); NumericError unless finite and PD."""
+def _cholesky(f: np.ndarray, what: str = "Fisher block") -> np.ndarray:
+    """Lower Cholesky factor of ``f``; NumericError naming ``what`` unless finite and PD.
+
+    A Fisher block (or its dual) turns non-finite only when gradient
+    products overflow; the influence solve factors a "Hessian".
+    """
     if not np.all(np.isfinite(f)):
-        raise NumericError("Fisher block has non-finite entries (gradient products overflow)")
+        cause = " (gradient products overflow)" if what == "Fisher block" else ""
+        raise NumericError(f"{what} has non-finite entries{cause}")
     try:
         return np.linalg.cholesky(f)
     except np.linalg.LinAlgError:
-        raise NumericError("Fisher block is not positive definite") from None
+        raise NumericError(f"{what} is not positive definite") from None
 
 
 def _primal_factor(gram: np.ndarray, count: int, dampening: float) -> np.ndarray:

@@ -92,6 +92,16 @@ def loss_of_values(shape, dataset, cfg):
     return f
 
 
+def masked_sigmoid(z):
+    """Logistic function through boolean masks: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def random_params(shape, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     values = scale * rng.standard_normal(shape.n_params)
@@ -176,6 +186,7 @@ __all__ = [
     "fd_grad",
     "fd_hessian",
     "loss_of_values",
+    "masked_sigmoid",
     "multinomial_dataset",
     "random_params",
     "random_shape",

@@ -5,11 +5,14 @@ import json
 import logging
 import os
 import struct
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import ssse
 from ssse import BlockSpec, load_model, params_digest
 from ssse.cli import main
 
@@ -301,3 +304,11 @@ def test_demo_boundary_rejects_non_2d_data_without_writing(tmp_path, capsys):
 def test_unknown_command_raises_system_exit(tmp_path):
     with pytest.raises(SystemExit):
         main(["polish", "--config", "x", "--out", "y"])
+
+
+def test_package_and_cli_import_without_scipy():
+    src = os.path.dirname(os.path.dirname(ssse.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ssse, ssse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

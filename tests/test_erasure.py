@@ -17,6 +17,7 @@ from ssse import (
     LossConfig,
     MLP,
     MultinomialLinear,
+    NumericError,
     StaleFisherError,
     TrainConfig,
     build_inverse_fisher,
@@ -32,6 +33,7 @@ from ssse import (
     ssse_update,
     train,
 )
+from ssse import erasure
 
 
 def _setup(seed=0, n=10):
@@ -186,6 +188,20 @@ def test_influence_requires_l2_and_linear_shape():
     mlp_params = random_params(mlp_shape, 11)
     with pytest.raises(InputError):
         influence_update(mlp_params, ds, req, LossConfig(0.1), "full")
+
+
+@pytest.mark.parametrize("hessian, message", [
+    (-np.eye(4), "Hessian is not positive definite"),
+    (np.full((4, 4), np.nan), "Hessian has non-finite entries$"),
+], ids=["indefinite", "nan"])
+def test_influence_names_the_hessian_it_cannot_factor(monkeypatch, hessian, message):
+    shape = MultinomialLinear(n_classes=2, n_features=2)
+    ds = multinomial_dataset(9, 6, 2, 2)
+    params = random_params(shape, 10)
+    monkeypatch.setattr(erasure, "hessian_dense", lambda *args: hessian)
+    req = ErasureRequest(removed_ids=ds.ids[:1])
+    with pytest.raises(NumericError, match="Hessian solve failed: " + message):
+        influence_update(params, ds, req, LossConfig(0.1), "full")
 
 
 def test_influence_lko_tracks_retraining_on_a_convex_task():

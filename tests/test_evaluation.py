@@ -86,6 +86,29 @@ def test_roc_auc_degenerate_labels_return_zero():
     assert roc_auc(np.array([]), np.array([])) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_auc_refuses_non_finite_scores(bad):
+    scores = np.array([0.2, bad, 0.7, 0.4])
+    with pytest.raises(InputError, match="finite"):
+        roc_auc(scores, np.array([1, 0, 1, 0]))
+
+
+# bit patterns from scipy.stats.rankdata average ranks on the same inputs
+@pytest.mark.parametrize("seed, expected", [
+    (0, "0x1.1213562c8eec4p-1"),
+    (1, "0x1.a68a68a68a68ap-2"),
+    (2, "0x1.fc4503439d24dp-2"),
+    (3, "0x1.0e9f2e141348fp-1"),
+    (4, "0x1.15f06881ca7b8p-1"),
+])
+def test_roc_auc_bits_on_tie_heavy_scores(seed, expected):
+    rng = np.random.default_rng(seed)
+    n = 50 + 37 * seed
+    scores = rng.integers(0, 7, n) / 8.0
+    labels = rng.integers(0, 2, n)
+    assert roc_auc(scores, labels).hex() == expected
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_roc_auc_matches_pairwise_loop(seed):
     rng = np.random.default_rng(seed)

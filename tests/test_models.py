@@ -15,6 +15,7 @@ from helpers import (
     fd_grad,
     fd_hessian,
     loss_of_values,
+    masked_sigmoid,
     multinomial_dataset,
     random_params,
     random_shape,
@@ -42,6 +43,7 @@ from ssse import (
     predict_labels,
     predict_proba,
 )
+from ssse.models import _sigmoid
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,15 @@ def test_sigmoid_probabilities_bounded():
     params = ModelParams(values=np.array([500.0, 0.0, -500.0, 0.0]), shape=shape)
     p = predict_proba(params, np.array([[10.0, 1.0]]))
     assert np.all(p > 0) and np.all(p < 1)
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    extremes = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0,
+                         np.inf, -np.inf, np.nan])
+    rng = np.random.default_rng(0)
+    for z in (extremes, 30.0 * rng.standard_normal((200, 8))):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(_sigmoid(z), masked_sigmoid(z), equal_nan=True)
 
 
 def test_loss_at_zero_parameters_is_log_class_count():
