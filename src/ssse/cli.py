@@ -29,6 +29,7 @@ from .erasure import (
     diag_scrub_update,
     gradient_ascent_step,
     influence_update,
+    ssse_grid,
     ssse_update,
 )
 from .errors import InputError, NumericError, SsseError
@@ -333,18 +334,14 @@ def cmd_erase(args) -> int:
     splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
     grid, _ = sweep_settings(cfg, train_ds)
     grad_source = cfg.get("sweep", "grad_source", default="removed")
-    # Every update is computed before the first file is written, so a
-    # failing grid point leaves --out untouched.
-    erased = [
-        ssse_update(params, finv, train_ds, ErasureRequest(
-            removed_ids=splits.removed, epsilon=eps, grad_source=grad_source), loss_cfg)
-        for eps in grid
-    ]
+    # Every update is computed, from one erasure direction, before the first
+    # file is written, so a failing grid point leaves --out untouched.
+    erased = ssse_grid(params, finv, train_ds, splits.removed, grid, loss_cfg, grad_source)
     written = []
-    for i, (eps, theta) in enumerate(zip(grid, erased)):
+    for i, (eps, (theta, step_norm)) in enumerate(zip(grid, erased)):
         name = f"erased_{i:03d}_eps_{eps!r}.bin"
         save_model(theta, loss_cfg, _out_path(args.out, name))
-        written.append({"epsilon": eps, "file": name})
+        written.append({"epsilon": eps, "file": name, "step_norm": step_norm})
     _write_json(args.out, "erase_manifest.json",
                 {"config_digest": cfg.digest, "outputs": written, "removed": len(splits.removed)})
     log.info("wrote %d erased models", len(written))

@@ -17,6 +17,7 @@ Gaussian noise. All updates are pure: inputs are never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -98,6 +99,58 @@ def _finite_params(theta: ModelParams, values: np.ndarray, what: str) -> ModelPa
     return theta.with_values(values)
 
 
+def check_epsilon_grid(grid: Sequence[float]) -> list[float]:
+    """The grid as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
+    grid = [float(e) for e in grid]
+    if not grid:
+        raise InputError("epsilon grid must be nonempty")
+    if any(not np.isfinite(e) or e < 0 for e in grid):
+        raise InputError("epsilon grid entries must be finite and >= 0")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InputError("epsilon grid must be strictly increasing")
+    return grid
+
+
+def _ssse_direction(
+    theta_star: ModelParams,
+    finv: InverseFisher,
+    dataset: Dataset,
+    req: ErasureRequest,
+    cfg: LossConfig,
+) -> tuple[np.ndarray | None, int]:
+    """Every check of :func:`ssse_update`, then v = F_inv g and n - k.
+
+    The update at any epsilon is theta* + (epsilon / (n - k)) * v, so one
+    v serves a whole grid. v is None when ``req.epsilon`` scales to zero,
+    because that update needs no gradient.
+    """
+    if finv.built_at_digest != params_digest(theta_star):
+        raise StaleFisherError(
+            "inverse Fisher was built at different parameters than supplied"
+        )
+    if finv.n_samples != dataset.n:
+        raise StaleFisherError(
+            f"inverse Fisher was built on {finv.n_samples} samples, dataset has {dataset.n}"
+        )
+    if finv.n_params != theta_star.shape.n_params:
+        raise InputError("inverse Fisher size does not match the parameter vector")
+    kept = dataset.n - _check_removal(dataset, req.removed_ids)
+    if req.epsilon / kept == 0.0:
+        return None, kept
+    return apply_inverse(finv, _erasure_direction(theta_star, dataset, req, cfg)), kept
+
+
+def _ssse_at(
+    theta_star: ModelParams, v: np.ndarray | None, kept: int, epsilon: float
+) -> tuple[ModelParams, np.ndarray | None]:
+    """theta* + (epsilon / (n - k)) * v and that step; a zero scale returns theta* and no step."""
+    scale = epsilon / kept
+    if scale == 0.0:
+        return theta_star.with_values(theta_star.values), None
+    step = scale * v
+    return _finite_params(theta_star, theta_star.values + step, "ssse update"), step
+
+
 def ssse_update(
     theta_star: ModelParams,
     finv: InverseFisher,
@@ -112,23 +165,35 @@ def ssse_update(
     than ``dataset`` holds: the estimate is only valid at the exact
     parameters and for the training set it was built at.
     """
-    if finv.built_at_digest != params_digest(theta_star):
-        raise StaleFisherError(
-            "inverse Fisher was built at different parameters than supplied"
-        )
-    if finv.n_samples != dataset.n:
-        raise StaleFisherError(
-            f"inverse Fisher was built on {finv.n_samples} samples, dataset has {dataset.n}"
-        )
-    if finv.n_params != theta_star.shape.n_params:
-        raise InputError("inverse Fisher size does not match the parameter vector")
-    k = _check_removal(dataset, req.removed_ids)
-    scale = req.epsilon / (dataset.n - k)
-    if scale == 0.0:
-        return theta_star.with_values(theta_star.values)
-    g = _erasure_direction(theta_star, dataset, req, cfg)
-    values = theta_star.values + scale * apply_inverse(finv, g)
-    return _finite_params(theta_star, values, "ssse update")
+    v, kept = _ssse_direction(theta_star, finv, dataset, req, cfg)
+    return _ssse_at(theta_star, v, kept, req.epsilon)[0]
+
+
+def ssse_grid(
+    theta_star: ModelParams,
+    finv: InverseFisher,
+    dataset: Dataset,
+    removed_ids,
+    grid: Sequence[float],
+    cfg: LossConfig,
+    grad_source: str = "removed",
+) -> list[tuple[ModelParams, float]]:
+    """:func:`ssse_update` at every epsilon of the grid, each with its step's L2 norm.
+
+    The grid must pass :func:`check_epsilon_grid`. One request at the
+    largest epsilon makes every check of ssse_update, and the direction
+    v is computed once; each point only scales it, so its model is
+    bit-identical to ssse_update's at that epsilon. The norm is that of
+    (epsilon / (n - k)) * v, 0.0 at epsilon 0.
+    """
+    grid = check_epsilon_grid(grid)
+    req = ErasureRequest(removed_ids=removed_ids, epsilon=grid[-1], grad_source=grad_source)
+    v, kept = _ssse_direction(theta_star, finv, dataset, req, cfg)
+    points = []
+    for eps in grid:
+        theta_hat, step = _ssse_at(theta_star, v, kept, eps)
+        points.append((theta_hat, 0.0 if step is None else float(np.linalg.norm(step))))
+    return points
 
 
 def influence_update(

@@ -26,7 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .erasure import ErasureRequest, ssse_update
+from .erasure import (
+    check_epsilon_grid,
+    ssse_grid,
+    ssse_update,  # unused here; the benchmark's traced runs patch evaluation.ssse_update
+)
 from .errors import InputError
 from .fisher import InverseFisher
 from .models import (
@@ -34,7 +38,12 @@ from .models import (
     LossConfig,
     ModelParams,
     MultiAttrLinear,
-    grad_mean,
+    _check_task_match,
+    _forward,
+    _grad_total,
+    _labels_from_proba,
+    _loss_from_proba,
+    _targets,
     loss,
     predict_labels,
     predict_proba,
@@ -109,14 +118,20 @@ def mean_loss(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> float:
 
 def auc_per_attribute(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """ROC AUC of each attribute head on the given samples."""
+    _check_auc_task(params, dataset)
+    return _auc_profile(predict_proba(params, dataset.features), dataset.labels)
+
+
+def _check_auc_task(params: ModelParams, dataset: Dataset) -> None:
     if not isinstance(params.shape, MultiAttrLinear) or dataset.kind != "binary":
         raise InputError("per-attribute AUC requires a binary multi-attribute task")
     if dataset.n_attrs != params.shape.n_attrs:
         raise InputError("dataset attribute count does not match the model")
-    p = predict_proba(params, dataset.features)
+
+
+def _auc_profile(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.asarray(
-        [roc_auc(p[:, j], dataset.labels[:, j]) for j in range(dataset.n_attrs)],
-        dtype=np.float64,
+        [roc_auc(p[:, j], labels[:, j]) for j in range(labels.shape[1])], dtype=np.float64
     )
 
 
@@ -146,16 +161,23 @@ def similarity_ratio(
 
 def confusion_matrix(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Counts with true classes as rows and predicted classes as columns."""
+    _check_confusion_task(params, dataset)
+    preds = predict_labels(params, dataset.features)
+    return _confusion(params.shape.n_classes, dataset.labels, preds)
+
+
+def _check_confusion_task(params: ModelParams, dataset: Dataset) -> None:
     if isinstance(params.shape, MultiAttrLinear):
         raise InputError("confusion matrices require a multinomial task")
     if dataset.kind != "multinomial":
         raise InputError("confusion matrices require class labels")
-    c = params.shape.n_classes
-    if dataset.n and dataset.labels.max() > c:
+    if dataset.n and dataset.labels.max() > params.shape.n_classes:
         raise InputError("class label out of range for the model shape")
-    preds = predict_labels(params, dataset.features)
+
+
+def _confusion(c: int, labels: np.ndarray, preds: np.ndarray) -> np.ndarray:
     cm = np.zeros((c, c), dtype=np.int64)
-    np.add.at(cm, (dataset.labels - 1, preds - 1), 1)
+    np.add.at(cm, (labels - 1, preds - 1), 1)
     return cm
 
 
@@ -247,6 +269,99 @@ class SplitData:
         )
 
 
+def _removed_profile(params: ModelParams, removed: Dataset, p: np.ndarray) -> np.ndarray:
+    """The AUC profile (binary task) or confusion matrix on the removed split, from ``p``."""
+    if removed.kind == "binary":
+        _check_auc_task(params, removed)
+        return _auc_profile(p, removed.labels)
+    _check_confusion_task(params, removed)
+    return _confusion(params.shape.n_classes, removed.labels, _labels_from_proba(params.shape, p))
+
+
+def _references(
+    theta_star: ModelParams, theta_retrain: ModelParams, removed: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """theta*'s and the retrain's removed-split profiles, which every epsilon compares against."""
+    if removed.n == 0:
+        raise InputError("evaluation requires a nonempty removed split")
+    return tuple(
+        _removed_profile(t, removed, predict_proba(t, removed.features))
+        for t in (theta_star, theta_retrain)
+    )
+
+
+def _split_scores(params: ModelParams, dataset: Dataset, cfg: LossConfig):
+    """Accuracy and mean loss on one split, and the one forward pass they come from.
+
+    An empty split scores nan twice and makes no pass.
+    """
+    if dataset.n == 0:
+        return float("nan"), float("nan"), None
+    forward = _forward(params.shape, params.values, dataset.features)
+    p = forward[1]
+    acc = float((_labels_from_proba(params.shape, p) == dataset.labels).mean())
+    _check_task_match(params, dataset)
+    return acc, _loss_from_proba(p, dataset, params.values, cfg), forward
+
+
+def _report(
+    theta_hat: ModelParams,
+    epsilon: float,
+    theta_star: ModelParams,
+    theta_retrain: ModelParams,
+    references: tuple[np.ndarray, np.ndarray],
+    split_data: SplitData,
+    loss_cfg: LossConfig,
+) -> EvalReport:
+    """One report row from one forward pass of theta_hat per split.
+
+    Each number equals the public metric's (:func:`accuracy`,
+    :func:`mean_loss`, :func:`similarity_ratio` or
+    :func:`normalized_confusion_distance`, the norm of :func:`grad_mean`)
+    bit for bit.
+    """
+    star, retrain = references
+    removed, lko_train = split_data.removed, split_data.lko_train
+    shape, values = theta_hat.shape, theta_hat.values
+    acc_removed, loss_removed, forward = _split_scores(theta_hat, removed, loss_cfg)
+    profile = _removed_profile(theta_hat, removed, forward[1])
+    gamma = delta = auc_removed = None
+    if removed.kind == "binary":
+        d_star = float(np.abs(profile - star).sum())
+        d_retrain = float(np.abs(profile - retrain).sum())
+        gamma = _ratio(d_star, d_retrain)
+        auc_removed = tuple(float(v) for v in profile)
+    else:
+        s_retrain = confusion_distance(profile, retrain)
+        s_star = confusion_distance(profile, star)
+        delta = _ratio(float(s_retrain), float(s_star))
+    acc_lko_train, loss_lko_train, forward = _split_scores(theta_hat, lko_train, loss_cfg)
+    if forward is None:
+        raise InputError("gradient is undefined on an empty dataset")
+    targets = _targets(shape, lko_train.labels)
+    total = _grad_total(shape, values, lko_train.features, targets, loss_cfg.l2_coeff, forward)
+    acc_lko_test, loss_lko_test, _ = _split_scores(theta_hat, split_data.lko_test, loss_cfg)
+    acc_removed_test, loss_removed_test, _ = _split_scores(
+        theta_hat, split_data.removed_test, loss_cfg
+    )
+    return EvalReport(
+        epsilon=float(epsilon),
+        acc_lko_train=acc_lko_train,
+        acc_removed=acc_removed,
+        acc_lko_test=acc_lko_test,
+        acc_removed_test=acc_removed_test,
+        loss_lko_train=loss_lko_train,
+        loss_removed=loss_removed,
+        loss_lko_test=loss_lko_test,
+        loss_removed_test=loss_removed_test,
+        gamma=gamma,
+        delta=delta,
+        param_dist=normalized_param_distance(theta_hat, theta_star, theta_retrain),
+        grad_norm_lko=float(np.linalg.norm(total / lko_train.n)),
+        auc_removed=auc_removed,
+    )
+
+
 def evaluate_erasure(
     theta_hat: ModelParams,
     epsilon: float,
@@ -256,48 +371,13 @@ def evaluate_erasure(
     loss_cfg: LossConfig,
 ) -> EvalReport:
     """Assemble one report row; gamma for binary tasks, delta for multinomial."""
-    removed = split_data.removed
-    if removed.n == 0:
-        raise InputError("evaluation requires a nonempty removed split")
-    binary = removed.kind == "binary"
-    gamma = delta = None
-    auc_removed = None
-    if binary:
-        gamma = similarity_ratio(theta_hat, theta_star, theta_retrain, removed)
-        auc_removed = tuple(float(v) for v in auc_per_attribute(theta_hat, removed))
-    else:
-        delta = normalized_confusion_distance(theta_hat, theta_star, theta_retrain, removed)
-    return EvalReport(
-        epsilon=float(epsilon),
-        acc_lko_train=accuracy(theta_hat, split_data.lko_train),
-        acc_removed=accuracy(theta_hat, removed),
-        acc_lko_test=accuracy(theta_hat, split_data.lko_test),
-        acc_removed_test=accuracy(theta_hat, split_data.removed_test),
-        loss_lko_train=mean_loss(theta_hat, split_data.lko_train, loss_cfg),
-        loss_removed=mean_loss(theta_hat, removed, loss_cfg),
-        loss_lko_test=mean_loss(theta_hat, split_data.lko_test, loss_cfg),
-        loss_removed_test=mean_loss(theta_hat, split_data.removed_test, loss_cfg),
-        gamma=gamma,
-        delta=delta,
-        param_dist=normalized_param_distance(theta_hat, theta_star, theta_retrain),
-        grad_norm_lko=float(np.linalg.norm(grad_mean(theta_hat, split_data.lko_train, loss_cfg))),
-        auc_removed=auc_removed,
+    references = _references(theta_star, theta_retrain, split_data.removed)
+    return _report(
+        theta_hat, epsilon, theta_star, theta_retrain, references, split_data, loss_cfg
     )
 
 
 _CRITERIA = ("max_gamma", "min_delta")
-
-
-def check_epsilon_grid(grid: Sequence[float]) -> list[float]:
-    """The grid as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
-    grid = [float(e) for e in grid]
-    if not grid:
-        raise InputError("epsilon grid must be nonempty")
-    if any(not np.isfinite(e) or e < 0 for e in grid):
-        raise InputError("epsilon grid entries must be finite and >= 0")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InputError("epsilon grid must be strictly increasing")
-    return grid
 
 
 def epsilon_sweep(
@@ -317,6 +397,11 @@ def epsilon_sweep(
     applies to binary tasks and picks the largest gamma, ``min_delta``
     to multinomial tasks and picks the smallest delta; ties keep the
     lowest epsilon because the scan only replaces on strict improvement.
+
+    The erasure direction and the original and retrained models' profiles
+    on the removed split are computed once; each epsilon then costs one
+    forward pass per split. Every report equals :func:`evaluate_erasure`
+    of :func:`ssse_update` at that epsilon bit for bit.
     """
     grid = check_epsilon_grid(grid)
     if criterion not in _CRITERIA:
@@ -326,14 +411,16 @@ def epsilon_sweep(
     if criterion == "min_delta" and train.kind != "multinomial":
         raise InputError("min_delta requires a multinomial task")
 
+    erased = ssse_grid(theta_star, finv, train, splits.removed, grid, loss_cfg)
     split_data = SplitData.from_splits(train, test, splits)
+    references = _references(theta_star, theta_retrain, split_data.removed)
     reports = []
     best_idx = 0
     best_value: float | None = None
-    for i, eps in enumerate(grid):
-        req = ErasureRequest(removed_ids=splits.removed, epsilon=eps)
-        theta_hat = ssse_update(theta_star, finv, train, req, loss_cfg)
-        report = evaluate_erasure(theta_hat, eps, theta_star, theta_retrain, split_data, loss_cfg)
+    for i, (eps, (theta_hat, _)) in enumerate(zip(grid, erased)):
+        report = _report(
+            theta_hat, eps, theta_star, theta_retrain, references, split_data, loss_cfg
+        )
         reports.append(report)
         value = report.gamma if criterion == "max_gamma" else report.delta
         assert value is not None

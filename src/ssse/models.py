@@ -395,8 +395,11 @@ def predict_labels(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
     Argmax ties resolve to the lowest class index.
     """
-    p = predict_proba(params, features)
-    if isinstance(params.shape, MultiAttrLinear):
+    return _labels_from_proba(params.shape, predict_proba(params, features))
+
+
+def _labels_from_proba(shape: Shape, p: np.ndarray) -> np.ndarray:
+    if isinstance(shape, MultiAttrLinear):
         return (p > 0.5).astype(np.uint8)
     return np.argmax(p, axis=1).astype(np.int64) + 1
 
@@ -410,14 +413,18 @@ def loss(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> float:
     _check_task_match(params, dataset)
     if dataset.n == 0:
         raise InputError("loss is undefined on an empty dataset")
-    p = predict_proba(params, dataset.features)
+    return _loss_from_proba(predict_proba(params, dataset.features), dataset, params.values, cfg)
+
+
+def _loss_from_proba(p: np.ndarray, dataset: Dataset, values: np.ndarray, cfg: LossConfig) -> float:
+    """:func:`loss` from the head's probabilities ``p`` on the nonempty ``dataset``."""
     if dataset.kind == "binary":
         y = dataset.labels.astype(np.float64)
         nll = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=1)
     else:
         rows = np.arange(dataset.n)
         nll = -np.log(p[rows, dataset.labels - 1])
-    value = float(nll.mean() + 0.5 * cfg.l2_coeff * float(params.values @ params.values))
+    value = float(nll.mean() + 0.5 * cfg.l2_coeff * float(values @ values))
     if not np.isfinite(value):
         raise NumericError("loss is not finite")
     return value
@@ -430,14 +437,17 @@ def _targets(shape: Shape, labels: np.ndarray) -> np.ndarray:
     return onehot(np.asarray(labels), shape.n_classes)
 
 
-def _backward(shape: Shape, values: np.ndarray, features: np.ndarray, targets: np.ndarray):
+def _backward(
+    shape: Shape, values: np.ndarray, features: np.ndarray, targets: np.ndarray, forward=None
+):
     """Yield ``(start, stop, delta, layer_input)`` for each layer, last layer first.
 
     ``delta`` is the data loss's gradient with respect to the layer's
     pre-activation, so sample i's data gradient in columns start:stop is
-    ``outer(delta[i], layer_input[i])`` in the flat layout.
+    ``outer(delta[i], layer_input[i])`` in the flat layout. ``forward`` is
+    :func:`_forward` of the same arguments when the caller already has it.
     """
-    inputs, p = _forward(shape, values, features)
+    inputs, p = _forward(shape, values, features) if forward is None else forward
     weights = _weights(shape, values)
     delta = p - targets
     stop = shape.n_params
@@ -452,11 +462,16 @@ def _backward(shape: Shape, values: np.ndarray, features: np.ndarray, targets: n
 
 
 def _grad_total(
-    shape: Shape, values: np.ndarray, features: np.ndarray, targets: np.ndarray, l2_coeff: float
+    shape: Shape,
+    values: np.ndarray,
+    features: np.ndarray,
+    targets: np.ndarray,
+    l2_coeff: float,
+    forward=None,
 ) -> np.ndarray:
     """Sum over rows of the per-sample regularized gradients, one product per layer."""
     total = np.empty(shape.n_params, dtype=np.float64)
-    for start, stop, delta, x in _backward(shape, values, features, targets):
+    for start, stop, delta, x in _backward(shape, values, features, targets, forward):
         np.matmul(delta.T, x, out=total[start:stop].reshape(delta.shape[1], x.shape[1]))
     if l2_coeff:
         total += (features.shape[0] * l2_coeff) * values

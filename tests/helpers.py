@@ -9,13 +9,25 @@ import numpy as np
 
 from ssse import (
     Dataset,
+    ErasureRequest,
+    EvalReport,
     LossConfig,
     MLP,
     ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
+    SplitData,
+    SweepResult,
+    accuracy,
+    auc_per_attribute,
+    grad_mean,
     loss,
     make_ids,
+    mean_loss,
+    normalized_confusion_distance,
+    normalized_param_distance,
+    similarity_ratio,
+    ssse_update,
 )
 
 
@@ -176,6 +188,54 @@ def dense_block(finv, i):
     return np.column_stack(columns)
 
 
+def evaluation_oracle(theta_hat, epsilon, theta_star, theta_retrain, split_data, loss_cfg):
+    """One sweep report row from the public metric functions, each with its own forward passes."""
+    removed = split_data.removed
+    gamma = delta = auc_removed = None
+    if removed.kind == "binary":
+        gamma = similarity_ratio(theta_hat, theta_star, theta_retrain, removed)
+        auc_removed = tuple(float(v) for v in auc_per_attribute(theta_hat, removed))
+    else:
+        delta = normalized_confusion_distance(theta_hat, theta_star, theta_retrain, removed)
+    return EvalReport(
+        epsilon=float(epsilon),
+        acc_lko_train=accuracy(theta_hat, split_data.lko_train),
+        acc_removed=accuracy(theta_hat, removed),
+        acc_lko_test=accuracy(theta_hat, split_data.lko_test),
+        acc_removed_test=accuracy(theta_hat, split_data.removed_test),
+        loss_lko_train=mean_loss(theta_hat, split_data.lko_train, loss_cfg),
+        loss_removed=mean_loss(theta_hat, removed, loss_cfg),
+        loss_lko_test=mean_loss(theta_hat, split_data.lko_test, loss_cfg),
+        loss_removed_test=mean_loss(theta_hat, split_data.removed_test, loss_cfg),
+        gamma=gamma,
+        delta=delta,
+        param_dist=normalized_param_distance(theta_hat, theta_star, theta_retrain),
+        grad_norm_lko=float(np.linalg.norm(grad_mean(theta_hat, split_data.lko_train, loss_cfg))),
+        auc_removed=auc_removed,
+    )
+
+
+def sweep_oracle(theta_star, finv, train, test, splits, grid, criterion, theta_retrain, loss_cfg):
+    """The epsilon sweep one grid point at a time: its own ssse_update, then evaluation_oracle.
+
+    The best epsilon is the first one with the largest gamma (max_gamma)
+    or the smallest delta (min_delta).
+    """
+    split_data = SplitData.from_splits(train, test, splits)
+    reports = []
+    for eps in grid:
+        req = ErasureRequest(removed_ids=splits.removed, epsilon=eps)
+        theta_hat = ssse_update(theta_star, finv, train, req, loss_cfg)
+        reports.append(
+            evaluation_oracle(theta_hat, eps, theta_star, theta_retrain, split_data, loss_cfg)
+        )
+    if criterion == "max_gamma":
+        best = max(range(len(grid)), key=lambda i: (reports[i].gamma, -i))
+    else:
+        best = min(range(len(grid)), key=lambda i: (reports[i].delta, i))
+    return SweepResult(criterion=criterion, best_epsilon=float(grid[best]), reports=tuple(reports))
+
+
 __all__ = [
     "ScalarSplitMix64",
     "binary_dataset",
@@ -183,6 +243,7 @@ __all__ = [
     "dense_block",
     "dense_fisher",
     "dense_fisher_inverse",
+    "evaluation_oracle",
     "fd_grad",
     "fd_hessian",
     "loss_of_values",
@@ -190,4 +251,5 @@ __all__ = [
     "multinomial_dataset",
     "random_params",
     "random_shape",
+    "sweep_oracle",
 ]

@@ -102,6 +102,31 @@ def test_full_command_chain(tmp_path, caplog):
     assert [o["epsilon"] for o in manifest["outputs"]] == [0.5, 1.0, 2.0]
 
 
+def test_erase_manifest_records_each_step_norm(tmp_path):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("grid = 0.5, 1, 2", "grid = 0, 0.5, 1, 2"))
+    t, f = str(tmp_path / "t"), str(tmp_path / "f")
+    assert main(["train", "--config", cfg, "--out", t]) == 0
+    model = os.path.join(t, "model.bin")
+    assert main(["fisher", "--config", cfg, "--out", f, "--model", model]) == 0
+    fisher = os.path.join(f, "fisher.bin")
+    manifests = []
+    for out in (str(tmp_path / "a"), str(tmp_path / "b")):
+        assert main(["erase", "--config", cfg, "--out", out, "--model", model,
+                     "--fisher", fisher]) == 0
+        manifests.append(read_bytes(os.path.join(out, "erase_manifest.json")))
+    assert manifests[0] == manifests[1]
+    outputs = json.loads(manifests[0])["outputs"]
+    norms = [o["step_norm"] for o in outputs]
+    assert [o["epsilon"] for o in outputs] == [0.0, 0.5, 1.0, 2.0]
+    assert norms[0] == 0.0
+    assert norms == sorted(norms) and norms[1] > 0.0
+    # the step is the applied update, so its norm is the distance from theta*
+    theta = load_model(model)[0].values
+    for o in outputs:
+        erased = load_model(os.path.join(str(tmp_path / "a"), o["file"]))[0].values
+        assert o["step_norm"] == pytest.approx(float(np.linalg.norm(erased - theta)), rel=1e-12)
+
+
 def test_sweep_outputs_are_byte_identical_across_reruns(tmp_path):
     cfg = write_config(tmp_path)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -66,6 +66,31 @@ def test_update_is_linear_in_epsilon():
     )
 
 
+@pytest.mark.parametrize("grad_source", ["removed", "remaining"])
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_updates_equal_ssse_update_bit_for_bit(seed, grad_source):
+    _, ds, cfg, params, finv = _setup(seed=seed)
+    grid = [0.0, 0.3, 1.0, 2.5]
+    points = erasure.ssse_grid(params, finv, ds, ds.ids[:3], grid, cfg, grad_source)
+    for eps, (theta, step_norm) in zip(grid, points):
+        req = ErasureRequest(removed_ids=ds.ids[:3], epsilon=eps, grad_source=grad_source)
+        np.testing.assert_array_equal(theta.values, ssse_update(params, finv, ds, req, cfg).values)
+    norms = [step_norm for _, step_norm in points]
+    assert norms[0] == 0.0
+    assert norms == sorted(norms) and norms[-1] > 0.0
+
+
+def test_grid_checks_the_grid_and_the_request():
+    _, ds, cfg, params, finv = _setup(seed=2)
+    for grid in ([], [1.0, 0.5], [-1.0, 1.0], [float("nan")]):
+        with pytest.raises(InputError):
+            erasure.ssse_grid(params, finv, ds, ds.ids[:2], grid, cfg)
+    with pytest.raises(InputError):
+        erasure.ssse_grid(params, finv, ds, (), [1.0], cfg)
+    with pytest.raises(InputError):
+        erasure.ssse_grid(params, finv, ds, ds.ids[:2], [1.0], cfg, grad_source="all")
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_update_matches_dense_oracle(seed):
     _, ds, cfg, params, finv = _setup(seed=seed)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import ScalarSplitMix64, multinomial_dataset, random_params
+from helpers import ScalarSplitMix64, dataset_for_shape, multinomial_dataset, random_params
 from ssse import (
     ContainerError,
     InputError,
@@ -17,8 +17,10 @@ from ssse import (
     MultinomialLinear,
     TrainConfig,
     TrainingError,
+    grad_mean,
     init_params,
     load_model,
+    loss,
     make_blobs,
     retrain_scratch,
     save_model,
@@ -144,6 +146,23 @@ def test_divergence_raises_training_error_naming_epoch():
     # the l2 term feeds the blow-up back into the next gradient
     with pytest.raises(TrainingError, match="epoch"):
         train(ds, shape, LossConfig(l2_coeff=0.1), cfg)
+
+
+@pytest.mark.parametrize("shape", [
+    MultiAttrLinear(n_attrs=2, n_features=4),
+    MultinomialLinear(n_classes=3, n_features=4),
+    MLP(n_features=4, n_hidden=3, n_classes=3),
+])
+@pytest.mark.parametrize("grad_tol", [0.0, 1e-1])
+def test_epoch_diagnostics_equal_loss_and_grad_mean_bit_for_bit(shape, grad_tol):
+    ds = dataset_for_shape(shape, 12, n=60)
+    cfg = LossConfig(l2_coeff=0.02)
+    result = train(ds, shape, cfg, TrainConfig(lr=0.3, epochs=25, batch_size=16, seed=2,
+                                               momentum=0.5, grad_tol=grad_tol))
+    assert result.final_loss == loss(result.params, ds, cfg)
+    assert result.final_grad_norm == float(np.linalg.norm(grad_mean(result.params, ds, cfg)))
+    assert result.loss_history[-1] == result.final_loss
+    assert len(result.loss_history) == result.epochs_run
 
 
 def test_train_config_validation():
