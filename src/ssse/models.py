@@ -232,7 +232,8 @@ class Dataset:
         ids = tuple(str(i) for i in self.ids)
         if len(ids) != n:
             raise InputError("id count does not match features")
-        if len(set(ids)) != n:
+        row_of = dict(zip(ids, range(n)))
+        if len(row_of) != n:
             raise InputError("sample ids must be unique")
 
         features = features.copy() if features is self.features else features
@@ -242,6 +243,7 @@ class Dataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_row_of", row_of)
 
     # -- basic views --------------------------------------------------------
 
@@ -265,33 +267,36 @@ class Dataset:
 
     # -- subsetting ---------------------------------------------------------
 
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """Ascending int64 row indices of the given ids; a repeated id counts once.
+
+        Unknown ids raise InputError naming the first three in sorted order.
+        """
+        ids = list(ids)
+        try:
+            rows = [self._row_of[s] for s in ids]
+        except KeyError:
+            missing = sorted(set(ids).difference(self._row_of))
+            raise InputError(f"sample ids not in the dataset: {missing[:3]}") from None
+        return np.unique(np.asarray(rows, dtype=np.int64))
+
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """Rows with the given ids, kept in this dataset's own row order."""
-        return self._select(ids, keep=True)
+        return self._take(self.rows(ids))
 
     def without(self, ids: Iterable[str]) -> "Dataset":
         """Rows without the given ids, kept in this dataset's own row order."""
-        return self._select(ids, keep=False)
+        return self._take(np.delete(np.arange(self.n), self.rows(ids)))
 
-    def _select(self, ids: Iterable[str], keep: bool) -> "Dataset":
-        chosen = set(ids)
-        missing = chosen.difference(self.ids)
-        if missing:
-            raise InputError(f"unknown sample ids: {sorted(missing)[:3]}")
-        rows = [i for i, s in enumerate(self.ids) if (s in chosen) is keep]
-        idx = np.asarray(rows, dtype=np.int64)
+    def sorted_by_id(self) -> "Dataset":
+        return self._take(np.argsort(np.asarray(self.ids, dtype=object)))
+
+    def _take(self, idx: np.ndarray) -> "Dataset":
+        # Python ints index the id tuple much faster than numpy integers.
         return Dataset(
             features=self.features[idx],
             labels=self.labels[idx],
-            ids=tuple(self.ids[i] for i in rows),
-        )
-
-    def sorted_by_id(self) -> "Dataset":
-        order = np.argsort(np.asarray(self.ids, dtype=object))
-        return Dataset(
-            features=self.features[order],
-            labels=self.labels[order],
-            ids=tuple(self.ids[i] for i in order),
+            ids=tuple(self.ids[i] for i in idx.tolist()),
         )
 
 
@@ -534,11 +539,11 @@ def grad_mean(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.ndar
 
 def grad_sum(params: ModelParams, dataset: Dataset, ids: Iterable[str], cfg: LossConfig) -> np.ndarray:
     """Sum of per-sample gradients over the given sample ids."""
-    sub = dataset.subset(ids)
-    if sub.n == 0:
+    rows = dataset.rows(ids)
+    if rows.size == 0:
         raise InputError("gradient sum over an empty id set")
-    targets = _targets(params.shape, sub.labels)
-    return _grad_total(params.shape, params.values, sub.features, targets, cfg.l2_coeff)
+    targets = _targets(params.shape, dataset.labels[rows])
+    return _grad_total(params.shape, params.values, dataset.features[rows], targets, cfg.l2_coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,18 @@ def binary_dataset(seed, n, m, a, prefix="s"):
     return Dataset(features=features, labels=labels, ids=make_ids(n, prefix))
 
 
+def select_oracle(dataset, ids, keep):
+    """``subset`` (keep=True) or ``without`` (keep=False) by one scan over every id."""
+    chosen = set(ids)
+    rows = [i for i, s in enumerate(dataset.ids) if (s in chosen) is keep]
+    idx = np.asarray(rows, dtype=np.int64)
+    return Dataset(
+        features=dataset.features[idx],
+        labels=dataset.labels[idx],
+        ids=tuple(dataset.ids[i] for i in rows),
+    )
+
+
 def random_shape(rng):
     """One of the three model families with small random dimensions."""
     pick = rng.integers(0, 3)

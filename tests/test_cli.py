@@ -74,7 +74,7 @@ def test_train_writes_model_and_manifest(tmp_path):
     out = str(tmp_path / "out")
     assert main(["train", "--config", cfg, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "model.bin"))
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
     assert manifest["seed"] == 1
     assert manifest["epochs_run"] >= 1
     assert len(manifest["config_digest"]) == 64
@@ -98,7 +98,7 @@ def test_full_command_chain(tmp_path, caplog):
         "erased_001_eps_1.0.bin",
         "erased_002_eps_2.0.bin",
     ]
-    manifest = json.load(open(os.path.join(e, "erase_manifest.json")))
+    manifest = json.loads(read_bytes(os.path.join(e, "erase_manifest.json")))
     assert [o["epsilon"] for o in manifest["outputs"]] == [0.5, 1.0, 2.0]
 
 
@@ -140,7 +140,7 @@ def test_compare_baselines_rows(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "bl")
     assert main(["compare-baselines", "--config", cfg, "--out", out]) == 0
-    rows = open(os.path.join(out, "baselines.csv")).read().splitlines()
+    rows = read_bytes(os.path.join(out, "baselines.csv")).decode().splitlines()
     methods = [r.split(",")[0] for r in rows[1:]]
     assert methods == ["original", "retrain", "ssse", "gradient_ascent", "diag_scrub"]
     # the retrain row is its own reference, so its deltas are zero
@@ -155,7 +155,7 @@ def test_demo_boundary_outputs(tmp_path):
     )
     out = str(tmp_path / "demo")
     assert main(["demo-boundary", "--config", cfg, "--out", out]) == 0
-    summary = json.load(open(os.path.join(out, "demo_summary.json")))
+    summary = json.loads(read_bytes(os.path.join(out, "demo_summary.json")))
     assert set(summary) >= {
         "best_epsilon",
         "disagreement_original",
@@ -163,7 +163,7 @@ def test_demo_boundary_outputs(tmp_path):
         "disagreement_influence_full",
         "disagreement_influence_lko",
     }
-    grid_rows = open(os.path.join(out, "boundary_grid.csv")).read().splitlines()
+    grid_rows = read_bytes(os.path.join(out, "boundary_grid.csv")).decode().splitlines()
     assert grid_rows[0] == "x,y,pred_original,pred_retrain,pred_ssse,pred_influence_full,pred_influence_lko"
     assert len(grid_rows) == 1 + 21 * 21
 
@@ -189,7 +189,7 @@ def test_config_digest_covers_the_parsed_bytes(tmp_path):
     text = BASE_CONFIG.replace("[model]", "# caf\u00e9\n[model]")
     out = str(tmp_path / "out")
     assert main(["train", "--config", write_config(tmp_path, text), "--out", out]) == 0
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(read_bytes(os.path.join(out, "manifest.json")))
     assert manifest["config_digest"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

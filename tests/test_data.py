@@ -1,10 +1,12 @@
 """Synthetic generators, CSV IO, and removal splits."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import binary_dataset, multinomial_dataset, select_oracle
 from ssse import (
     Dataset,
     InputError,
@@ -119,8 +121,8 @@ def test_csv_round_trip_binary(tmp_path):
 
 def test_csv_header_skipped(tmp_path):
     fpath, lpath = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
-    open(fpath, "w").write("f1,f2\n0.5,1.5\n-1.0,2.0\n")
-    open(lpath, "w").write("label\n1\n2\n")
+    Path(fpath).write_text("f1,f2\n0.5,1.5\n-1.0,2.0\n")
+    Path(lpath).write_text("label\n1\n2\n")
     ds = load_csv(fpath, lpath, "multinomial")
     assert ds.n == 2
     np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [-1.0, 2.0]])
@@ -129,35 +131,35 @@ def test_csv_header_skipped(tmp_path):
 
 def test_csv_errors_carry_row_numbers(tmp_path):
     fpath, lpath = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
-    open(fpath, "w").write("f1,f2\n1.0,2.0\n3.0\n")
-    open(lpath, "w").write("1\n2\n")
+    Path(fpath).write_text("f1,f2\n1.0,2.0\n3.0\n")
+    Path(lpath).write_text("1\n2\n")
     with pytest.raises(InputError, match="row 3"):
         load_csv(fpath, lpath, "multinomial")
 
-    open(fpath, "w").write("1.0,2.0\n3.0,oops\n")
+    Path(fpath).write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(InputError, match="row 2 column 2"):
         load_csv(fpath, lpath, "multinomial")
 
-    open(fpath, "w").write("")
+    Path(fpath).write_text("")
     with pytest.raises(InputError, match="no data rows"):
         load_csv(fpath, lpath, "multinomial")
 
 
 def test_unreadable_csv_raises_input_error_naming_the_path(tmp_path):
     fpath, lpath = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
-    open(lpath, "w").write("1\n2\n")
+    Path(lpath).write_text("1\n2\n")
     with pytest.raises(InputError, match="x.csv"):
         load_csv(fpath, lpath, "multinomial")
 
-    open(fpath, "wb").write(b"f\xe9,f2\n1.0,2.0\n3.0,4.0\n")
+    Path(fpath).write_bytes(b"f\xe9,f2\n1.0,2.0\n3.0,4.0\n")
     with pytest.raises(InputError, match="x.csv"):
         load_csv(fpath, lpath, "multinomial")
 
 
 def test_csv_label_count_mismatch(tmp_path):
     fpath, lpath = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
-    open(fpath, "w").write("1.0,2.0\n3.0,4.0\n")
-    open(lpath, "w").write("1\n")
+    Path(fpath).write_text("1.0,2.0\n3.0,4.0\n")
+    Path(lpath).write_text("1\n")
     with pytest.raises(InputError, match="label rows"):
         load_csv(fpath, lpath, "multinomial")
 
@@ -228,3 +230,45 @@ def test_dataset_round_trip_via_subset_covers_every_row():
     both = ds.subset(ds.ids)
     assert both.ids == ds.ids
     np.testing.assert_array_equal(both.features, ds.features)
+
+
+def _shuffled(ds, seed):
+    """The same rows under permuted ids, so that row order and id order differ."""
+    perm = np.random.default_rng(seed).permutation(ds.n)
+    return Dataset(features=ds.features, labels=ds.labels, ids=tuple(ds.ids[i] for i in perm))
+
+
+def test_rows_are_ascending_and_count_a_repeat_once():
+    ds = Dataset(features=np.zeros((4, 1)), labels=np.ones(4), ids=("d", "b", "a", "c"))
+    rows = ds.rows(["c", "d", "a", "c"])
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [0, 2, 3]
+    assert ds.rows(s for s in ("b", "b")).tolist() == [1]
+    assert ds.rows([]).tolist() == []
+
+
+def test_rows_name_the_first_unknown_ids_even_from_a_generator():
+    ds = multinomial_dataset(0, 6, 2, 2)
+    ids = ("zz", ds.ids[0], "q", "m", "b")
+    with pytest.raises(InputError, match=r"sample ids not in the dataset: \['b', 'm', 'q'\]$"):
+        ds.rows(s for s in ids)
+    for select in (ds.subset, ds.without):
+        with pytest.raises(InputError, match="not in the dataset"):
+            select(iter(ids))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_subset_and_without_equal_the_scanning_oracle(seed):
+    rng = np.random.default_rng(seed)
+    base = binary_dataset(seed, 15, 3, 2) if seed % 2 else multinomial_dataset(seed, 15, 3, 4)
+    ds = _shuffled(base, seed + 100)
+    picks = [(), ds.ids] + [
+        tuple(ds.ids[i] for i in rng.choice(ds.n, size=k, replace=False)) for k in (1, 4, 9, 14)
+    ]
+    for ids in picks:
+        for keep, select in ((True, ds.subset), (False, ds.without)):
+            got, want = select(ids), select_oracle(ds, ids, keep)
+            assert got.ids == want.ids
+            assert got.labels.dtype == want.labels.dtype
+            np.testing.assert_array_equal(got.features, want.features)
+            np.testing.assert_array_equal(got.labels, want.labels)

@@ -12,6 +12,7 @@ from helpers import (
 )
 from ssse import (
     BlockSpec,
+    Dataset,
     ErasureRequest,
     InputError,
     LossConfig,
@@ -141,11 +142,28 @@ def test_remaining_direction_is_the_negated_retained_row_sum(seed):
 
     _, ds, cfg, params, _ = _setup(seed=seed, n=12)
     removed = (ds.ids[2], ds.ids[7])
-    req = ErasureRequest(removed_ids=removed, grad_source="remaining")
     keep = [i for i, s in enumerate(ds.ids) if s not in removed]
     rows = grad_matrix(params, ds.features[keep], ds.labels[keep], cfg)
-    np.testing.assert_allclose(_erasure_direction(params, ds, req, cfg), -rows.sum(axis=0),
-                               rtol=1e-12)
+    direction = _erasure_direction(params, ds, ds.rows(removed), "remaining", cfg)
+    np.testing.assert_allclose(direction, -rows.sum(axis=0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("grad_source", ["removed", "remaining"])
+def test_requests_build_no_dataset(monkeypatch, grad_source):
+    """After setup a request only slices the validated arrays of the training set."""
+    _, ds, cfg, params, finv = _setup(seed=1, n=12)
+    want = ssse_update(params, finv, ds, ErasureRequest(removed_ids=ds.ids[3:6],
+                                                       grad_source=grad_source), cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request built a Dataset")
+
+    for name in ("subset", "without", "__post_init__"):
+        monkeypatch.setattr(Dataset, name, refuse)
+    req = ErasureRequest(removed_ids=ds.ids[3:6], grad_source=grad_source)
+    np.testing.assert_array_equal(ssse_update(params, finv, ds, req, cfg).values, want.values)
+    points = erasure.ssse_grid(params, finv, ds, ds.ids[3:6], [0.0, 1.0], cfg, grad_source)
+    np.testing.assert_array_equal(points[-1][0].values, want.values)
 
 
 def test_stale_fisher_is_refused():
@@ -199,6 +217,24 @@ def test_influence_matches_dense_hessian_solve(source):
     g = grad_sum(params, ds, removed, cfg)
     expected = params.values + np.linalg.solve(h, g) / (ds.n - 2)
     np.testing.assert_allclose(out.values, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("source", ["full", "lko"])
+def test_influence_remaining_steps_along_the_negated_retained_sum(source):
+    shape = MultinomialLinear(n_classes=3, n_features=3)
+    ds = multinomial_dataset(7, 9, 3, 3)
+    cfg = LossConfig(l2_coeff=0.1)
+    params = random_params(shape, 8)
+    removed = ds.ids[:2]
+    req = ErasureRequest(removed_ids=removed, grad_source="remaining")
+    out = influence_update(params, ds, req, cfg, source)
+    base = ds if source == "full" else ds.without(removed)
+    kept = ds.without(removed)
+    g = -grad_matrix(params, kept.features, kept.labels, cfg).sum(axis=0)
+    expected = params.values + np.linalg.solve(hessian_dense(params, base, cfg), g) / (ds.n - 2)
+    np.testing.assert_allclose(out.values, expected, atol=1e-9)
+    removed_step = influence_update(params, ds, ErasureRequest(removed_ids=removed), cfg, source)
+    assert np.abs(out.values - removed_step.values).max() > 1e-3
 
 
 def test_influence_requires_l2_and_linear_shape():
@@ -259,6 +295,16 @@ def test_gradient_ascent_formula_and_zero_lr():
     np.testing.assert_allclose(out.values, expected, rtol=1e-12)
     frozen = gradient_ascent_step(params, ds, removed, 0.0, cfg)
     np.testing.assert_array_equal(frozen.values, params.values)
+
+
+def test_gradient_ascent_refuses_repeated_or_no_ids():
+    _, ds, cfg, params, _ = _setup(seed=6)
+    with pytest.raises(InputError, match="unique"):
+        gradient_ascent_step(params, ds, (ds.ids[0], ds.ids[0]), 0.3, cfg)
+    with pytest.raises(InputError, match="nonempty"):
+        gradient_ascent_step(params, ds, (), 0.3, cfg)
+    with pytest.raises(InputError, match="not in the dataset"):
+        gradient_ascent_step(params, ds, ("ghost",), 0.3, cfg)
 
 
 def test_diag_scrub_formula_and_noise_determinism():

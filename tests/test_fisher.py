@@ -1,5 +1,7 @@
 """Closed-form block builds, the reference rank-one step, block structure, the container."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -337,16 +339,16 @@ def test_container_rerun_is_byte_identical(tmp_path):
     p1, p2 = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save_inverse_fisher(finv, p1)
     save_inverse_fisher(finv, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_container_bad_magic_reports_byte_zero(tmp_path):
     _, finv = _sample_finv()
     path = str(tmp_path / "f.bin")
     save_inverse_fisher(finv, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[0] ^= 0xFF
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ContainerError, match="byte 0"):
         load_inverse_fisher(path)
 
@@ -355,8 +357,8 @@ def test_container_truncation_reports_offset(tmp_path):
     _, finv = _sample_finv()
     path = str(tmp_path / "f.bin")
     save_inverse_fisher(finv, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) - 9])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) - 9])
     with pytest.raises(ContainerError, match="truncated at byte"):
         load_inverse_fisher(path)
 
@@ -365,8 +367,8 @@ def test_container_trailing_bytes_rejected(tmp_path):
     _, finv = _sample_finv()
     path = str(tmp_path / "f.bin")
     save_inverse_fisher(finv, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob + b"\x00")
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob + b"\x00")
     with pytest.raises(ContainerError, match="trailing"):
         load_inverse_fisher(path)
 
@@ -378,10 +380,10 @@ def test_container_rejects_block_rows_out_of_range(tmp_path, rows):
     _, finv = _sample_finv()
     path = str(tmp_path / "f.bin")
     save_inverse_fisher(finv, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     assert int.from_bytes(blob[73:81], "little") == 3
     blob[73:81] = rows.to_bytes(8, "little")
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ContainerError, match=f"block 0 rows {rows}, side 3 at byte 73"):
         load_inverse_fisher(path)
 
@@ -390,9 +392,9 @@ def test_container_unsupported_version(tmp_path):
     _, finv = _sample_finv()
     path = str(tmp_path / "f.bin")
     save_inverse_fisher(finv, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[8] = 9
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ContainerError, match="version"):
         load_inverse_fisher(path)
 

@@ -3,6 +3,7 @@
 import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_model_truncation_reports_offset(tmp_path):
     params = random_params(MultinomialLinear(n_classes=2, n_features=2), 2)
     path = str(tmp_path / "m.bin")
     save_model(params, LossConfig(), path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-4])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-4])
     with pytest.raises(ContainerError, match="truncated at byte"):
         load_model(path)
