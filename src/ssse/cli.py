@@ -26,6 +26,7 @@ from . import evaluation as eval_mod
 from ._container import write_atomic
 from .erasure import (
     ErasureRequest,
+    check_epsilon_grid,
     diag_scrub_update,
     gradient_ascent_step,
     influence_update,
@@ -234,7 +235,7 @@ def _removed_only(text: str) -> str:
 
 def sweep_settings(cfg: ConfigView, train_ds: Dataset) -> tuple[list[float], str]:
     """The validated epsilon grid and the selection criterion."""
-    grid = eval_mod.check_epsilon_grid(cfg.get("sweep", "grid", float_list))
+    grid = check_epsilon_grid(cfg.get("sweep", "grid", float_list))
     default_criterion = "max_gamma" if train_ds.kind == "binary" else "min_delta"
     return grid, cfg.get("sweep", "criterion", default=default_criterion)
 

@@ -1,23 +1,37 @@
 """Closed-form removal of training samples from a trained model.
 
-The central update shifts the trained parameters along the inverse
-empirical Fisher applied to the summed gradients of the samples being
-erased:
+Every update is one step from the trained parameters theta*, taken by
+one private function:
 
-    theta_new = theta + (epsilon / (n - k)) * F_inv @ sum_{i in S} grad_i
+    theta_new = theta* + (epsilon / m) * P(g),    g = sum_{i in S} grad_i
 
-where n is the training-set size, k = |S|, and epsilon scales the step.
-Two influence-function variants replace the scaled inverse Fisher with
-an exact dense Hessian inverse (built on the full data or on the
-retained data), and two cheaper baselines take a plain gradient-ascent
-step or use only the diagonal of the Fisher estimate plus optional
-Gaussian noise. All updates are pure: inputs are never mutated.
+where n is the training-set size, k = |S| and g is computed once per
+call (not at all when every scale epsilon / m is 0, which returns theta*
+unchanged). With ``grad_source = "remaining"`` g is minus the retained
+rows' gradient sum instead. The updates differ only in their input
+checks, the divisor m and the direction P, and in which request fields
+they read:
+
+- :func:`ssse_update` (and :func:`ssse_grid`, one step per epsilon of a
+  grid): m = n - k, P(g) = F_inv g through the inverse Fisher estimate.
+  Reads ``removed_ids``, ``epsilon`` and ``grad_source``.
+- :func:`influence_update`: m = 1 at epsilon 1, P(g) = H_inv g / (n - k)
+  through an exact dense Hessian of the full or the retained data. Reads
+  ``removed_ids`` and ``grad_source``; ``epsilon`` is ignored.
+- :func:`gradient_ascent_step`: m = 1 at epsilon = ``lr``, P(g) = g / k.
+  Takes ids and ``lr``, no request.
+- :func:`diag_scrub_update`: m = n - k, P(g) = diag(F_inv) * g, plus
+  seeded Gaussian noise. The only update that reads ``noise_sigma`` and
+  ``noise_seed``; ssse_update and influence_update refuse a request
+  with noise.
+
+All updates are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +60,7 @@ class ErasureRequest:
     feed the update: the removed samples themselves (default) or the
     negated gradient sum of the retained samples, which agrees with the
     default at an exact optimum where all per-sample gradients cancel.
+    ``noise_sigma`` and ``noise_seed`` are read by the diagonal scrub only.
     """
 
     removed_ids: tuple[str, ...]
@@ -99,6 +114,32 @@ def _finite_params(theta: ModelParams, values: np.ndarray, what: str) -> ModelPa
     return theta.with_values(values)
 
 
+def _steps(
+    theta_star: ModelParams, dataset: Dataset, req: ErasureRequest, rows: np.ndarray,
+    cfg: LossConfig, grid: Sequence[float], divisor: float,
+    direction: Callable[[np.ndarray], np.ndarray], what: str,
+) -> list[tuple[ModelParams, float]]:
+    """theta* + (epsilon / divisor) * direction(g) at each epsilon of ``grid``, with its L2 norm.
+
+    The one step behind every update. ``rows`` are the request's checked
+    removed rows and g is their erasure direction for ``req.grad_source``.
+    g is computed once, and not at all when every scale is 0; a zero
+    scale gives a copy of theta* and the norm 0.0.
+    """
+    scales = [eps / divisor for eps in grid]
+    if any(scales):
+        v = direction(_erasure_direction(theta_star, dataset, rows, req.grad_source, cfg))
+    points = []
+    for scale in scales:
+        if scale == 0.0:
+            points.append((theta_star.with_values(theta_star.values), 0.0))
+            continue
+        step = scale * v
+        theta = _finite_params(theta_star, theta_star.values + step, what)
+        points.append((theta, float(np.linalg.norm(step))))
+    return points
+
+
 def check_epsilon_grid(grid: Sequence[float]) -> list[float]:
     """The grid as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
     grid = [float(e) for e in grid]
@@ -111,19 +152,8 @@ def check_epsilon_grid(grid: Sequence[float]) -> list[float]:
     return grid
 
 
-def _ssse_direction(
-    theta_star: ModelParams,
-    finv: InverseFisher,
-    dataset: Dataset,
-    req: ErasureRequest,
-    cfg: LossConfig,
-) -> tuple[np.ndarray | None, int]:
-    """Every check of :func:`ssse_update`, then v = F_inv g and n - k.
-
-    The update at any epsilon is theta* + (epsilon / (n - k)) * v, so one
-    v serves a whole grid. v is None when ``req.epsilon`` scales to zero,
-    because that update needs no gradient.
-    """
+def _check_fisher(theta_star: ModelParams, finv: InverseFisher, dataset: Dataset) -> None:
+    """The estimate must have been built at ``theta_star`` on ``dataset``'s sample count."""
     if finv.built_at_digest != params_digest(theta_star):
         raise StaleFisherError(
             "inverse Fisher was built at different parameters than supplied"
@@ -134,75 +164,49 @@ def _ssse_direction(
         )
     if finv.n_params != theta_star.shape.n_params:
         raise InputError("inverse Fisher size does not match the parameter vector")
-    rows = _check_removal(dataset, req.removed_ids)
-    kept = dataset.n - len(rows)
-    if req.epsilon / kept == 0.0:
-        return None, kept
-    g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
-    return apply_inverse(finv, g), kept
-
-
-def _ssse_at(
-    theta_star: ModelParams, v: np.ndarray | None, kept: int, epsilon: float
-) -> tuple[ModelParams, np.ndarray | None]:
-    """theta* + (epsilon / (n - k)) * v and that step; a zero scale returns theta* and no step."""
-    scale = epsilon / kept
-    if scale == 0.0:
-        return theta_star.with_values(theta_star.values), None
-    step = scale * v
-    return _finite_params(theta_star, theta_star.values + step, "ssse update"), step
 
 
 def ssse_update(
-    theta_star: ModelParams,
-    finv: InverseFisher,
-    dataset: Dataset,
-    req: ErasureRequest,
+    theta_star: ModelParams, finv: InverseFisher, dataset: Dataset, req: ErasureRequest,
     cfg: LossConfig,
 ) -> ModelParams:
     """Single-step erasure through the inverse Fisher estimate.
 
-    Refuses an inverse Fisher whose stored digest does not match
-    ``theta_star``, or that was built on a different number of samples
-    than ``dataset`` holds: the estimate is only valid at the exact
-    parameters and for the training set it was built at.
+    Refuses a request with noise, and an inverse Fisher whose stored
+    digest does not match ``theta_star`` or that was built on a different
+    number of samples than ``dataset`` holds: the estimate is only valid
+    at the exact parameters and for the training set it was built at.
     """
-    v, kept = _ssse_direction(theta_star, finv, dataset, req, cfg)
-    return _ssse_at(theta_star, v, kept, req.epsilon)[0]
+    if req.noise_sigma > 0:
+        raise InputError("ssse_update adds no noise: noise_sigma must be 0")
+    _check_fisher(theta_star, finv, dataset)
+    rows = _check_removal(dataset, req.removed_ids)
+    return _steps(theta_star, dataset, req, rows, cfg, [req.epsilon], dataset.n - len(rows),
+                  lambda g: apply_inverse(finv, g), "ssse update")[0][0]
 
 
 def ssse_grid(
-    theta_star: ModelParams,
-    finv: InverseFisher,
-    dataset: Dataset,
-    removed_ids,
-    grid: Sequence[float],
-    cfg: LossConfig,
-    grad_source: str = "removed",
+    theta_star: ModelParams, finv: InverseFisher, dataset: Dataset, removed_ids,
+    grid: Sequence[float], cfg: LossConfig, grad_source: str = "removed",
 ) -> list[tuple[ModelParams, float]]:
     """:func:`ssse_update` at every epsilon of the grid, each with its step's L2 norm.
 
-    The grid must pass :func:`check_epsilon_grid`. One request at the
-    largest epsilon makes every check of ssse_update, and the direction
-    v is computed once; each point only scales it, so its model is
-    bit-identical to ssse_update's at that epsilon. The norm is that of
-    (epsilon / (n - k)) * v, 0.0 at epsilon 0.
+    The grid must pass :func:`check_epsilon_grid`; the other checks are
+    those of ssse_update. The direction F_inv g is computed once and each
+    point only scales it, so its model is bit-identical to ssse_update's
+    at that epsilon. The norm is that of (epsilon / (n - k)) F_inv g,
+    0.0 at epsilon 0.
     """
     grid = check_epsilon_grid(grid)
-    req = ErasureRequest(removed_ids=removed_ids, epsilon=grid[-1], grad_source=grad_source)
-    v, kept = _ssse_direction(theta_star, finv, dataset, req, cfg)
-    points = []
-    for eps in grid:
-        theta_hat, step = _ssse_at(theta_star, v, kept, eps)
-        points.append((theta_hat, 0.0 if step is None else float(np.linalg.norm(step))))
-    return points
+    req = ErasureRequest(removed_ids=removed_ids, grad_source=grad_source)
+    _check_fisher(theta_star, finv, dataset)
+    rows = _check_removal(dataset, req.removed_ids)
+    return _steps(theta_star, dataset, req, rows, cfg, grid, dataset.n - len(rows),
+                  lambda g: apply_inverse(finv, g), "ssse update")
 
 
 def influence_update(
-    theta_star: ModelParams,
-    dataset: Dataset,
-    req: ErasureRequest,
-    cfg: LossConfig,
+    theta_star: ModelParams, dataset: Dataset, req: ErasureRequest, cfg: LossConfig,
     hessian_source: str = "full",
 ) -> ModelParams:
     """Influence-function step using an exact dense Hessian inverse.
@@ -210,49 +214,43 @@ def influence_update(
     ``hessian_source`` picks where the Hessian is evaluated: "full" uses
     the whole training set, "lko" the retained samples only. The solve
     goes through a symmetric positive-definite factorization, so a
-    strictly positive l2_coeff is required.
+    strictly positive l2_coeff is required. ``req.epsilon`` is ignored,
+    and a request with noise is refused.
     """
+    if req.noise_sigma > 0:
+        raise InputError("influence_update adds no noise: noise_sigma must be 0")
     if hessian_source not in ("full", "lko"):
         raise InputError(f"unknown hessian_source: {hessian_source!r}")
     if cfg.l2_coeff <= 0:
         raise InputError("influence updates require l2_coeff > 0")
     rows = _check_removal(dataset, req.removed_ids)
-    base = dataset if hessian_source == "full" else dataset.without(req.removed_ids)
+    kept = dataset.n - len(rows)
+    base = (dataset if hessian_source == "full"
+            else dataset._take(np.delete(np.arange(dataset.n), rows)))
     h = hessian_dense(theta_star, base, cfg)
-    g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
     try:
         lower = _cholesky(h, "Hessian")
     except NumericError as exc:
         raise NumericError(f"Hessian solve failed: {exc}") from exc
-    step = np.linalg.solve(lower.T, np.linalg.solve(lower, g))
-    values = theta_star.values + step / (dataset.n - len(rows))
-    return _finite_params(theta_star, values, "influence update")
+    return _steps(theta_star, dataset, req, rows, cfg, [1.0], 1,
+                  lambda g: np.linalg.solve(lower.T, np.linalg.solve(lower, g)) / kept,
+                  "influence update")[0][0]
 
 
 def gradient_ascent_step(
-    theta_star: ModelParams,
-    dataset: Dataset,
-    removed_ids,
-    lr: float,
-    cfg: LossConfig,
+    theta_star: ModelParams, dataset: Dataset, removed_ids, lr: float, cfg: LossConfig
 ) -> ModelParams:
     """One ascent step on the mean loss of the removed samples (nonempty, unique ids)."""
-    ids = ErasureRequest(removed_ids=removed_ids).removed_ids
+    req = ErasureRequest(removed_ids=removed_ids)
     if not np.isfinite(lr) or lr < 0:
         raise InputError("lr must be finite and >= 0")
-    rows = _check_removal(dataset, ids)
-    if lr == 0.0:
-        return theta_star.with_values(theta_star.values)
-    g = _erasure_direction(theta_star, dataset, rows, "removed", cfg)
-    values = theta_star.values + lr * (g / len(rows))
-    return _finite_params(theta_star, values, "gradient ascent step")
+    rows = _check_removal(dataset, req.removed_ids)
+    return _steps(theta_star, dataset, req, rows, cfg, [lr], 1,
+                  lambda g: g / len(rows), "gradient ascent step")[0][0]
 
 
 def diag_scrub_update(
-    theta_star: ModelParams,
-    diag_finv: np.ndarray,
-    dataset: Dataset,
-    req: ErasureRequest,
+    theta_star: ModelParams, diag_finv: np.ndarray, dataset: Dataset, req: ErasureRequest,
     cfg: LossConfig,
 ) -> ModelParams:
     """Diagonal-Fisher erasure with optional Gaussian smoothing noise.
@@ -268,14 +266,10 @@ def diag_scrub_update(
     if np.any(diag_finv <= 0) or not np.all(np.isfinite(diag_finv)):
         raise InputError("diagonal inverse Fisher entries must be finite and > 0")
     rows = _check_removal(dataset, req.removed_ids)
-    scale = req.epsilon / (dataset.n - len(rows))
-    if scale == 0.0 and req.noise_sigma == 0.0:
-        return theta_star.with_values(theta_star.values)
-    values = theta_star.values.copy()
-    if scale != 0.0:
-        g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
-        values = values + scale * (diag_finv * g)
-    if req.noise_sigma > 0.0:
-        rng = np.random.default_rng(req.noise_seed)
-        values = values + req.noise_sigma * np.sqrt(diag_finv) * rng.standard_normal(values.shape)
-    return _finite_params(theta_star, values, "diagonal scrub update")
+    theta = _steps(theta_star, dataset, req, rows, cfg, [req.epsilon], dataset.n - len(rows),
+                   lambda g: diag_finv * g, "diagonal scrub update")[0][0]
+    if req.noise_sigma == 0.0:
+        return theta
+    rng = np.random.default_rng(req.noise_seed)
+    noise = req.noise_sigma * np.sqrt(diag_finv) * rng.standard_normal(theta.values.shape)
+    return _finite_params(theta_star, theta.values + noise, "diagonal scrub update")

@@ -657,17 +657,16 @@ def fisher_hessian_ratio_check(params: ModelParams, dataset: Dataset) -> RatioCh
         eps_i = (1.0 - p[rows, y_idx]) / (c - 1)
         margin = float(eps_i.mean())
         rho = 1.0 / (margin * (c - 1))
-        devs_all = []
-        for i in range(dataset.n):
-            pi = p[i]
-            a = np.diag(pi) - np.outer(pi, pi)
-            r = pi.copy()
-            r[y_idx[i]] -= 1.0
-            g = np.outer(r, r)
-            keep = np.abs(g) >= np.abs(g).max() / c
-            pred = rho * g[keep]
-            devs_all.append(np.abs(a[keep] - pred) / np.abs(pred))
-        devs = np.concatenate(devs_all)
+        # Per row: the softmax Hessian factor diag(p) - p p^T against the
+        # outer product r r^T of the residual r = p - onehot(y), compared
+        # on the entries of at least the row's max |r r^T| / c.
+        a = np.einsum("ni,ij->nij", p, np.eye(c)) - p[:, :, None] * p[:, None, :]
+        r = p.copy()
+        r[rows, y_idx] -= 1.0
+        g = r[:, :, None] * r[:, None, :]
+        keep = np.abs(g) >= np.abs(g).max(axis=(1, 2), keepdims=True) / c
+        pred = rho * g[keep]
+        devs = np.abs(a[keep] - pred) / np.abs(pred)
         mean_dev = float(devs.mean())
         max_dev = float(devs.max())
         spread = float(np.abs(eps_i - margin).max() / margin)

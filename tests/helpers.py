@@ -11,12 +11,16 @@ from ssse import (
     Dataset,
     ErasureRequest,
     EvalReport,
+    InputError,
     LossConfig,
     MLP,
     ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
+    NumericError,
+    RatioCheck,
     SplitData,
+    StaleFisherError,
     SweepResult,
     accuracy,
     auc_per_attribute,
@@ -26,9 +30,13 @@ from ssse import (
     mean_loss,
     normalized_confusion_distance,
     normalized_param_distance,
+    predict_proba,
     similarity_ratio,
     ssse_update,
 )
+from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
+from ssse.fisher import _cholesky, apply_inverse
+from ssse.models import hessian_dense, params_digest
 
 
 _MASK = (1 << 64) - 1
@@ -248,6 +256,122 @@ def sweep_oracle(theta_star, finv, train, test, splits, grid, criterion, theta_r
     return SweepResult(criterion=criterion, best_epsilon=float(grid[best]), reports=tuple(reports))
 
 
+def softmax_ratio_check_oracle(params, dataset):
+    """``fisher_hessian_ratio_check`` on a softmax model, one sample at a time."""
+    p = predict_proba(params, dataset.features)
+    c = params.shape.n_classes
+    y_idx = dataset.labels - 1
+    eps_i = (1.0 - p[np.arange(dataset.n), y_idx]) / (c - 1)
+    margin = float(eps_i.mean())
+    rho = 1.0 / (margin * (c - 1))
+    devs_all = []
+    for i in range(dataset.n):
+        pi = p[i]
+        a = np.diag(pi) - np.outer(pi, pi)
+        r = pi.copy()
+        r[y_idx[i]] -= 1.0
+        g = np.outer(r, r)
+        keep = np.abs(g) >= np.abs(g).max() / c
+        pred = rho * g[keep]
+        devs_all.append(np.abs(a[keep] - pred) / np.abs(pred))
+    devs = np.concatenate(devs_all)
+    spread = float(np.abs(eps_i - margin).max() / margin)
+    warning = f"non-uniform margins: relative spread {spread:.3e}" if spread > 1e-6 else None
+    return RatioCheck(
+        mean_rel_dev=float(devs.mean()),
+        max_rel_dev=float(devs.max()),
+        predicted_multiple=rho,
+        margin_mean=margin,
+        margin_spread=spread,
+        warning=warning,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The erasure updates as separate bodies, each with its own scale, zero-scale
+# shortcut and finite check: the bit-for-bit reference for the shared step.
+# ---------------------------------------------------------------------------
+
+def _ssse_direction_oracle(theta_star, finv, dataset, req, cfg):
+    if finv.built_at_digest != params_digest(theta_star):
+        raise StaleFisherError("inverse Fisher was built at different parameters than supplied")
+    if finv.n_samples != dataset.n:
+        raise StaleFisherError(
+            f"inverse Fisher was built on {finv.n_samples} samples, dataset has {dataset.n}"
+        )
+    if finv.n_params != theta_star.shape.n_params:
+        raise InputError("inverse Fisher size does not match the parameter vector")
+    rows = _check_removal(dataset, req.removed_ids)
+    kept = dataset.n - len(rows)
+    if req.epsilon / kept == 0.0:
+        return None, kept
+    g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
+    return apply_inverse(finv, g), kept
+
+
+def _ssse_at_oracle(theta_star, v, kept, epsilon):
+    scale = epsilon / kept
+    if scale == 0.0:
+        return theta_star.with_values(theta_star.values), None
+    step = scale * v
+    return _finite_params(theta_star, theta_star.values + step, "ssse update"), step
+
+
+def ssse_update_oracle(theta_star, finv, dataset, req, cfg):
+    v, kept = _ssse_direction_oracle(theta_star, finv, dataset, req, cfg)
+    return _ssse_at_oracle(theta_star, v, kept, req.epsilon)[0]
+
+
+def ssse_grid_oracle(theta_star, finv, dataset, removed_ids, grid, cfg, grad_source="removed"):
+    grid = check_epsilon_grid(grid)
+    req = ErasureRequest(removed_ids=removed_ids, epsilon=grid[-1], grad_source=grad_source)
+    v, kept = _ssse_direction_oracle(theta_star, finv, dataset, req, cfg)
+    points = []
+    for eps in grid:
+        theta_hat, step = _ssse_at_oracle(theta_star, v, kept, eps)
+        points.append((theta_hat, 0.0 if step is None else float(np.linalg.norm(step))))
+    return points
+
+
+def influence_update_oracle(theta_star, dataset, req, cfg, hessian_source="full"):
+    rows = _check_removal(dataset, req.removed_ids)
+    base = dataset if hessian_source == "full" else dataset.without(req.removed_ids)
+    h = hessian_dense(theta_star, base, cfg)
+    g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
+    try:
+        lower = _cholesky(h, "Hessian")
+    except NumericError as exc:
+        raise NumericError(f"Hessian solve failed: {exc}") from exc
+    step = np.linalg.solve(lower.T, np.linalg.solve(lower, g))
+    values = theta_star.values + step / (dataset.n - len(rows))
+    return _finite_params(theta_star, values, "influence update")
+
+
+def gradient_ascent_step_oracle(theta_star, dataset, removed_ids, lr, cfg):
+    ids = ErasureRequest(removed_ids=removed_ids).removed_ids
+    rows = _check_removal(dataset, ids)
+    if lr == 0.0:
+        return theta_star.with_values(theta_star.values)
+    g = _erasure_direction(theta_star, dataset, rows, "removed", cfg)
+    values = theta_star.values + lr * (g / len(rows))
+    return _finite_params(theta_star, values, "gradient ascent step")
+
+
+def diag_scrub_update_oracle(theta_star, diag_finv, dataset, req, cfg):
+    rows = _check_removal(dataset, req.removed_ids)
+    scale = req.epsilon / (dataset.n - len(rows))
+    if scale == 0.0 and req.noise_sigma == 0.0:
+        return theta_star.with_values(theta_star.values)
+    values = theta_star.values.copy()
+    if scale != 0.0:
+        g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
+        values = values + scale * (diag_finv * g)
+    if req.noise_sigma > 0.0:
+        rng = np.random.default_rng(req.noise_seed)
+        values = values + req.noise_sigma * np.sqrt(diag_finv) * rng.standard_normal(values.shape)
+    return _finite_params(theta_star, values, "diagonal scrub update")
+
+
 __all__ = [
     "ScalarSplitMix64",
     "binary_dataset",
@@ -255,13 +379,19 @@ __all__ = [
     "dense_block",
     "dense_fisher",
     "dense_fisher_inverse",
+    "diag_scrub_update_oracle",
     "evaluation_oracle",
     "fd_grad",
     "fd_hessian",
+    "gradient_ascent_step_oracle",
+    "influence_update_oracle",
     "loss_of_values",
     "masked_sigmoid",
     "multinomial_dataset",
     "random_params",
     "random_shape",
+    "softmax_ratio_check_oracle",
+    "ssse_grid_oracle",
+    "ssse_update_oracle",
     "sweep_oracle",
 ]

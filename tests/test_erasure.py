@@ -1,8 +1,11 @@
 """Closed-form erasure updates against dense linear-algebra oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import helpers
 from helpers import (
     dataset_for_shape,
     dense_fisher_inverse,
@@ -17,6 +20,7 @@ from ssse import (
     InputError,
     LossConfig,
     MLP,
+    MultiAttrLinear,
     MultinomialLinear,
     NumericError,
     StaleFisherError,
@@ -164,6 +168,70 @@ def test_requests_build_no_dataset(monkeypatch, grad_source):
     np.testing.assert_array_equal(ssse_update(params, finv, ds, req, cfg).values, want.values)
     points = erasure.ssse_grid(params, finv, ds, ds.ids[3:6], [0.0, 1.0], cfg, grad_source)
     np.testing.assert_array_equal(points[-1][0].values, want.values)
+
+
+_PACKAGE = {f.__name__: f for f in (ssse_update, erasure.ssse_grid, influence_update,
+                                     gradient_ascent_step, diag_scrub_update)}
+_ORACLES = {name: getattr(helpers, name + "_oracle") for name in _PACKAGE}
+
+
+def _points(update, fns, params, finv, diag, ds, req, cfg):
+    """``update`` computed by ``fns`` (the package or the oracles) as (model, step norm) pairs."""
+    if update == "ssse_grid":
+        grid = [e for e in (0.0, 0.5, 0.7, 1.0) if e <= req.epsilon]
+        return fns["ssse_grid"](params, finv, ds, req.removed_ids, grid, cfg, req.grad_source)
+    if update == "ssse":
+        theta = fns["ssse_update"](params, finv, ds, req, cfg)
+    elif update.startswith("influence_"):
+        theta = fns["influence_update"](params, ds, req, cfg, update[len("influence_"):])
+    elif update == "gradient_ascent":
+        theta = fns["gradient_ascent_step"](params, ds, req.removed_ids, req.epsilon, cfg)
+    else:
+        noisy = replace(req, noise_sigma=0.05, noise_seed=4) if update == "scrub_noise" else req
+        theta = fns["diag_scrub_update"](params, diag, ds, noisy, cfg)
+    return [(theta, None)]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("grad_source", ["removed", "remaining"])
+@pytest.mark.parametrize("update", ["ssse", "ssse_grid", "influence_full", "influence_lko",
+                                    "gradient_ascent", "scrub", "scrub_noise"])
+def test_updates_are_bit_identical_to_their_separate_bodies(update, grad_source, epsilon):
+    """Each update through the shared step equals its own scale-and-check body bit for bit.
+
+    The gradient-ascent step takes epsilon as its learning rate; the
+    influence step ignores epsilon.
+    """
+    cfg = LossConfig(l2_coeff=0.05)
+    shapes = [MultinomialLinear(n_classes=3, n_features=3), MultiAttrLinear(n_attrs=2, n_features=3)]
+    if not update.startswith("influence_"):
+        shapes.append(MLP(n_features=3, n_hidden=3, n_classes=3))
+    for seed, shape in enumerate(shapes):
+        ds = dataset_for_shape(shape, seed + 40, n=12)
+        params = random_params(shape, seed + 70)
+        finv = build_inverse_fisher(params, ds, cfg, 0.2, BlockSpec.from_shape(shape), 1)
+        diag = diagonal_inverse_fisher(params, ds, cfg, 0.2)
+        req = ErasureRequest(removed_ids=ds.ids[2:5], epsilon=epsilon, grad_source=grad_source)
+        got = _points(update, _PACKAGE, params, finv, diag, ds, req, cfg)
+        want = _points(update, _ORACLES, params, finv, diag, ds, req, cfg)
+        assert len(got) == len(want)
+        for (theta, norm), (theta_want, norm_want) in zip(got, want):
+            assert np.array_equal(theta.values, theta_want.values)
+            assert (theta.shape, theta.seed, norm) == (theta_want.shape, theta_want.seed, norm_want)
+
+
+def test_updates_that_add_no_noise_refuse_a_noisy_request():
+    shape = MultinomialLinear(n_classes=3, n_features=3)
+    ds = multinomial_dataset(7, 9, 3, 3)
+    cfg = LossConfig(l2_coeff=0.1)
+    params = random_params(shape, 8)
+    finv = build_inverse_fisher(params, ds, cfg, 0.2, BlockSpec.from_shape(shape), 1)
+    req = ErasureRequest(removed_ids=ds.ids[:2], noise_sigma=0.1)
+    with pytest.raises(InputError, match="noise_sigma"):
+        ssse_update(params, finv, ds, req, cfg)
+    for source in ("full", "lko"):
+        with pytest.raises(InputError, match="noise_sigma"):
+            influence_update(params, ds, req, cfg, source)
 
 
 def test_stale_fisher_is_refused():

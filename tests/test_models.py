@@ -19,6 +19,7 @@ from helpers import (
     multinomial_dataset,
     random_params,
     random_shape,
+    softmax_ratio_check_oracle,
 )
 from ssse import (
     Dataset,
@@ -296,6 +297,18 @@ def test_ratio_check_flags_nonuniform_margins():
     check = fisher_hessian_ratio_check(params, ds)
     assert check.warning is not None
     assert check.margin_spread > 1e-6
+
+
+@pytest.mark.parametrize("c", [2, 3, 5])
+def test_softmax_ratio_check_equals_the_per_sample_loop(c):
+    for seed in range(20):
+        ds, params = make_separable_subspace(c=c, m=c + 3, eps_margin=1e-3, n_per_class=3, seed=seed)
+        assert fisher_hessian_ratio_check(params, ds) == softmax_ratio_check_oracle(params, ds)
+    ds = multinomial_dataset(12, 10, 3, c)
+    params = random_params(MultinomialLinear(n_classes=c, n_features=3), 13)
+    check = fisher_hessian_ratio_check(params, ds)
+    assert check.warning is not None
+    assert check == softmax_ratio_check_oracle(params, ds)
 
 
 def test_ratio_check_rejects_mlp_and_multi_head():
