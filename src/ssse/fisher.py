@@ -25,7 +25,10 @@ Applying the estimate is two mat-vecs with each factor; no inverse is formed.
 With a batch size b > 1, gradients are averaged over consecutive batches
 of b samples (in id order, last batch possibly smaller) and each batch
 mean counts as a single row of G, with ``count`` equal to the number of
-batches.
+batches. A batch's summed gradient is one product delta^T x per layer,
+so a batched build never forms per-sample gradient rows; they are formed
+only for batch size 1 and for the diagonal estimate (and, to name the
+sample, for a batch whose mean is non-finite).
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ from .models import (
     LossConfig,
     ModelParams,
     Shape,
+    _backward,
+    _targets,
     grad_matrix,
     params_digest,
 )
@@ -188,7 +193,7 @@ def _gradient_chunks(
     sample id.
     """
     # the rows of the already validated arrays, in lexicographic id order
-    order = np.argsort(np.asarray(dataset.ids, dtype=object))
+    order = dataset._id_order()
     buf = np.empty((min(chunk, dataset.n), params.shape.n_params))
     finite = np.empty(buf.shape, dtype=bool)
     for start in range(0, dataset.n, chunk):
@@ -203,16 +208,45 @@ def _gradient_chunks(
 
 
 def _batch_means(params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_size: int):
-    """Yield the mean gradients of consecutive id-ordered batches, a chunk of rows at a time."""
+    """Yield the mean gradients of consecutive id-ordered batches, a chunk of rows at a time.
+
+    A batch size of 1 yields the per-sample rows. Above 1, a chunk takes
+    one backward pass, and each layer one stacked product delta^T x over
+    the chunk's full batches and one more for a short last batch; the rows
+    of a batch are formed only when its mean is non-finite, to name the
+    sample that made it so.
+    """
     chunk = batch_size * max(1, 512 // batch_size)
     error = "non-finite gradient for sample {sample_id}"
-    for g in _gradient_chunks(params, dataset, cfg, chunk, error):
-        if batch_size == 1:
-            yield g
-            continue
-        starts = np.arange(0, g.shape[0], batch_size)
-        means = np.add.reduceat(g, starts, axis=0)
-        means /= np.minimum(batch_size, g.shape[0] - starts)[:, None]
+    if batch_size == 1:
+        yield from _gradient_chunks(params, dataset, cfg, chunk, error)
+        return
+    shape, values = params.shape, params.values
+    order = dataset._id_order()
+    for lo in range(0, dataset.n, chunk):
+        rows = order[lo:lo + chunk]
+        n = len(rows)
+        full = n // batch_size
+        cut = full * batch_size
+        sizes = np.minimum(batch_size, n - np.arange(0, n, batch_size))
+        means = np.empty((len(sizes), shape.n_params))
+        targets = _targets(shape, dataset.labels[rows])
+        for start, stop, delta, x in _backward(shape, values, dataset.features[rows], targets):
+            r, c = delta.shape[1], x.shape[1]
+            sums = means[:, start:stop].reshape(-1, r, c)
+            np.matmul(delta[:cut].reshape(full, batch_size, r).transpose(0, 2, 1),
+                      x[:cut].reshape(full, batch_size, c), out=sums[:full])
+            if cut < n:
+                np.matmul(delta[cut:].T, x[cut:], out=sums[full])
+        if cfg.l2_coeff:
+            means += (sizes * cfg.l2_coeff)[:, None] * values
+        means /= sizes[:, None]
+        for j in np.flatnonzero(~np.isfinite(means).all(axis=1)):
+            # raises on the batch's first non-finite row; a mean that
+            # overflowed from finite rows is left to the factor's check
+            batch = dataset._take(rows[j * batch_size:(j + 1) * batch_size])
+            for _ in _gradient_chunks(params, batch, cfg, batch_size, error):
+                pass
         yield means
 
 

@@ -289,7 +289,11 @@ class Dataset:
         return self._take(np.delete(np.arange(self.n), self.rows(ids)))
 
     def sorted_by_id(self) -> "Dataset":
-        return self._take(np.argsort(np.asarray(self.ids, dtype=object)))
+        return self._take(self._id_order())
+
+    def _id_order(self) -> np.ndarray:
+        """Row indices that put the samples in lexicographic id order."""
+        return np.argsort(np.asarray(self.ids, dtype=object))
 
     def _take(self, idx: np.ndarray) -> "Dataset":
         # Python ints index the id tuple much faster than numpy integers.
@@ -495,8 +499,9 @@ def grad_matrix(
 
     Row i is the gradient of ``nll_i + (l2_coeff / 2) * ||theta||^2``, so
     the mean over rows equals the full-batch gradient of :func:`loss`.
-    Only the Fisher estimates need the rows themselves; every mean or
-    summed gradient in the package is one product per layer instead.
+    Only the batch-size-1 and diagonal Fisher estimates need the rows
+    themselves; every mean, summed or batch-mean gradient in the package
+    is one product per layer instead.
     ``out``, a C-contiguous float64 (rows, n_params) array, receives the
     rows in place of a fresh array.
     """

@@ -35,7 +35,7 @@ from ssse import (
     ssse_update,
 )
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
-from ssse.fisher import _cholesky, apply_inverse
+from ssse.fisher import _cholesky, _gradient_chunks, apply_inverse
 from ssse.models import hessian_dense, params_digest
 
 
@@ -206,6 +206,20 @@ def dense_block(finv, i):
         unit[j] = 1.0
         columns.append(apply_inverse(finv, unit)[lo:hi])
     return np.column_stack(columns)
+
+
+def batch_means_oracle(params, dataset, cfg, batch_size):
+    """``fisher._batch_means`` from per-sample rows: each chunk's batch means by ``reduceat``."""
+    chunk = batch_size * max(1, 512 // batch_size)
+    error = "non-finite gradient for sample {sample_id}"
+    for g in _gradient_chunks(params, dataset, cfg, chunk, error):
+        if batch_size == 1:
+            yield g
+            continue
+        starts = np.arange(0, g.shape[0], batch_size)
+        means = np.add.reduceat(g, starts, axis=0)
+        means /= np.minimum(batch_size, g.shape[0] - starts)[:, None]
+        yield means
 
 
 def evaluation_oracle(theta_hat, epsilon, theta_star, theta_retrain, split_data, loss_cfg):

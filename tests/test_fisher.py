@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    batch_means_oracle,
     dataset_for_shape,
     dense_block,
     dense_fisher,
@@ -35,6 +36,7 @@ from ssse import (
     save_inverse_fisher,
     sherman_morrison_step,
 )
+from ssse import fisher
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,42 @@ def test_build_over_several_chunks_matches_dense_inverse(shape, batch_size):
         np.testing.assert_allclose(dense_block(finv, i), np.linalg.inv(dense), atol=1e-9)
 
 
+# 1100 rows make three 512-row chunks at batch size 1 and several chunks
+# with a short last batch above it; the wide MLP's blocks of 1200 and 24
+# are dual and primal at batch sizes 1, 2 and 3, the narrow one's blocks
+# of 12 and 8 at batch size 100.
+ORACLE_N = 1100
+ORACLE_SHAPES = {
+    "multi-attr": MultiAttrLinear(n_attrs=2, n_features=3),
+    "multinomial": MultinomialLinear(n_classes=3, n_features=4),
+    "mlp-narrow": MLP(n_features=3, n_hidden=4, n_classes=2),
+    "mlp-wide": MLP(n_features=100, n_hidden=12, n_classes=2),
+}
+BOTH_FORMS = {("mlp-wide", 1), ("mlp-wide", 2), ("mlp-wide", 3), ("mlp-narrow", 100)}
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 100, 700, ORACLE_N, ORACLE_N + 5])
+@pytest.mark.parametrize("family", list(ORACLE_SHAPES))
+def test_batch_means_match_the_per_sample_row_oracle(monkeypatch, family, batch_size):
+    shape = ORACLE_SHAPES[family]
+    ds = dataset_for_shape(shape, 3, n=ORACLE_N)
+    cfg = LossConfig(l2_coeff=0.05)
+    params = random_params(shape, 4)
+    finv = build_inverse_fisher(params, ds, cfg, 0.3, None, batch_size)
+    monkeypatch.setattr(fisher, "_batch_means", batch_means_oracle)
+    oracle = build_inverse_fisher(params, ds, cfg, 0.3, None, batch_size)
+    forms = {finv.rank_one_count < hi - lo for lo, hi in finv.spec.ranges}
+    assert (forms == {True, False}) == ((family, batch_size) in BOTH_FORMS)
+    for block, expected in zip(finv.blocks, oracle.blocks):
+        if batch_size == 1:
+            assert np.array_equal(block, expected)
+        else:
+            # the sums round in another order: entries near zero carry the
+            # rounding of the block's largest, so the bound scales with it
+            np.testing.assert_allclose(block, expected, rtol=1e-12,
+                                       atol=1e-12 * np.abs(expected).max())
+
+
 def test_build_is_independent_of_row_order():
     shape = MultinomialLinear(n_classes=2, n_features=3)
     ds = multinomial_dataset(6, 10, 3, 2)
@@ -207,22 +245,43 @@ def test_non_finite_gradients_are_refused():
     features = np.array([[0.5, 0.0], [1e308, 0.0], [1.0, 1.0]])
     ds = Dataset(features=features, labels=np.array([1, 2, 1]), ids=("a", "b", "c"))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="for sample b"):
-            build_inverse_fisher(params, ds, LossConfig(), 0.1)
+        # batched, sample b shares its non-finite batch mean with a (size 2) or a and c (3)
+        for batch_size in (1, 2, 3):
+            with pytest.raises(NumericError, match="for sample b"):
+                build_inverse_fisher(params, ds, LossConfig(), 0.1, batch_size=batch_size)
         with pytest.raises(NumericError, match="accumulating the diagonal"):
             diagonal_inverse_fisher(params, ds, LossConfig(), 0.1)
 
 
-@pytest.mark.parametrize("spec", [BlockSpec.single(4), None], ids=["dual", "primal"])
-def test_overflowing_fisher_block_is_refused(spec):
+# Finite gradient rows, each entry +-0.5 x at theta = 0, over blocks of 4
+# (dual) or 2 (primal): 3 rows, or 2 batch means, whose squares overflow;
+# and 2 batch means, the first of which, a sum of three rows of -+8.5e307,
+# overflows itself.
+_SQUARES_OVERFLOW = ([[1e200, 0.0], [0.5, 1.0], [1.0, 1.0]], [1, 2, 1])
+_MEAN_OVERFLOWS = ([[1.7e308, 0.0], [1.7e308, 0.0], [1.7e308, 0.0], [1.0, 1.0]], [1, 1, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "spec, data, batch_size",
+    [
+        (BlockSpec.single(4), _SQUARES_OVERFLOW, 1),
+        (None, _SQUARES_OVERFLOW, 1),
+        (BlockSpec.single(4), _SQUARES_OVERFLOW, 2),
+        (None, _SQUARES_OVERFLOW, 2),
+        (BlockSpec.single(4), _MEAN_OVERFLOWS, 3),
+        (None, _MEAN_OVERFLOWS, 3),
+    ],
+    ids=["dual", "primal", "dual-batched", "primal-batched", "dual-mean-overflows",
+         "primal-mean-overflows"],
+)
+def test_overflowing_fisher_block_is_refused(spec, data, batch_size):
     shape = MultinomialLinear(n_classes=2, n_features=2)
     params = ModelParams(values=np.zeros(4), shape=shape)
-    # finite gradient rows whose squares overflow: 3 rows, blocks of 4 (dual) or 2 (primal)
-    features = np.array([[1e200, 0.0], [0.5, 1.0], [1.0, 1.0]])
-    ds = Dataset(features=features, labels=np.array([1, 2, 1]), ids=("a", "b", "c"))
-    with np.errstate(over="ignore"):
+    features, labels = np.array(data[0]), np.array(data[1])
+    ds = Dataset(features=features, labels=labels, ids=tuple("abcd"[:len(labels)]))
+    with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="gradient products overflow"):
-            build_inverse_fisher(params, ds, LossConfig(), 0.1, spec)
+            build_inverse_fisher(params, ds, LossConfig(), 0.1, spec, batch_size)
 
 
 def test_apply_inverse_is_block_matvec():
