@@ -118,13 +118,13 @@ def _steps(
     theta_star: ModelParams, dataset: Dataset, req: ErasureRequest, rows: np.ndarray,
     cfg: LossConfig, grid: Sequence[float], divisor: float,
     direction: Callable[[np.ndarray], np.ndarray], what: str,
-) -> list[tuple[ModelParams, float]]:
-    """theta* + (epsilon / divisor) * direction(g) at each epsilon of ``grid``, with its L2 norm.
+) -> list[tuple[ModelParams, np.ndarray | None]]:
+    """theta* + (epsilon / divisor) * direction(g) at each epsilon of ``grid``, with its step.
 
     The one step behind every update. ``rows`` are the request's checked
     removed rows and g is their erasure direction for ``req.grad_source``.
     g is computed once, and not at all when every scale is 0; a zero
-    scale gives a copy of theta* and the norm 0.0.
+    scale gives a copy of theta* and the step None.
     """
     scales = [eps / divisor for eps in grid]
     if any(scales):
@@ -132,11 +132,10 @@ def _steps(
     points = []
     for scale in scales:
         if scale == 0.0:
-            points.append((theta_star.with_values(theta_star.values), 0.0))
+            points.append((theta_star.with_values(theta_star.values), None))
             continue
         step = scale * v
-        theta = _finite_params(theta_star, theta_star.values + step, what)
-        points.append((theta, float(np.linalg.norm(step))))
+        points.append((_finite_params(theta_star, theta_star.values + step, what), step))
     return points
 
 
@@ -201,8 +200,10 @@ def ssse_grid(
     req = ErasureRequest(removed_ids=removed_ids, grad_source=grad_source)
     _check_fisher(theta_star, finv, dataset)
     rows = _check_removal(dataset, req.removed_ids)
-    return _steps(theta_star, dataset, req, rows, cfg, grid, dataset.n - len(rows),
-                  lambda g: apply_inverse(finv, g), "ssse update")
+    points = _steps(theta_star, dataset, req, rows, cfg, grid, dataset.n - len(rows),
+                    lambda g: apply_inverse(finv, g), "ssse update")
+    return [(theta, 0.0 if step is None else float(np.linalg.norm(step)))
+            for theta, step in points]
 
 
 def influence_update(

@@ -20,7 +20,9 @@ count against s:
   block stores Z = L^{-1} G_b; by the Woodbury identity its inverse is
   (I - Z^T Z) / dampening.
 
-Applying the estimate is two mat-vecs with each factor; no inverse is formed.
+Applying the estimate is two mat-vecs with each factor, taken as two
+stacked products per run of consecutive, equally shaped factors; no
+inverse is formed.
 
 With a batch size b > 1, gradients are averaged over consecutive batches
 of b samples (in id order, last batch possibly smaller) and each batch
@@ -102,11 +104,14 @@ class InverseFisher:
     """Block-diagonal inverse empirical Fisher tied to a parameter digest.
 
     ``blocks`` holds one factor per interval of ``spec`` (forms in the
-    module docstring). Construction checks that each factor is finite,
-    has the shape ``rank_one_count`` implies for its side, and gives a
-    positive-definite inverse: a primal W is exactly lower triangular
-    with a positive diagonal, and a dual Z has I - Z Z^T positive
-    definite, which holds exactly when its spectral norm is below 1.
+    module docstring). Construction copies each maximal run of
+    consecutive factors of one shape (r, s) into one read-only (b, r, s)
+    stack, and ``blocks`` are views into those stacks. It checks that
+    each factor is finite, has the shape ``rank_one_count`` implies for
+    its side, and gives a positive-definite inverse: a primal W is
+    exactly lower triangular with a positive diagonal, and a dual Z has
+    I - Z Z^T positive definite, which holds exactly when its spectral
+    norm is below 1.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -126,23 +131,30 @@ class InverseFisher:
         if len(self.built_at_digest) != 32:
             raise InputError("parameter digest must be 32 bytes")
         count = self.rank_one_count
-        frozen = []
-        for block, (lo, hi) in zip(self.blocks, self.spec.ranges):
-            arr = np.ascontiguousarray(block, dtype=np.float64)
+        arrays = [np.asarray(block, dtype=np.float64) for block in self.blocks]
+        for arr, (lo, hi) in zip(arrays, self.spec.ranges):
             side = hi - lo
             if arr.shape != (min(count, side), side):
                 raise InputError(f"factor shape {arr.shape} wrong for side {side}, count {count}")
-            if not np.isfinite(arr).all():
+        # maximal runs of consecutive blocks whose factors share one shape,
+        # each copied into one read-only (b, r, s) stack that the blocks view
+        runs, blocks, start = [], [], 0
+        for shape, group in itertools.groupby(arrays, key=np.shape):
+            stack = np.stack(list(group))
+            if not np.isfinite(stack).all():
                 raise NumericError("inverse Fisher factor has non-finite entries")
-            if count >= side:
-                if np.triu(arr, 1).any() or arr.diagonal().min() <= 0:
+            rows, side = shape
+            if rows == side:
+                if np.triu(stack, 1).any() or stack.diagonal(axis1=1, axis2=2).min() <= 0:
                     raise NumericError("primal factor is not triangular with a positive diagonal")
             else:
-                _cholesky(np.eye(count) - arr @ arr.T)
-            arr = arr.copy() if arr is block else arr
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "blocks", tuple(frozen))
+                _cholesky(np.eye(rows) - stack @ stack.transpose(0, 2, 1))
+            stack.setflags(write=False)
+            blocks.extend(stack)
+            runs.append((start, start + stack.shape[0] * side, stack))
+            start = runs[-1][1]
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "_runs", tuple(runs))
 
     @property
     def n_params(self) -> int:
@@ -340,15 +352,20 @@ def build_inverse_fisher(
 
 
 def apply_inverse(finv: InverseFisher, v: np.ndarray) -> np.ndarray:
-    """Blockwise matrix-vector product with the inverse Fisher estimate."""
+    """Blockwise matrix-vector product with the inverse Fisher estimate.
+
+    Each run of equally shaped factors takes two stacked products, which
+    run the same matrix-vector kernel per block as ``block @ x`` would.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (finv.n_params,):
         raise InputError(f"vector length {v.shape} does not match d={finv.n_params}")
     out = np.empty_like(v)
-    for block, (lo, hi) in zip(finv.blocks, finv.spec.ranges):
-        x = v[lo:hi]
-        y = block.T @ (block @ x)
-        out[lo:hi] = (x - y) / finv.dampening if block.shape[0] < hi - lo else y
+    for lo, hi, stack in finv._runs:
+        b, rows, side = stack.shape
+        x = v[lo:hi].reshape(b, side, 1)
+        y = np.matmul(stack.transpose(0, 2, 1), np.matmul(stack, x))
+        out[lo:hi] = ((x - y) / finv.dampening if rows < side else y).reshape(-1)
     return out
 
 

@@ -19,6 +19,7 @@ each per-sample gradient carries ``l2_coeff * theta``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
@@ -150,13 +151,25 @@ class ModelParams:
             )
         if not np.all(np.isfinite(values)):
             raise InputError("parameter values must be finite")
-        if values is self.values:
+        if values is self.values or values.base is not None:
+            # a view (of a subclass instance, say) could still be written
+            # through its base, which would leave the cached digest stale
             values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def with_values(self, values: np.ndarray) -> "ModelParams":
         return ModelParams(values=values, shape=self.shape, seed=self.seed)
+
+    @functools.cached_property
+    def _digest(self) -> bytes:
+        # the fields are frozen and ``values`` is read-only, so one hash per instance
+        h = hashlib.sha256()
+        h.update(bytes([shape_kind_code(self.shape)]))
+        for dim in shape_dims(self.shape):
+            h.update(int(dim).to_bytes(8, "little"))
+        h.update(self.values.tobytes())
+        return h.digest()
 
 
 @dataclass(frozen=True)
@@ -174,14 +187,10 @@ def params_digest(params: ModelParams) -> bytes:
     """SHA-256 over the shape descriptor and raw parameter bytes.
 
     Used to tie an inverse-Fisher file to the exact parameter vector it
-    was built at.
+    was built at. It is computed on the first call for a ``ModelParams``
+    instance and kept with it.
     """
-    h = hashlib.sha256()
-    h.update(bytes([shape_kind_code(params.shape)]))
-    for dim in shape_dims(params.shape):
-        h.update(int(dim).to_bytes(8, "little"))
-    h.update(params.values.tobytes())
-    return h.digest()
+    return params._digest
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +287,7 @@ class Dataset:
         except KeyError:
             missing = sorted(set(ids).difference(self._row_of))
             raise InputError(f"sample ids not in the dataset: {missing[:3]}") from None
-        return np.unique(np.asarray(rows, dtype=np.int64))
+        return np.array(sorted(set(rows)), dtype=np.int64)
 
     def subset(self, ids: Iterable[str]) -> "Dataset":
         """Rows with the given ids, kept in this dataset's own row order."""

@@ -208,6 +208,17 @@ def dense_block(finv, i):
     return np.column_stack(columns)
 
 
+def apply_inverse_oracle(finv, v):
+    """``fisher.apply_inverse`` one block at a time: two mat-vecs with each factor."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    for block, (lo, hi) in zip(finv.blocks, finv.spec.ranges):
+        x = v[lo:hi]
+        y = block.T @ (block @ x)
+        out[lo:hi] = (x - y) / finv.dampening if block.shape[0] < hi - lo else y
+    return out
+
+
 def batch_means_oracle(params, dataset, cfg, batch_size):
     """``fisher._batch_means`` from per-sample rows: each chunk's batch means by ``reduceat``."""
     chunk = batch_size * max(1, 512 // batch_size)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    apply_inverse_oracle,
     batch_means_oracle,
     dataset_for_shape,
     dense_block,
@@ -284,18 +285,65 @@ def test_overflowing_fisher_block_is_refused(spec, data, batch_size):
             build_inverse_fisher(params, ds, LossConfig(), 0.1, spec, batch_size)
 
 
-def test_apply_inverse_is_block_matvec():
-    shape = MultinomialLinear(n_classes=3, n_features=2)
-    ds = multinomial_dataset(9, 6, 2, 3)
+# family, samples, Fisher batch size, block sides (None: the family's own
+# spec), and the runs of equally shaped factors that gives. The MLP's own
+# blocks are 12 and 8 wide.
+APPLY_CASES = {
+    "multi-attr-primal": (MultiAttrLinear(n_attrs=3, n_features=4), 12, 1, None, 1),
+    "multi-attr-dual": (MultiAttrLinear(n_attrs=3, n_features=4), 12, 5, None, 1),
+    "multinomial-primal": (MultinomialLinear(n_classes=3, n_features=4), 12, 1, None, 1),
+    "multinomial-dual": (MultinomialLinear(n_classes=3, n_features=4), 12, 4, None, 1),
+    "mlp-primal": (MLP(n_features=3, n_hidden=4, n_classes=2), 40, 1, None, 2),
+    "mlp-dual": (MLP(n_features=3, n_hidden=4, n_classes=2), 40, 8, None, 2),
+    "mlp-mixed": (MLP(n_features=3, n_hidden=4, n_classes=2), 10, 1, None, 2),
+    "mlp-single-block": (MLP(n_features=3, n_hidden=4, n_classes=2), 40, 7, (20,), 1),
+    # three factors of 3 x 3, three of 3 x 4 (dual), one of 2 x 2
+    "runs-of-three-shapes": (MLP(n_features=3, n_hidden=4, n_classes=2), 9, 3,
+                             (3, 3, 4, 4, 4, 2), 3),
+}
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("case", list(APPLY_CASES))
+def test_apply_inverse_matches_the_per_block_oracle(monkeypatch, tmp_path, case, loaded):
+    shape, n, batch_size, sides, runs = APPLY_CASES[case]
+    ds = dataset_for_shape(shape, 9, n=n)
     params = random_params(shape, 3)
-    finv = build_inverse_fisher(params, ds, LossConfig(), 0.5, None, 1)
-    v = np.arange(1.0, 7.0)
-    full = np.zeros((6, 6))
+    spec = None
+    if sides is not None:
+        edges = np.cumsum((0,) + sides).tolist()
+        spec = BlockSpec(ranges=tuple(zip(edges, edges[1:])))
+    # the factors as the build (or the file) hands them to the container
+    passed = []
+    real = fisher.InverseFisher
+
+    def recording(**fields):
+        passed.append(fields["blocks"])
+        return real(**fields)
+
+    monkeypatch.setattr(fisher, "InverseFisher", recording)
+    finv = build_inverse_fisher(params, ds, LossConfig(0.05), 0.5, spec, batch_size)
+    if loaded:
+        save_inverse_fisher(finv, str(tmp_path / "f.bin"))
+        finv = load_inverse_fisher(str(tmp_path / "f.bin"))
+    factors = passed[-1]
+    assert len({id(block.base) for block in finv.blocks}) == runs
+    for block, factor in zip(finv.blocks, factors):
+        assert not block.flags.writeable
+        assert np.array_equal(block, factor)
+        assert not np.shares_memory(block, factor)
+    d = shape.n_params
+    full = np.zeros((d, d))
     for i, (lo, hi) in enumerate(finv.spec.ranges):
         full[lo:hi, lo:hi] = dense_block(finv, i)
-    np.testing.assert_allclose(apply_inverse(finv, v), full @ v, rtol=1e-14)
+    rng = np.random.default_rng(len(case))
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.standard_normal(d)
+        out = apply_inverse(finv, v)
+        assert np.array_equal(out, apply_inverse_oracle(finv, v))
+        np.testing.assert_allclose(out, full @ v, rtol=1e-12, atol=1e-12 * np.abs(out).max())
     with pytest.raises(InputError):
-        apply_inverse(finv, np.ones(5))
+        apply_inverse(finv, np.ones(d - 1))
 
 
 def test_diagonal_inverse_fisher_formula():

@@ -4,7 +4,10 @@ Analytic derivatives are checked against central finite differences,
 which are computed without any knowledge of the model families.
 """
 
+import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -341,6 +344,60 @@ def test_params_digest_tracks_values_and_shape():
     assert params_digest(a) == params_digest(b)
     assert params_digest(a) != params_digest(c)
     assert params_digest(a) != params_digest(d)
+
+
+def _digest_oracle(code, dims, values):
+    """SHA-256 of the kind code byte, three little-endian u64 dims and the f64 values."""
+    payload = bytes([code]) + struct.pack("<3Q", *dims) + struct.pack(f"<{len(values)}d", *values)
+    return hashlib.sha256(payload).digest()
+
+
+@pytest.mark.parametrize(
+    "shape, code, dims",
+    [
+        (MultiAttrLinear(n_attrs=2, n_features=3), 1, (2, 3, 0)),
+        (MultinomialLinear(n_classes=3, n_features=2), 2, (3, 2, 0)),
+        (MLP(n_features=3, n_hidden=4, n_classes=2), 3, (3, 4, 2)),
+    ],
+    ids=["multi-attr", "multinomial", "mlp"],
+)
+def test_params_digest_is_the_sha256_of_kind_dims_and_values(shape, code, dims):
+    params = random_params(shape, 5)
+    expected = _digest_oracle(code, dims, params.values)
+    assert params_digest(params) == expected  # computed
+    assert params_digest(params) == expected  # kept with the instance
+    moved = params.with_values(params.values + 1e-9)
+    assert params_digest(moved) == _digest_oracle(code, dims, moved.values)
+    replaced = dataclasses.replace(params, values=params.values[::-1])
+    assert params_digest(replaced) == _digest_oracle(code, dims, params.values[::-1])
+    assert params_digest(dataclasses.replace(params, seed=params.seed + 1)) == expected
+    assert params_digest(params) == expected
+
+
+def test_model_params_compare_by_fields_whether_or_not_hashed():
+    # the generated __eq__ compares field tuples, which numpy can decide
+    # for a one-element vector only
+    shape = MultiAttrLinear(n_attrs=1, n_features=1)
+    a = ModelParams(values=np.array([0.25]), shape=shape)
+    b = ModelParams(values=np.array([0.25]), shape=shape)
+    assert a == b
+    params_digest(a)
+    assert a == b and b == a
+    params_digest(b)
+    assert a == b
+    assert a != a.with_values(np.array([0.5]))
+
+
+def test_model_params_copy_a_view_of_the_callers_array():
+    class Tagged(np.ndarray):
+        pass
+
+    source = np.arange(4.0).view(Tagged)
+    params = ModelParams(values=source, shape=MultinomialLinear(n_classes=2, n_features=2))
+    before = params_digest(params)
+    source[0] = 9.0
+    assert params.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert params_digest(params) == before == _digest_oracle(2, (2, 2, 0), np.arange(4.0))
 
 
 def test_dataset_validation():
