@@ -138,12 +138,11 @@ class InverseFisher:
                 raise InputError(f"factor shape {arr.shape} wrong for side {side}, count {count}")
         # maximal runs of consecutive blocks whose factors share one shape,
         # each copied into one read-only (b, r, s) stack that the blocks view
-        runs, blocks, start = [], [], 0
-        for shape, group in itertools.groupby(arrays, key=np.shape):
+        runs, blocks, lo = [], [], 0
+        for (rows, side), group in itertools.groupby(arrays, key=np.shape):
             stack = np.stack(list(group))
             if not np.isfinite(stack).all():
                 raise NumericError("inverse Fisher factor has non-finite entries")
-            rows, side = shape
             if rows == side:
                 if np.triu(stack, 1).any() or stack.diagonal(axis1=1, axis2=2).min() <= 0:
                     raise NumericError("primal factor is not triangular with a positive diagonal")
@@ -151,8 +150,9 @@ class InverseFisher:
                 _cholesky(np.eye(rows) - stack @ stack.transpose(0, 2, 1))
             stack.setflags(write=False)
             blocks.extend(stack)
-            runs.append((start, start + stack.shape[0] * side, stack))
-            start = runs[-1][1]
+            hi = lo + stack.shape[0] * side
+            runs.append((lo, hi, stack))
+            lo = hi
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "_runs", tuple(runs))
 
