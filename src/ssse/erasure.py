@@ -8,9 +8,12 @@ one private function:
 where n is the training-set size, k = |S| and g is computed once per
 call (not at all when every scale epsilon / m is 0, which returns theta*
 unchanged). With ``grad_source = "remaining"`` g is minus the retained
-rows' gradient sum instead. The updates differ only in their input
-checks, the divisor m and the direction P, and in which request fields
-they read:
+rows' gradient sum instead, formed as the removed rows' sum minus G, the
+gradient sum over all n rows at theta*. G is computed by the first such
+request and kept on the dataset for its theta* and l2_coeff, so every
+request sums only its k removed rows. The updates differ only in their
+input checks, the divisor m and the direction P, and in which request
+fields they read:
 
 - :func:`ssse_update` (and :func:`ssse_grid`, one step per epsilon of a
   grid): m = n - k, P(g) = F_inv g through the inverse Fisher estimate.
@@ -41,6 +44,7 @@ from .models import (
     Dataset,
     LossConfig,
     ModelParams,
+    _check_id_collection,
     _grad_total,
     _targets,
     grad_sum,  # unused here; the benchmark's traced runs wrap this name
@@ -70,6 +74,7 @@ class ErasureRequest:
     grad_source: str = "removed"
 
     def __post_init__(self) -> None:
+        _check_id_collection(self.removed_ids)
         ids = tuple(str(s) for s in self.removed_ids)
         if not ids:
             raise InputError("removed_ids must be nonempty")
@@ -92,20 +97,41 @@ def _check_removal(dataset: Dataset, removed_ids: tuple[str, ...]) -> np.ndarray
     return rows
 
 
+def _full_grad_total(theta_star: ModelParams, dataset: Dataset, l2_coeff: float) -> np.ndarray:
+    """The read-only gradient sum over all of ``dataset``'s rows at ``theta_star``.
+
+    Kept on the dataset, keyed by theta*'s digest and ``l2_coeff``; another
+    key recomputes and replaces it. A dataset's arrays are read-only, so
+    the entry cannot go stale, and it is one deterministic computation
+    whichever request makes it.
+    """
+    key = (params_digest(theta_star), l2_coeff)
+    cached = dataset._full_grad
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    shape = theta_star.shape
+    total = _grad_total(shape, theta_star.values, dataset.features,
+                        _targets(shape, dataset.labels), l2_coeff)
+    total.setflags(write=False)
+    object.__setattr__(dataset, "_full_grad", (key, total))
+    return total
+
+
 def _erasure_direction(
     theta_star: ModelParams, dataset: Dataset, rows: np.ndarray, grad_source: str, cfg: LossConfig
 ) -> np.ndarray:
     """Summed gradients of the removed rows, or for "remaining" minus the retained rows' sum.
 
-    Both slice the dataset's validated arrays; no sub-dataset is built.
+    Both sum the removed rows, sliced from the dataset's validated arrays.
+    The retained rows' sum is the full-data sum minus the removed rows',
+    so "remaining" subtracts the full-data sum :func:`_full_grad_total`.
     """
-    remaining = grad_source == "remaining"
-    if remaining:
-        rows = np.delete(np.arange(dataset.n), rows)
     shape = theta_star.shape
     targets = _targets(shape, dataset.labels[rows])
     total = _grad_total(shape, theta_star.values, dataset.features[rows], targets, cfg.l2_coeff)
-    return -total if remaining else total
+    if grad_source == "remaining":
+        total -= _full_grad_total(theta_star, dataset, cfg.l2_coeff)
+    return total
 
 
 def _finite_params(theta: ModelParams, values: np.ndarray, what: str) -> ModelParams:

@@ -99,7 +99,7 @@ class BlockSpec:
 # Inverse Fisher container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InverseFisher:
     """Block-diagonal inverse empirical Fisher tied to a parameter digest.
 
@@ -111,7 +111,7 @@ class InverseFisher:
     its side, and gives a positive-definite inverse: a primal W is
     exactly lower triangular with a positive diagonal, and a dual Z has
     I - Z Z^T positive definite, which holds exactly when its spectral
-    norm is below 1.
+    norm is below 1. Estimates compare by identity.
     """
 
     blocks: tuple[np.ndarray, ...]

@@ -131,9 +131,14 @@ def shape_dims(shape: Shape) -> tuple[int, int, int]:
     return dims + (0,) * (3 - len(dims))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Immutable flat parameter vector plus its shape and origin seed."""
+    """Immutable flat parameter vector plus its shape and origin seed.
+
+    Two params are equal when their shapes and seeds are and their values
+    agree byte for byte (so 0.0 and -0.0 differ, as their digests do);
+    the hash comes from the cached digest.
+    """
 
     values: np.ndarray
     shape: Shape
@@ -160,6 +165,15 @@ class ModelParams:
 
     def with_values(self, values: np.ndarray) -> "ModelParams":
         return ModelParams(values=values, shape=self.shape, seed=self.seed)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ModelParams):
+            return NotImplemented
+        return (self.shape == other.shape and self.seed == other.seed
+                and self._digest == other._digest)
+
+    def __hash__(self) -> int:
+        return hash((self._digest, self.seed))
 
     @functools.cached_property
     def _digest(self) -> bytes:
@@ -197,13 +211,14 @@ def params_digest(params: ModelParams) -> bytes:
 # Datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix, labels, and unique string sample ids.
 
     Labels are either a binary attribute matrix (n, n_attrs) with 0/1
     entries, or a class vector (n,) with integer entries in 1..c.
-    Arrays are copied and frozen at construction.
+    Arrays are copied and frozen at construction. Datasets compare by
+    identity.
     """
 
     features: np.ndarray
@@ -253,6 +268,9 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_row_of", row_of)
+        # ((params digest, l2_coeff), read-only full-data gradient sum) of the
+        # last "remaining" erasure request, see erasure._full_grad_total
+        object.__setattr__(self, "_full_grad", None)
 
     # -- basic views --------------------------------------------------------
 
@@ -280,7 +298,10 @@ class Dataset:
         """Ascending int64 row indices of the given ids; a repeated id counts once.
 
         Unknown ids raise InputError naming the first three in sorted order.
+        A bare ``str`` or ``bytes`` raises InputError rather than counting
+        as its characters.
         """
+        _check_id_collection(ids)
         ids = list(ids)
         try:
             rows = [self._row_of[s] for s in ids]
@@ -311,6 +332,11 @@ class Dataset:
             labels=self.labels[idx],
             ids=tuple(self.ids[i] for i in idx.tolist()),
         )
+
+
+def _check_id_collection(ids) -> None:
+    if isinstance(ids, (str, bytes)):
+        raise InputError(f"sample ids must be a collection of ids, not the string {ids!r}")
 
 
 def onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -358,19 +384,27 @@ def _weights(shape: Shape, values: np.ndarray) -> list[np.ndarray]:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp never overflows
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
+    # never overflows; the arithmetic runs in place on two temporaries.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     # Shift by the row max so exp stays bounded, then clamp and renormalize
     # so every entry is strictly inside (0, 1) and rows still sum to one.
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return p / p.sum(axis=1, keepdims=True)
+    # Every step after the shift works in place on its result.
+    p = z - z.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
 
 
 def _checked_features(shape: Shape, features: np.ndarray) -> np.ndarray:
@@ -386,16 +420,22 @@ def _forward(
     """The input of every layer, then the head's probabilities.
 
     Hidden layers are tanh; the head is a clipped sigmoid per attribute for
-    the multi-attribute family and a softmax otherwise.
+    the multi-attribute family and a softmax otherwise. Each hidden layer's
+    tanh and the head's clip run in place on the array they act on, so a
+    pass allocates one array per layer and a few for the head. The hidden
+    activations it returns belong to the caller; :func:`_backward` reuses
+    them as scratch.
     """
     features = _checked_features(shape, features)
     *hidden, head = _weights(shape, values)
     inputs = [features]
     for w in hidden:
-        inputs.append(np.tanh(inputs[-1] @ w.T))
+        a = inputs[-1] @ w.T
+        inputs.append(np.tanh(a, out=a))
     z = inputs[-1] @ head.T
     if isinstance(shape, MultiAttrLinear):
-        return inputs, np.clip(_sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
+        p = _sigmoid(z)
+        return inputs, np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
     return inputs, _softmax(z)
 
 
@@ -464,6 +504,11 @@ def _backward(
     pre-activation, so sample i's data gradient in columns start:stop is
     ``outer(delta[i], layer_input[i])`` in the flat layout. ``forward`` is
     :func:`_forward` of the same arguments when the caller already has it.
+
+    A hidden layer's input is valid only until the next item is drawn:
+    its tanh activation x is then overwritten with 1 - x^2 to form the
+    layer below's delta without a fresh array. So a ``forward`` passed
+    in is consumed; its hidden activations must not be read afterwards.
     """
     inputs, p = _forward(shape, values, features) if forward is None else forward
     weights = _weights(shape, values)
@@ -475,7 +520,10 @@ def _backward(
         yield start, stop, delta, inputs[layer]
         if layer:
             x = inputs[layer]
-            delta = (delta @ weights[layer]) * (1.0 - x * x)
+            delta = delta @ weights[layer]
+            np.multiply(x, x, out=x)
+            np.subtract(1.0, x, out=x)
+            delta *= x
         stop = start
 
 
@@ -487,7 +535,10 @@ def _grad_total(
     l2_coeff: float,
     forward=None,
 ) -> np.ndarray:
-    """Sum over rows of the per-sample regularized gradients, one product per layer."""
+    """Sum over rows of the per-sample regularized gradients, one product per layer.
+
+    A ``forward`` passed in is consumed, as in :func:`_backward`.
+    """
     total = np.empty(shape.n_params, dtype=np.float64)
     for start, stop, delta, x in _backward(shape, values, features, targets, forward):
         np.matmul(delta.T, x, out=total[start:stop].reshape(delta.shape[1], x.shape[1]))

@@ -36,7 +36,7 @@ from ssse import (
 )
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
 from ssse.fisher import _cholesky, _gradient_chunks, apply_inverse
-from ssse.models import hessian_dense, params_digest
+from ssse.models import PROB_FLOOR, _weights, hessian_dense, params_digest
 
 
 _MASK = (1 << 64) - 1
@@ -119,6 +119,54 @@ def masked_sigmoid(z):
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The forward and backward kernels written out of place, one fresh array per
+# operation: the bit-for-bit reference for the in-place kernels.
+# ---------------------------------------------------------------------------
+
+def sigmoid_oracle(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def softmax_oracle(z):
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=1, keepdims=True)
+    p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def forward_oracle(shape, values, features):
+    """Every layer's input, then the head's probabilities."""
+    *hidden, head = _weights(shape, values)
+    inputs = [features]
+    for w in hidden:
+        inputs.append(np.tanh(inputs[-1] @ w.T))
+    z = inputs[-1] @ head.T
+    if isinstance(shape, MultiAttrLinear):
+        return inputs, np.clip(sigmoid_oracle(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return inputs, softmax_oracle(z)
+
+
+def backward_oracle(shape, values, features, targets):
+    """``(start, stop, delta, layer_input)`` for each layer, last layer first, as a list."""
+    inputs, p = forward_oracle(shape, values, features)
+    weights = _weights(shape, values)
+    delta = p - targets
+    stop = shape.n_params
+    out = []
+    for layer in reversed(range(len(weights))):
+        rows, cols = weights[layer].shape
+        start = stop - rows * cols
+        out.append((start, stop, delta, inputs[layer]))
+        if layer:
+            x = inputs[layer]
+            delta = (delta @ weights[layer]) * (1.0 - x * x)
+        stop = start
     return out
 
 
@@ -399,6 +447,7 @@ def diag_scrub_update_oracle(theta_star, diag_finv, dataset, req, cfg):
 
 __all__ = [
     "ScalarSplitMix64",
+    "backward_oracle",
     "binary_dataset",
     "dataset_for_shape",
     "dense_block",
@@ -408,6 +457,7 @@ __all__ = [
     "evaluation_oracle",
     "fd_grad",
     "fd_hessian",
+    "forward_oracle",
     "gradient_ascent_step_oracle",
     "influence_update_oracle",
     "loss_of_values",
@@ -415,6 +465,8 @@ __all__ = [
     "multinomial_dataset",
     "random_params",
     "random_shape",
+    "sigmoid_oracle",
+    "softmax_oracle",
     "softmax_ratio_check_oracle",
     "ssse_grid_oracle",
     "ssse_update_oracle",

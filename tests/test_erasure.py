@@ -39,6 +39,7 @@ from ssse import (
     train,
 )
 from ssse import erasure
+from ssse.models import _grad_total, _targets, params_digest
 
 
 def _setup(seed=0, n=10):
@@ -150,6 +151,119 @@ def test_remaining_direction_is_the_negated_retained_row_sum(seed):
     rows = grad_matrix(params, ds.features[keep], ds.labels[keep], cfg)
     direction = _erasure_direction(params, ds, ds.rows(removed), "remaining", cfg)
     np.testing.assert_allclose(direction, -rows.sum(axis=0), rtol=1e-12)
+
+
+def _fresh(ds):
+    """The same rows in a new Dataset, which holds no full-data gradient sum yet."""
+    return Dataset(features=ds.features, labels=ds.labels, ids=ds.ids)
+
+
+def _spy_grad_rows(monkeypatch):
+    """Record the row count of every ``_grad_total`` call the erasure module makes."""
+    calls = []
+    real = erasure._grad_total
+
+    def spy(shape, values, features, *args, **kwargs):
+        calls.append(features.shape[0])
+        return real(shape, values, features, *args, **kwargs)
+
+    monkeypatch.setattr(erasure, "_grad_total", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_remaining_requests_are_bit_identical_on_a_warm_and_a_cold_dataset(seed):
+    _, ds, cfg, params, finv = _setup(seed=seed, n=14)
+    rng = np.random.default_rng(seed)
+    diag = rng.uniform(0.5, 2.0, params.shape.n_params)
+    linear = not isinstance(params.shape, MLP)
+    for k in (1, 4, 13):
+        ids = tuple(str(s) for s in rng.choice(ds.ids, size=k, replace=False))
+        req = ErasureRequest(removed_ids=ids, epsilon=0.7, grad_source="remaining")
+        updates = [
+            lambda d: ssse_update(params, finv, d, req, cfg).values,
+            lambda d: [t.values for t, _ in erasure.ssse_grid(
+                params, finv, d, ids, [0.0, 0.5, 2.0], cfg, "remaining")],
+            lambda d: diag_scrub_update(params, diag, d, req, cfg).values,
+        ]
+        if linear:
+            updates.append(lambda d: influence_update(params, d, req, cfg).values)
+        for update in updates:
+            np.testing.assert_array_equal(update(ds), update(_fresh(ds)))
+    key, cached = ds._full_grad
+    assert key == (params_digest(params), cfg.l2_coeff)
+    assert not cached.flags.writeable
+    targets = _targets(params.shape, ds.labels)
+    np.testing.assert_array_equal(
+        cached, _grad_total(params.shape, params.values, ds.features, targets, cfg.l2_coeff))
+
+
+def test_full_data_sum_is_recomputed_for_another_theta_or_l2(monkeypatch):
+    _, ds, _, params, _ = _setup(seed=4, n=12)
+    other = random_params(params.shape, 99)
+    rows = ds.rows(ds.ids[:2])
+    calls = _spy_grad_rows(monkeypatch)
+    # (theta*, l2_coeff, whether the request makes a full-data pass)
+    sequence = [(params, 0.05, True), (params, 0.05, False),
+                (params.with_values(params.values), 0.05, False), (other, 0.05, True),
+                (other, 0.2, True), (other, 0.0, True), (params, 0.05, True),
+                (params, 0.05, False)]
+    for theta, l2, full_pass in sequence:
+        cfg = LossConfig(l2_coeff=l2)
+        calls.clear()
+        got = erasure._erasure_direction(theta, ds, rows, "remaining", cfg)
+        assert calls == ([2, ds.n] if full_pass else [2])
+        want = erasure._erasure_direction(theta, _fresh(ds), rows, "remaining", cfg)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_later_remaining_requests_sum_only_their_removed_rows(monkeypatch):
+    shape = MultinomialLinear(n_classes=3, n_features=4)
+    ds = dataset_for_shape(shape, 5, n=30)
+    cfg = LossConfig(l2_coeff=0.05)
+    params = random_params(shape, 6)
+    finv = build_inverse_fisher(params, ds, cfg, 0.2, BlockSpec.single(shape.n_params), 1)
+    diag = np.full(shape.n_params, 0.5)
+    calls = _spy_grad_rows(monkeypatch)
+
+    def request(k):
+        return ErasureRequest(removed_ids=ds.ids[:k], grad_source="remaining")
+
+    ssse_update(params, finv, ds, request(3), cfg)
+    assert calls == [3, ds.n]
+    calls.clear()
+    ssse_update(params, finv, ds, request(5), cfg)
+    erasure.ssse_grid(params, finv, ds, ds.ids[:4], [0.5, 1.0], cfg, "remaining")
+    influence_update(params, ds, request(2), cfg)
+    influence_update(params, ds, request(6), cfg, hessian_source="lko")
+    diag_scrub_update(params, diag, ds, request(7), cfg)
+    assert calls == [5, 4, 2, 6, 7]
+
+
+def test_a_bare_string_is_not_an_id_collection():
+    shape = MultinomialLinear(n_classes=2, n_features=2)
+    ds = Dataset(features=np.arange(6.0).reshape(3, 2), labels=np.array([1, 2, 1]),
+                 ids=("1", "2", "12"))
+    params = random_params(shape, 0)
+    cfg = LossConfig(l2_coeff=0.1)
+    finv = build_inverse_fisher(params, ds, cfg, 0.5, BlockSpec.single(shape.n_params), 1)
+    from ssse import retrain_scratch
+
+    calls = [
+        lambda ids: ErasureRequest(removed_ids=ids),
+        ds.rows, ds.subset, ds.without,
+        lambda ids: grad_sum(params, ds, ids, cfg),
+        lambda ids: erasure.ssse_grid(params, finv, ds, ids, [1.0], cfg),
+        lambda ids: gradient_ascent_step(params, ds, ids, 0.1, cfg),
+        lambda ids: retrain_scratch(ds, ids, shape, cfg, TrainConfig(lr=0.1, epochs=1, batch_size=1, seed=0)),
+    ]
+    for ids in ("12", b"12"):
+        for call in calls:
+            with pytest.raises(InputError, match="not the string"):
+                call(ids)
+    # as one element of a collection, "12" is the third sample
+    assert ds.rows(["12"]).tolist() == [2]
+    assert ErasureRequest(removed_ids=["12"]).removed_ids == ("12",)
 
 
 @pytest.mark.parametrize("grad_source", ["removed", "remaining"])

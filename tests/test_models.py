@@ -8,23 +8,29 @@ import dataclasses
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import (
+    backward_oracle,
     binary_dataset,
     dataset_for_shape,
     fd_grad,
     fd_hessian,
+    forward_oracle,
     loss_of_values,
     masked_sigmoid,
     multinomial_dataset,
     random_params,
     random_shape,
+    sigmoid_oracle,
+    softmax_oracle,
     softmax_ratio_check_oracle,
 )
 from ssse import (
+    BlockSpec,
     Dataset,
     InputError,
     LossConfig,
@@ -32,6 +38,10 @@ from ssse import (
     ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
+    SplitData,
+    SplitSet,
+    TrainResult,
+    build_inverse_fisher,
     fisher_hessian_ratio_check,
     grad,
     grad_matrix,
@@ -47,7 +57,8 @@ from ssse import (
     predict_labels,
     predict_proba,
 )
-from ssse.models import _sigmoid
+from ssse.cli import Pipeline
+from ssse.models import _backward, _forward, _grad_total, _sigmoid, _softmax, _targets
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +89,68 @@ def test_sigmoid_is_bit_identical_to_the_masked_form():
     for z in (extremes, 30.0 * rng.standard_normal((200, 8))):
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(_sigmoid(z), masked_sigmoid(z), equal_nan=True)
+
+
+def test_head_kernels_are_bit_identical_to_the_out_of_place_formulas():
+    extremes = np.array([[0.0, -0.0, 1e-300, -1e-300], [40.0, -40.0, 800.0, -800.0],
+                         [800.0, 800.0, -800.0, 0.0], [np.inf, -np.inf, 0.0, 1.0],
+                         [np.nan, 0.0, 1.0, 2.0], [-800.0, -800.0, -800.0, -800.0]])
+    rng = np.random.default_rng(1)
+    for z in (extremes, 30.0 * rng.standard_normal((200, 8)), rng.standard_normal((7, 2))):
+        before = z.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(_sigmoid(z), sigmoid_oracle(z), equal_nan=True)
+            assert np.array_equal(_softmax(z), softmax_oracle(z), equal_nan=True)
+        assert np.array_equal(z, before, equal_nan=True)  # the logits are left alone
+
+
+@pytest.mark.parametrize("scale", [0.5, 60.0], ids=["moderate", "saturated"])
+@pytest.mark.parametrize(
+    "shape",
+    [MultiAttrLinear(n_attrs=3, n_features=5), MultinomialLinear(n_classes=4, n_features=5),
+     MLP(n_features=5, n_hidden=6, n_classes=4)],
+    ids=["multi-attr", "multinomial", "mlp"],
+)
+def test_forward_and_backward_are_bit_identical_to_the_out_of_place_oracle(shape, scale):
+    ds = dataset_for_shape(shape, 11, n=40)
+    values = random_params(shape, 12, scale=scale).values
+    targets = _targets(shape, ds.labels)
+    inputs, p = _forward(shape, values, ds.features)
+    want_inputs, want_p = forward_oracle(shape, values, ds.features)
+    assert np.array_equal(p, want_p)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, want_inputs, strict=True))
+    # a hidden layer's input is overwritten once the next layer is drawn
+    got = [(start, stop, delta.copy(), x.copy())
+           for start, stop, delta, x in _backward(shape, values, ds.features, targets)]
+    want = backward_oracle(shape, values, ds.features, targets)
+    assert len(got) == len(want) == len(shape.layers)
+    for (start, stop, delta, x), (w_start, w_stop, w_delta, w_x) in zip(got, want):
+        assert (start, stop) == (w_start, w_stop)
+        assert np.array_equal(delta, w_delta) and np.array_equal(x, w_x)
+    want_total = np.empty(shape.n_params)
+    for start, stop, delta, x in want:
+        want_total[start:stop] = (delta.T @ x).ravel()
+    want_total += (ds.n * 0.3) * values
+    forward = _forward(shape, values, ds.features)
+    assert np.array_equal(_grad_total(shape, values, ds.features, targets, 0.3, forward),
+                          want_total)
+    assert np.array_equal(_grad_total(shape, values, ds.features, targets, 0.3), want_total)
+
+
+def test_mlp_gradient_sum_from_a_forward_pass_allocates_one_hidden_sized_array():
+    shape = MLP(n_features=50, n_hidden=64, n_classes=10)
+    n = 2000
+    ds = dataset_for_shape(shape, 3, n=n)
+    values = random_params(shape, 4).values
+    targets = _targets(shape, ds.labels)
+    forward = _forward(shape, values, ds.features)
+    tracemalloc.start()
+    try:
+        _grad_total(shape, values, ds.features, targets, 0.1, forward)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * shape.n_hidden * 8
 
 
 def test_loss_at_zero_parameters_is_log_class_count():
@@ -375,17 +448,53 @@ def test_params_digest_is_the_sha256_of_kind_dims_and_values(shape, code, dims):
 
 
 def test_model_params_compare_by_fields_whether_or_not_hashed():
-    # the generated __eq__ compares field tuples, which numpy can decide
-    # for a one-element vector only
-    shape = MultiAttrLinear(n_attrs=1, n_features=1)
-    a = ModelParams(values=np.array([0.25]), shape=shape)
-    b = ModelParams(values=np.array([0.25]), shape=shape)
-    assert a == b
-    params_digest(a)
-    assert a == b and b == a
-    params_digest(b)
-    assert a == b
-    assert a != a.with_values(np.array([0.5]))
+    # a one-parameter and a multi-parameter model: numpy can decide the
+    # truth of an element-wise comparison only for the first
+    for shape, values, other in (
+        (MultiAttrLinear(n_attrs=1, n_features=1), [0.25], None),
+        (MultiAttrLinear(n_attrs=2, n_features=3), [0.25, -1, 2, 0, 3, 4],
+         MultinomialLinear(n_classes=2, n_features=3)),
+    ):
+        values = np.array(values, dtype=float)
+        a = ModelParams(values=values, shape=shape)
+        b = ModelParams(values=values.copy(), shape=shape)
+        assert a == b
+        params_digest(a)
+        assert a == b and b == a
+        params_digest(b)
+        assert a == b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a.with_values(values + 0.5)
+        assert a != dataclasses.replace(a, seed=1)
+        if other is not None:
+            assert a != ModelParams(values=values, shape=other)
+        assert a != values.tolist() and a != None  # noqa: E711
+
+
+def test_containers_of_arrays_compare_by_identity():
+    ds = multinomial_dataset(0, 8, 2, 3)
+    twin = Dataset(features=ds.features, labels=ds.labels, ids=ds.ids)
+    assert ds == ds and ds != twin
+    assert len({ds, twin, ds}) == 2
+    params = random_params(MultinomialLinear(n_classes=3, n_features=2), 1)
+    cfg = LossConfig(l2_coeff=0.1)
+    finv = build_inverse_fisher(params, ds, cfg, 0.5, BlockSpec.single(params.shape.n_params), 1)
+    twin_finv = dataclasses.replace(finv)
+    assert finv == finv and finv != twin_finv and hash(finv) != hash(twin_finv)
+    # the dataclasses that hold them compare and hash by field again
+    result = TrainResult(params=params, final_loss=1.0, final_grad_norm=0.5, epochs_run=2,
+                         loss_history=(2.0, 1.0))
+    assert result == dataclasses.replace(result, params=params.with_values(params.values))
+    assert hash(result) == hash(dataclasses.replace(result))
+    assert result != dataclasses.replace(result, epochs_run=3)
+    splits = SplitData(lko_train=ds, removed=twin, lko_test=ds, removed_test=twin)
+    assert splits == dataclasses.replace(splits) and splits != dataclasses.replace(splits, removed=ds)
+    split_set = SplitSet(removed=ds.ids[:2], lko_train=ds.ids[2:], removed_test=(), lko_test=())
+    pipeline = Pipeline(train_ds=ds, test_ds=twin, loss_cfg=cfg, theta_star=params,
+                        retrain=params, splits=split_set, finv=finv)
+    assert pipeline == dataclasses.replace(pipeline)
+    assert pipeline != dataclasses.replace(pipeline, finv=twin_finv)
+    assert len({pipeline, dataclasses.replace(pipeline)}) == 1
 
 
 def test_model_params_copy_a_view_of_the_callers_array():
