@@ -20,9 +20,13 @@ count against s:
   block stores Z = L^{-1} G_b; by the Woodbury identity its inverse is
   (I - Z^T Z) / dampening.
 
-Applying the estimate is two mat-vecs with each factor, taken as two
-stacked products per run of consecutive, equally shaped factors; no
-inverse is formed.
+A run is a maximal group of consecutive blocks of one side; the count
+fixes the form, so a run's factors share one shape. The build
+accumulates each run into one stack (the Gram products of a primal run,
+the rows of a dual run) and factors it with one batched Cholesky and
+one batched inverse. Applying the estimate is two mat-vecs with each
+factor, taken as two stacked products per run; no inverse of a block is
+formed.
 
 With a batch size b > 1, gradients are averaged over consecutive batches
 of b samples (in id order, last batch possibly smaller) and each batch
@@ -204,7 +208,7 @@ def _gradient_chunks(
     raises NumericError with ``error`` formatted with the offending
     sample id.
     """
-    # the rows of the already validated arrays, in lexicographic id order
+    # the rows of the already validated arrays, in id order
     order = dataset._id_order()
     buf = np.empty((min(chunk, dataset.n), params.shape.n_params))
     finite = np.empty(buf.shape, dtype=bool)
@@ -264,42 +268,59 @@ def _batch_means(params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_s
 
 # The factor and the solves use numpy's LAPACK; scipy.linalg would bring in
 # a second BLAS whose work buffers its first call makes resident.
-def _cholesky(f: np.ndarray, what: str = "Fisher block") -> np.ndarray:
-    """Lower Cholesky factor of ``f``; NumericError naming ``what`` unless finite and PD.
+def _cholesky(f: np.ndarray, what: str | list[str] = "Fisher block") -> np.ndarray:
+    """Lower Cholesky factor of ``f``, or of each matrix of a stack ``f``.
 
-    A Fisher block (or its dual) turns non-finite only when gradient
-    products overflow; the influence solve factors a "Hessian".
+    Raises NumericError unless every matrix is finite and positive
+    definite, naming the first that is not: ``what`` names the matrix, or
+    for a stack either all of them or each in a list. A Fisher block (or
+    its dual) turns non-finite only when gradient products overflow; the
+    influence solve factors a "Hessian".
     """
-    if not np.all(np.isfinite(f)):
-        cause = " (gradient products overflow)" if what == "Fisher block" else ""
-        raise NumericError(f"{what} has non-finite entries{cause}")
-    try:
-        return np.linalg.cholesky(f)
-    except np.linalg.LinAlgError:
-        raise NumericError(f"{what} is not positive definite") from None
+    if np.isfinite(f).all():
+        try:
+            return np.linalg.cholesky(f)
+        except np.linalg.LinAlgError:
+            pass
+    stack = f.reshape(-1, *f.shape[-2:])
+    names = [what] * len(stack) if isinstance(what, str) else what
+    for name, m in zip(names, stack):
+        if not np.isfinite(m).all():
+            cause = " (gradient products overflow)" if name.startswith("Fisher block") else ""
+            raise NumericError(f"{name} has non-finite entries{cause}")
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            raise NumericError(f"{name} is not positive definite") from None
+    raise AssertionError("a stack that fails to factor has a failing matrix")
 
 
-def _primal_factor(gram: np.ndarray, count: int, dampening: float) -> np.ndarray:
-    """W = L^{-1} for the Cholesky factor L of ``dampening * I + gram / count``.
+def _primal_factors(
+    gram: np.ndarray, count: int, dampening: float, names: list[str]
+) -> np.ndarray:
+    """W = L^{-1} for the Cholesky factor L of each ``dampening * I + gram / count``.
 
-    ``gram`` is overwritten. The solve leaves rounding residues above the
-    diagonal, which are cut so the stored W is exactly triangular.
+    ``gram`` is a (b, s, s) stack and is overwritten. The inverse leaves
+    rounding residues above the diagonal, which are cut so each stored W
+    is exactly triangular.
     """
+    side = gram.shape[-1]
     gram /= count
-    gram.flat[::gram.shape[0] + 1] += dampening
-    return np.tril(np.linalg.solve(_cholesky(gram), np.eye(gram.shape[0])))
+    gram.reshape(len(gram), -1)[:, ::side + 1] += dampening
+    return np.tril(np.linalg.inv(_cholesky(gram, names)))
 
 
-def _dual_factor(rows: np.ndarray, dampening: float) -> np.ndarray:
-    """Z = L^{-1} rows for the Cholesky factor L of ``rows rows^T + count * dampening * I``.
+def _dual_factors(rows: np.ndarray, dampening: float, names: list[str]) -> np.ndarray:
+    """Z = L^{-1} rows for the Cholesky factor L of each ``rows rows^T + count * dampening * I``.
 
-    L is only count x count, so inverting it and taking one product is far
-    cheaper than a general solve with one right-hand side per column.
+    ``rows`` is a (b, count, s) stack. L is only count x count, so
+    inverting it and taking one product is far cheaper than a general
+    solve with one right-hand side per column.
     """
-    count = rows.shape[0]
-    k = rows @ rows.T
-    k.flat[::count + 1] += count * dampening
-    return np.linalg.inv(_cholesky(k)) @ rows
+    count = rows.shape[1]
+    k = np.matmul(rows, rows.transpose(0, 2, 1))
+    k.reshape(len(k), -1)[:, ::count + 1] += count * dampening
+    return np.matmul(np.linalg.inv(_cholesky(k, names)), rows)
 
 
 def build_inverse_fisher(
@@ -315,8 +336,9 @@ def build_inverse_fisher(
     For ``batch_size`` 1 and a single full block the result equals the
     dense inverse of ``dampening * I + (1/n) sum_i g_i g_i^T``; larger
     batches use batch-mean gradients with the batch count as the
-    denominator count. Samples are processed in lexicographic id order.
-    A block with fewer rows than its side is built in the dual form.
+    denominator count. Samples are processed in id order (Python's
+    code-point string order). A block with fewer rows than its side is
+    built in the dual form.
     """
     if dampening <= 0 or not np.isfinite(dampening):
         raise InputError("dampening must be finite and > 0")
@@ -330,21 +352,31 @@ def build_inverse_fisher(
         raise InputError("block spec does not cover the parameter vector")
 
     count = math.ceil(dataset.n / batch_size)
-    dual = [count < hi - lo for lo, hi in spec.ranges]
-    # dual blocks keep their count x s rows, primal blocks their s x s Gram product
-    acc = [np.empty((count, hi - lo)) if is_dual else np.zeros((hi - lo, hi - lo))
-           for is_dual, (lo, hi) in zip(dual, spec.ranges)]
+    # maximal runs of consecutive blocks of one side s, as (lo, b, s); the
+    # count fixes the form, so each run is one factor stack of the container
+    runs, start = [], 0
+    for side, group in itertools.groupby(hi - lo for lo, hi in spec.ranges):
+        b = len(list(group))
+        runs.append((start, b, side))
+        start += b * side
+    # dual runs keep their (b, count, s) rows, primal runs their (b, s, s) Gram products
+    acc = [np.empty((b, count, s)) if count < s else np.zeros((b, s, s)) for _, b, s in runs]
     row = 0
     for means in _batch_means(params, dataset, cfg, batch_size):
-        for a, is_dual, (lo, hi) in zip(acc, dual, spec.ranges):
-            g_b = means[:, lo:hi]
-            if is_dual:
-                a[row:row + means.shape[0]] = g_b
+        m = means.shape[0]
+        for a, (lo, b, s) in zip(acc, runs):
+            g = means[:, lo:lo + b * s].reshape(m, b, s).transpose(1, 0, 2)
+            if count < s:
+                a[:, row:row + m] = g
             else:
-                a += g_b.T @ g_b
-        row += means.shape[0]
-    blocks = [_dual_factor(a, dampening) if is_dual else _primal_factor(a, count, dampening)
-              for a, is_dual in zip(acc, dual)]
+                a += np.matmul(g.transpose(0, 2, 1), g)
+        row += m
+    names = [f"Fisher block {i} (parameters {lo}:{hi})" for i, (lo, hi) in enumerate(spec.ranges)]
+    blocks = []
+    for a, (_, b, s) in zip(acc, runs):
+        run_names = names[len(blocks):len(blocks) + b]
+        blocks.extend(_dual_factors(a, dampening, run_names) if count < s
+                      else _primal_factors(a, count, dampening, run_names))
     return InverseFisher(
         blocks=tuple(blocks),
         spec=spec,

@@ -322,8 +322,13 @@ class Dataset:
         return self._take(self._id_order())
 
     def _id_order(self) -> np.ndarray:
-        """Row indices that put the samples in lexicographic id order."""
-        return np.argsort(np.asarray(self.ids, dtype=object))
+        """Row indices that put the samples in id order: Python's code-point string order.
+
+        It is the order of numpy's argsort over the ids as an object
+        array, which compares them with the same ``<``, at a fraction of
+        its cost; the ids are unique, so stability does not matter.
+        """
+        return np.array(sorted(range(self.n), key=self.ids.__getitem__), dtype=np.intp)
 
     def _take(self, idx: np.ndarray) -> "Dataset":
         # Python ints index the id tuple much faster than numpy integers.

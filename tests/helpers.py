@@ -5,6 +5,8 @@ every analytic gradient and Hessian in the package: they know nothing
 about the model families beyond "loss is a function of a flat vector".
 """
 
+import math
+
 import numpy as np
 
 from ssse import (
@@ -35,7 +37,7 @@ from ssse import (
     ssse_update,
 )
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
-from ssse.fisher import _cholesky, _gradient_chunks, apply_inverse
+from ssse.fisher import _batch_means, _cholesky, _gradient_chunks, apply_inverse
 from ssse.models import PROB_FLOOR, _weights, hessian_dense, params_digest
 
 
@@ -265,6 +267,40 @@ def apply_inverse_oracle(finv, v):
         y = block.T @ (block @ x)
         out[lo:hi] = (x - y) / finv.dampening if block.shape[0] < hi - lo else y
     return out
+
+
+def primal_factor_oracle(gram, count, dampening):
+    """One primal factor W = L^{-1}, where L L^T = dampening * I + gram / count."""
+    f = gram / count
+    f.flat[::f.shape[0] + 1] += dampening
+    return np.tril(np.linalg.solve(np.linalg.cholesky(f), np.eye(f.shape[0])))
+
+
+def dual_factor_oracle(rows, dampening):
+    """One dual factor Z = L^{-1} rows, where L L^T = rows rows^T + count * dampening * I."""
+    count = rows.shape[0]
+    k = rows @ rows.T
+    k.flat[::count + 1] += count * dampening
+    return np.linalg.inv(np.linalg.cholesky(k)) @ rows
+
+
+def per_block_factors(params, dataset, cfg, dampening, spec, batch_size):
+    """``fisher.build_inverse_fisher``'s factors one block at a time, from its own batch means."""
+    count = math.ceil(dataset.n / batch_size)
+    dual = [count < hi - lo for lo, hi in spec.ranges]
+    acc = [np.empty((count, hi - lo)) if is_dual else np.zeros((hi - lo, hi - lo))
+           for is_dual, (lo, hi) in zip(dual, spec.ranges)]
+    row = 0
+    for means in _batch_means(params, dataset, cfg, batch_size):
+        for a, is_dual, (lo, hi) in zip(acc, dual, spec.ranges):
+            g_b = means[:, lo:hi]
+            if is_dual:
+                a[row:row + means.shape[0]] = g_b
+            else:
+                a += g_b.T @ g_b
+        row += means.shape[0]
+    return [dual_factor_oracle(a, dampening) if is_dual
+            else primal_factor_oracle(a, count, dampening) for a, is_dual in zip(acc, dual)]
 
 
 def batch_means_oracle(params, dataset, cfg, batch_size):

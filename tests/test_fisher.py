@@ -1,5 +1,6 @@
 """Closed-form block builds, the reference rank-one step, block structure, the container."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from helpers import (
     dense_fisher,
     dense_fisher_inverse,
     multinomial_dataset,
+    per_block_factors,
     random_params,
     random_shape,
 )
@@ -257,32 +259,53 @@ def test_non_finite_gradients_are_refused():
 # Finite gradient rows, each entry +-0.5 x at theta = 0, over blocks of 4
 # (dual) or 2 (primal): 3 rows, or 2 batch means, whose squares overflow;
 # and 2 batch means, the first of which, a sum of three rows of -+8.5e307,
-# overflows itself.
+# overflows itself. In _SECOND_FEATURE_OVERFLOWS only the entries of the
+# second feature (parameters 1 and 3) overflow, so over blocks of 1, 1
+# and 2 the first block to fail is the second of a run of two.
 _SQUARES_OVERFLOW = ([[1e200, 0.0], [0.5, 1.0], [1.0, 1.0]], [1, 2, 1])
 _MEAN_OVERFLOWS = ([[1.7e308, 0.0], [1.7e308, 0.0], [1.7e308, 0.0], [1.0, 1.0]], [1, 1, 1, 2])
+_SECOND_FEATURE_OVERFLOWS = ([[0.5, 1e200], [0.5, 1.0], [1.0, 1.0]], [1, 2, 1])
+_SIDES_1_1_2 = BlockSpec(ranges=((0, 1), (1, 2), (2, 4)))
 
 
 @pytest.mark.parametrize(
-    "spec, data, batch_size",
+    "spec, data, batch_size, block",
     [
-        (BlockSpec.single(4), _SQUARES_OVERFLOW, 1),
-        (None, _SQUARES_OVERFLOW, 1),
-        (BlockSpec.single(4), _SQUARES_OVERFLOW, 2),
-        (None, _SQUARES_OVERFLOW, 2),
-        (BlockSpec.single(4), _MEAN_OVERFLOWS, 3),
-        (None, _MEAN_OVERFLOWS, 3),
+        (BlockSpec.single(4), _SQUARES_OVERFLOW, 1, "0 (parameters 0:4)"),
+        (None, _SQUARES_OVERFLOW, 1, "0 (parameters 0:2)"),
+        (BlockSpec.single(4), _SQUARES_OVERFLOW, 2, "0 (parameters 0:4)"),
+        (None, _SQUARES_OVERFLOW, 2, "0 (parameters 0:2)"),
+        (BlockSpec.single(4), _MEAN_OVERFLOWS, 3, "0 (parameters 0:4)"),
+        (None, _MEAN_OVERFLOWS, 3, "0 (parameters 0:2)"),
+        (_SIDES_1_1_2, _SECOND_FEATURE_OVERFLOWS, 1, "1 (parameters 1:2)"),
+        # two batch means: blocks of 1 are primal, the block of 2 is dual
+        (_SIDES_1_1_2, _SECOND_FEATURE_OVERFLOWS, 2, "1 (parameters 1:2)"),
     ],
     ids=["dual", "primal", "dual-batched", "primal-batched", "dual-mean-overflows",
-         "primal-mean-overflows"],
+         "primal-mean-overflows", "second-of-a-run", "second-of-a-run-batched"],
 )
-def test_overflowing_fisher_block_is_refused(spec, data, batch_size):
+def test_overflowing_fisher_block_is_refused(spec, data, batch_size, block):
     shape = MultinomialLinear(n_classes=2, n_features=2)
     params = ModelParams(values=np.zeros(4), shape=shape)
     features, labels = np.array(data[0]), np.array(data[1])
     ds = Dataset(features=features, labels=labels, ids=tuple("abcd"[:len(labels)]))
+    message = f"Fisher block {block} has non-finite entries (gradient products overflow)"
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="gradient products overflow"):
+        with pytest.raises(NumericError, match=re.escape(message)):
             build_inverse_fisher(params, ds, LossConfig(), 0.1, spec, batch_size)
+
+
+def test_cholesky_of_a_stack_names_the_first_failing_matrix():
+    good = np.eye(2)
+    stack = np.stack([good, -good, good, np.full((2, 2), np.inf)])
+    names = ["w", "x", "y", "z"]
+    with pytest.raises(NumericError, match="^x is not positive definite$"):
+        fisher._cholesky(stack, names)
+    with pytest.raises(NumericError, match="^z has non-finite entries$"):
+        fisher._cholesky(stack[2:], names[2:])
+    with pytest.raises(NumericError, match=re.escape("Fisher block 3 (parameters 6:8) has "
+                                                     "non-finite entries (gradient products")):
+        fisher._cholesky(stack[2:], ["y", "Fisher block 3 (parameters 6:8)"])
 
 
 # family, samples, Fisher batch size, block sides (None: the family's own
@@ -290,6 +313,8 @@ def test_overflowing_fisher_block_is_refused(spec, data, batch_size):
 # blocks are 12 and 8 wide.
 APPLY_CASES = {
     "multi-attr-primal": (MultiAttrLinear(n_attrs=3, n_features=4), 12, 1, None, 1),
+    # three gradient chunks, the last one short
+    "multi-attr-several-chunks": (MultiAttrLinear(n_attrs=3, n_features=4), 1100, 1, None, 1),
     "multi-attr-dual": (MultiAttrLinear(n_attrs=3, n_features=4), 12, 5, None, 1),
     "multinomial-primal": (MultinomialLinear(n_classes=3, n_features=4), 12, 1, None, 1),
     "multinomial-dual": (MultinomialLinear(n_classes=3, n_features=4), 12, 4, None, 1),
@@ -303,16 +328,33 @@ APPLY_CASES = {
 }
 
 
-@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-@pytest.mark.parametrize("case", list(APPLY_CASES))
-def test_apply_inverse_matches_the_per_block_oracle(monkeypatch, tmp_path, case, loaded):
+def _apply_case(case):
+    """Params, dataset, block spec (None: the family's own), batch size and run count of a case."""
     shape, n, batch_size, sides, runs = APPLY_CASES[case]
-    ds = dataset_for_shape(shape, 9, n=n)
-    params = random_params(shape, 3)
     spec = None
     if sides is not None:
         edges = np.cumsum((0,) + sides).tolist()
         spec = BlockSpec(ranges=tuple(zip(edges, edges[1:])))
+    return random_params(shape, 3), dataset_for_shape(shape, 9, n=n), spec, batch_size, runs
+
+
+@pytest.mark.parametrize("case", list(APPLY_CASES))
+def test_run_wise_build_matches_the_per_block_oracle(case):
+    params, ds, spec, batch_size, runs = _apply_case(case)
+    cfg = LossConfig(0.05)
+    finv = build_inverse_fisher(params, ds, cfg, 0.5, spec, batch_size)
+    expected = per_block_factors(params, ds, cfg, 0.5, finv.spec, batch_size)
+    assert len(finv._runs) == runs
+    assert len(finv.blocks) == len(expected)
+    for block, factor in zip(finv.blocks, expected):
+        assert np.array_equal(block, factor)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("case", list(APPLY_CASES))
+def test_apply_inverse_matches_the_per_block_oracle(monkeypatch, tmp_path, case, loaded):
+    params, ds, spec, batch_size, runs = _apply_case(case)
+    shape = params.shape
     # the factors as the build (or the file) hands them to the container
     passed = []
     real = fisher.InverseFisher

@@ -547,3 +547,28 @@ def test_dataset_without_and_sorted_by_id():
     ordered = shuffled.sorted_by_id()
     assert ordered.ids == ds.ids
     np.testing.assert_array_equal(ordered.features, ds.features)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [
+        tuple(f"s{i:03d}" for i in np.random.default_rng(3).permutation(40)),
+        ("ab", "a\x00", "a", "b", "", "a\x00\x00"),
+        # precomposed and decomposed e-acute compare by code point, unnormalized
+        ("\u00e9", "z", "Z", "日本", "\U0001f600", "e\u0301", "ß", "ss"),
+        ("only",),
+        (),
+    ],
+    ids=["shuffled", "prefixes", "non-ascii", "one-row", "empty"],
+)
+def test_id_order_is_the_object_argsort_of_the_ids(ids):
+    n = len(ids)
+    ds = Dataset(features=np.arange(2.0 * n).reshape(n, 2), labels=np.ones(n, dtype=np.int64),
+                 ids=ids)
+    expected = np.argsort(np.asarray(ids, dtype=object))
+    order = ds._id_order()
+    assert order.dtype == expected.dtype
+    assert np.array_equal(order, expected)
+    ordered = ds.sorted_by_id()
+    assert ordered.ids == tuple(ids[i] for i in expected)
+    assert np.array_equal(ordered.features, ds.features[expected])
