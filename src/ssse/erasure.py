@@ -45,7 +45,7 @@ from .models import (
     LossConfig,
     ModelParams,
     _check_id_collection,
-    _grad_total,
+    _grad_sums,
     _targets,
     grad_sum,  # unused here; the benchmark's traced runs wrap this name
     hessian_dense,
@@ -110,8 +110,8 @@ def _full_grad_total(theta_star: ModelParams, dataset: Dataset, l2_coeff: float)
     if cached is not None and cached[0] == key:
         return cached[1]
     shape = theta_star.shape
-    total = _grad_total(shape, theta_star.values, dataset.features,
-                        _targets(shape, dataset.labels), l2_coeff)
+    total = _grad_sums(shape, theta_star.values, dataset.features,
+                       _targets(shape, dataset.labels), l2_coeff)[0]
     total.setflags(write=False)
     object.__setattr__(dataset, "_full_grad", (key, total))
     return total
@@ -128,7 +128,8 @@ def _erasure_direction(
     """
     shape = theta_star.shape
     targets = _targets(shape, dataset.labels[rows])
-    total = _grad_total(shape, theta_star.values, dataset.features[rows], targets, cfg.l2_coeff)
+    total = _grad_sums(shape, theta_star.values, dataset.features[rows], targets,
+                       cfg.l2_coeff)[0]
     if grad_source == "remaining":
         total -= _full_grad_total(theta_star, dataset, cfg.l2_coeff)
     return total

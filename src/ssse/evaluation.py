@@ -40,7 +40,7 @@ from .models import (
     MultiAttrLinear,
     _check_task_match,
     _forward,
-    _grad_total,
+    _grad_sums,
     _labels_from_proba,
     _loss_from_proba,
     _targets,
@@ -339,7 +339,8 @@ def _report(
     if forward is None:
         raise InputError("gradient is undefined on an empty dataset")
     targets = _targets(shape, lko_train.labels)
-    total = _grad_total(shape, values, lko_train.features, targets, loss_cfg.l2_coeff, forward)
+    total = _grad_sums(shape, values, lko_train.features, targets, loss_cfg.l2_coeff,
+                       forward=forward)[0]
     acc_lko_test, loss_lko_test, _ = _split_scores(theta_hat, split_data.lko_test, loss_cfg)
     acc_removed_test, loss_removed_test, _ = _split_scores(
         theta_hat, split_data.removed_test, loss_cfg

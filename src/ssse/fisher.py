@@ -28,13 +28,11 @@ one batched inverse. Applying the estimate is two mat-vecs with each
 factor, taken as two stacked products per run; no inverse of a block is
 formed.
 
-With a batch size b > 1, gradients are averaged over consecutive batches
-of b samples (in id order, last batch possibly smaller) and each batch
-mean counts as a single row of G, with ``count`` equal to the number of
-batches. A batch's summed gradient is one product delta^T x per layer,
-so a batched build never forms per-sample gradient rows; they are formed
-only for batch size 1 and for the diagonal estimate (and, to name the
-sample, for a batch whose mean is non-finite).
+The rows of G are the mean gradients of consecutive batches of b samples
+(in id order, last batch possibly smaller), with ``count`` equal to the
+number of batches. At every batch size, and for the diagonal estimate,
+they come from one kernel, ``models._grad_sums``, which sums the
+gradients of groups of rows; a group of one row is a per-sample gradient.
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ from .models import (
     LossConfig,
     ModelParams,
     Shape,
-    _backward,
+    _grad_sums,
     _targets,
-    grad_matrix,
+    grad_matrix,  # unused here; the benchmark's traced runs patch this name
     params_digest,
 )
 
@@ -115,7 +113,8 @@ class InverseFisher:
     its side, and gives a positive-definite inverse: a primal W is
     exactly lower triangular with a positive diagonal, and a dual Z has
     I - Z Z^T positive definite, which holds exactly when its spectral
-    norm is below 1. Estimates compare by identity.
+    norm is below 1. A failed check raises NumericError naming the block
+    and its parameter range. Estimates compare by identity.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -140,18 +139,28 @@ class InverseFisher:
             side = hi - lo
             if arr.shape != (min(count, side), side):
                 raise InputError(f"factor shape {arr.shape} wrong for side {side}, count {count}")
+        names = [f"inverse Fisher factor of block {i} (parameters {a}:{b})"
+                 for i, (a, b) in enumerate(self.spec.ranges)]
         # maximal runs of consecutive blocks whose factors share one shape,
         # each copied into one read-only (b, r, s) stack that the blocks view
         runs, blocks, lo = [], [], 0
         for (rows, side), group in itertools.groupby(arrays, key=np.shape):
             stack = np.stack(list(group))
-            if not np.isfinite(stack).all():
-                raise NumericError("inverse Fisher factor has non-finite entries")
+            run_names = names[len(blocks):len(blocks) + len(stack)]
+            bad = ~np.isfinite(stack).all(axis=(1, 2))
+            if bad.any():
+                raise NumericError(f"{run_names[bad.argmax()]} has non-finite entries")
             if rows == side:
-                if np.triu(stack, 1).any() or stack.diagonal(axis1=1, axis2=2).min() <= 0:
-                    raise NumericError("primal factor is not triangular with a positive diagonal")
+                bad = np.triu(stack, 1).any(axis=(1, 2))
+                bad |= (stack.diagonal(axis1=1, axis2=2) <= 0).any(axis=1)
+                if bad.any():
+                    raise NumericError(
+                        f"{run_names[bad.argmax()]} is not triangular with a positive diagonal")
             else:
-                _cholesky(np.eye(rows) - stack @ stack.transpose(0, 2, 1))
+                # an overflowing Z Z^T leaves inf entries, which _cholesky names
+                with np.errstate(over="ignore", invalid="ignore"):
+                    k = np.eye(rows) - stack @ stack.transpose(0, 2, 1)
+                _cholesky(k, [f"{name}: I - Z Z^T" for name in run_names])
             stack.setflags(write=False)
             blocks.extend(stack)
             hi = lo + stack.shape[0] * side
@@ -198,71 +207,38 @@ def sherman_morrison_step(inv_block: np.ndarray, g: np.ndarray, count: int) -> n
     return (out + out.T) / 2.0
 
 
-def _gradient_chunks(
-    params: ModelParams, dataset: Dataset, cfg: LossConfig, chunk: int, error: str
-):
-    """Yield per-sample gradient rows over consecutive id-ordered chunks.
-
-    Every chunk is written into one buffer allocated per call, so a
-    yielded array is overwritten by the next chunk. A non-finite row
-    raises NumericError with ``error`` formatted with the offending
-    sample id.
-    """
-    # the rows of the already validated arrays, in id order
-    order = dataset._id_order()
-    buf = np.empty((min(chunk, dataset.n), params.shape.n_params))
-    finite = np.empty(buf.shape, dtype=bool)
-    for start in range(0, dataset.n, chunk):
-        rows = order[start:start + chunk]
-        g = grad_matrix(params, dataset.features[rows], dataset.labels[rows], cfg,
-                        out=buf[:len(rows)])
-        mask = np.isfinite(g, out=finite[:len(rows)])
-        if not mask.all():
-            bad = np.flatnonzero(~mask.all(axis=1))
-            raise NumericError(error.format(sample_id=dataset.ids[rows[bad[0]]]))
-        yield g
-
-
 def _batch_means(params: ModelParams, dataset: Dataset, cfg: LossConfig, batch_size: int):
     """Yield the mean gradients of consecutive id-ordered batches, a chunk of rows at a time.
 
-    A batch size of 1 yields the per-sample rows. Above 1, a chunk takes
-    one backward pass, and each layer one stacked product delta^T x over
-    the chunk's full batches and one more for a short last batch; the rows
-    of a batch are formed only when its mean is non-finite, to name the
-    sample that made it so.
+    Each chunk is one :func:`_grad_sums` call into one buffer, so a
+    yielded array is overwritten by the next chunk. The rows of a batch
+    are formed only when its mean is non-finite, to name the sample that
+    made it so.
     """
-    chunk = batch_size * max(1, 512 // batch_size)
-    error = "non-finite gradient for sample {sample_id}"
-    if batch_size == 1:
-        yield from _gradient_chunks(params, dataset, cfg, chunk, error)
-        return
     shape, values = params.shape, params.values
+    chunk = batch_size * max(1, 512 // batch_size)
+    buf = np.empty((math.ceil(min(chunk, dataset.n) / batch_size), shape.n_params))
+    # the rows of the already validated arrays, in id order
     order = dataset._id_order()
     for lo in range(0, dataset.n, chunk):
         rows = order[lo:lo + chunk]
         n = len(rows)
-        full = n // batch_size
-        cut = full * batch_size
-        sizes = np.minimum(batch_size, n - np.arange(0, n, batch_size))
-        means = np.empty((len(sizes), shape.n_params))
         targets = _targets(shape, dataset.labels[rows])
-        for start, stop, delta, x in _backward(shape, values, dataset.features[rows], targets):
-            r, c = delta.shape[1], x.shape[1]
-            sums = means[:, start:stop].reshape(-1, r, c)
-            np.matmul(delta[:cut].reshape(full, batch_size, r).transpose(0, 2, 1),
-                      x[:cut].reshape(full, batch_size, c), out=sums[:full])
-            if cut < n:
-                np.matmul(delta[cut:].T, x[cut:], out=sums[full])
-        if cfg.l2_coeff:
-            means += (sizes * cfg.l2_coeff)[:, None] * values
-        means /= sizes[:, None]
-        for j in np.flatnonzero(~np.isfinite(means).all(axis=1)):
-            # raises on the batch's first non-finite row; a mean that
-            # overflowed from finite rows is left to the factor's check
-            batch = dataset._take(rows[j * batch_size:(j + 1) * batch_size])
-            for _ in _gradient_chunks(params, batch, cfg, batch_size, error):
-                pass
+        features = dataset.features[rows]
+        means = _grad_sums(shape, values, features, targets, cfg.l2_coeff, batch_size,
+                           out=buf[:math.ceil(n / batch_size)])
+        if batch_size > 1:
+            means /= np.minimum(batch_size, n - np.arange(0, n, batch_size))[:, None]
+        if not np.isfinite(means).all():  # a whole-chunk test is the cheap one
+            for j in np.flatnonzero(~np.isfinite(means).all(axis=1)):
+                # raises on the batch's first non-finite row; a mean that
+                # overflowed from finite rows is left to the factor's check
+                batch = slice(j * batch_size, (j + 1) * batch_size)
+                g = _grad_sums(shape, values, features[batch], targets[batch], cfg.l2_coeff, 1)
+                bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
+                if bad.size:
+                    sample_id = dataset.ids[rows[batch][bad[0]]]
+                    raise NumericError(f"non-finite gradient for sample {sample_id}")
         yield means
 
 
@@ -414,8 +390,7 @@ def diagonal_inverse_fisher(
     if dataset.n == 0:
         raise InputError("cannot build a Fisher estimate from an empty dataset")
     acc = np.zeros(params.shape.n_params, dtype=np.float64)
-    error = "non-finite gradient while accumulating the diagonal"
-    for g in _gradient_chunks(params, dataset, cfg, 512, error):
+    for g in _batch_means(params, dataset, cfg, 1):
         acc += np.square(g).sum(axis=0)
     return 1.0 / (dampening + acc / dataset.n)
 

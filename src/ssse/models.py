@@ -532,24 +532,48 @@ def _backward(
         stop = start
 
 
-def _grad_total(
+def _grad_sums(
     shape: Shape,
     values: np.ndarray,
     features: np.ndarray,
     targets: np.ndarray,
     l2_coeff: float,
+    size: int | None = None,
     forward=None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Sum over rows of the per-sample regularized gradients, one product per layer.
+    """Regularized gradient sums of consecutive groups of ``size`` rows, one row per group.
 
+    The last group may be short; ``size=None`` is one group of all rows
+    (one zero row for zero rows). A group of one row is a per-sample
+    gradient, one einsum per layer; larger groups take one stacked
+    product delta^T x per layer, and one more for a short last group.
+    ``out`` is a C-contiguous float64 (groups, n_params) array to write.
     A ``forward`` passed in is consumed, as in :func:`_backward`.
     """
-    total = np.empty(shape.n_params, dtype=np.float64)
+    n = features.shape[0]
+    full = 0 if size is None else n // size
+    cut = 0 if size is None else full * size
+    groups = full + (size is None or cut < n)
+    if out is None:
+        out = np.empty((groups, shape.n_params), dtype=np.float64)
     for start, stop, delta, x in _backward(shape, values, features, targets, forward):
-        np.matmul(delta.T, x, out=total[start:stop].reshape(delta.shape[1], x.shape[1]))
+        r, c = delta.shape[1], x.shape[1]
+        sums = out[:, start:stop].reshape(groups, r, c)
+        if size == 1:
+            np.einsum("nr,nc->nrc", delta, x, out=sums)
+            continue
+        if full:
+            np.matmul(delta[:cut].reshape(full, size, r).transpose(0, 2, 1),
+                      x[:cut].reshape(full, size, c), out=sums[:full])
+        if groups > full:
+            np.matmul(delta[cut:].T, x[cut:], out=sums[full])
     if l2_coeff:
-        total += (features.shape[0] * l2_coeff) * values
-    return total
+        if full:
+            out[:full] += (size * l2_coeff) * values
+        if groups > full:
+            out[full] += ((n - cut) * l2_coeff) * values
+    return out
 
 
 def grad_matrix(
@@ -564,27 +588,20 @@ def grad_matrix(
 
     Row i is the gradient of ``nll_i + (l2_coeff / 2) * ||theta||^2``, so
     the mean over rows equals the full-batch gradient of :func:`loss`.
-    Only the batch-size-1 and diagonal Fisher estimates need the rows
-    themselves; every mean, summed or batch-mean gradient in the package
-    is one product per layer instead.
+    Every gradient in the package is a group sum of :func:`_grad_sums`;
+    these rows are its groups of one row.
     ``out``, a C-contiguous float64 (rows, n_params) array, receives the
     rows in place of a fresh array.
     """
     shape = params.shape
     features = _checked_features(shape, features)
     n, d = features.shape[0], shape.n_params
-    if out is None:
-        out = np.empty((n, d), dtype=np.float64)
-    elif out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous:
+    if out is not None and (
+        out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous
+    ):
         raise InputError(f"out must be a C-contiguous float64 array of shape {(n, d)}")
     targets = _targets(shape, labels)
-    for start, stop, delta, x in _backward(shape, params.values, features, targets):
-        # Per-sample outer products go straight into this layer's columns.
-        layer_out = out[:, start:stop].reshape(n, delta.shape[1], x.shape[1])
-        np.einsum("nr,nc->nrc", delta, x, out=layer_out)
-    if cfg.l2_coeff:
-        out += cfg.l2_coeff * params.values
-    return out
+    return _grad_sums(shape, params.values, features, targets, cfg.l2_coeff, 1, out=out)
 
 
 def grad(params: ModelParams, x: np.ndarray, y, cfg: LossConfig) -> np.ndarray:
@@ -603,7 +620,7 @@ def grad_mean(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.ndar
     if dataset.n == 0:
         raise InputError("gradient is undefined on an empty dataset")
     targets = _targets(params.shape, dataset.labels)
-    total = _grad_total(params.shape, params.values, dataset.features, targets, cfg.l2_coeff)
+    total = _grad_sums(params.shape, params.values, dataset.features, targets, cfg.l2_coeff)[0]
     return total / dataset.n
 
 
@@ -613,7 +630,8 @@ def grad_sum(params: ModelParams, dataset: Dataset, ids: Iterable[str], cfg: Los
     if rows.size == 0:
         raise InputError("gradient sum over an empty id set")
     targets = _targets(params.shape, dataset.labels[rows])
-    return _grad_total(params.shape, params.values, dataset.features[rows], targets, cfg.l2_coeff)
+    return _grad_sums(params.shape, params.values, dataset.features[rows], targets,
+                      cfg.l2_coeff)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .models import (
     Shape,
     _check_task_match,
     _forward,
-    _grad_total,
+    _grad_sums,
     _loss_from_proba,
     _targets,
     # unused here; the benchmark's traced runs patch these three in training
@@ -139,7 +139,8 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
         stream.shuffle(order)
         for start in range(0, dataset.n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            g = _grad_total(shape, theta, dataset.features[rows], targets[rows], loss_cfg.l2_coeff)
+            g = _grad_sums(shape, theta, dataset.features[rows], targets[rows],
+                           loss_cfg.l2_coeff)[0]
             g /= rows.shape[0]
             # overflow here is reported through TrainingError, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
@@ -154,7 +155,8 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
         # One full-data forward pass gives the epoch's loss and its gradient.
         forward, value = _epoch_loss(shape, theta, dataset, loss_cfg, epoch)
         history.append(value)
-        total = _grad_total(shape, theta, dataset.features, targets, loss_cfg.l2_coeff, forward)
+        total = _grad_sums(shape, theta, dataset.features, targets, loss_cfg.l2_coeff,
+                           forward=forward)[0]
         grad_norm = float(np.linalg.norm(total / dataset.n))
         if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
             break

@@ -37,7 +37,7 @@ from ssse import (
     ssse_update,
 )
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
-from ssse.fisher import _batch_means, _cholesky, _gradient_chunks, apply_inverse
+from ssse.fisher import _batch_means, _cholesky, apply_inverse
 from ssse.models import PROB_FLOOR, _weights, hessian_dense, params_digest
 
 
@@ -304,10 +304,13 @@ def per_block_factors(params, dataset, cfg, dampening, spec, batch_size):
 
 
 def batch_means_oracle(params, dataset, cfg, batch_size):
-    """``fisher._batch_means`` from per-sample rows: each chunk's batch means by ``reduceat``."""
+    """``fisher._batch_means`` from ``grad_matrix`` rows of id-ordered chunks, by ``reduceat``."""
+    from ssse import grad_matrix
+
     chunk = batch_size * max(1, 512 // batch_size)
-    error = "non-finite gradient for sample {sample_id}"
-    for g in _gradient_chunks(params, dataset, cfg, chunk, error):
+    ordered = dataset.sorted_by_id()
+    for lo in range(0, ordered.n, chunk):
+        g = grad_matrix(params, ordered.features[lo:lo + chunk], ordered.labels[lo:lo + chunk], cfg)
         if batch_size == 1:
             yield g
             continue

@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,31 @@ def test_erase_refuses_a_version_1_fisher_file(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "version 1" in err and "ssse fisher" in err
+    assert not os.path.exists(e)
+
+
+def test_erase_names_the_invalid_stored_factor_and_exits_three(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    t, e = str(tmp_path / "t"), str(tmp_path / "e")
+    assert main(["train", "--config", cfg, "--out", t]) == 0
+    model = os.path.join(t, "model.bin")
+    params, _ = load_model(model)
+    # one sample makes both blocks of side 2 dual, one factor row each; Z Z^T of
+    # the second overflows
+    blob = b"SSSEFISH" + bytes([2]) + struct.pack("<dQQ", 0.01, 1, 1) + params_digest(params)
+    blob += struct.pack("<Q", 2)
+    for z in ([0.5, 0.0], [1e200, 0.0]):
+        blob += struct.pack("<QQ", 1, 2) + np.array(z, dtype="<f8").tobytes()
+    fisher = tmp_path / "bad.bin"
+    fisher.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["erase", "--config", cfg, "--out", e, "--model", model,
+                     "--fisher", str(fisher)])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: inverse Fisher factor of block 1 (parameters 2:4): "
+        "I - Z Z^T has non-finite entries\n")
     assert not os.path.exists(e)
 
 

@@ -39,7 +39,7 @@ from ssse import (
     train,
 )
 from ssse import erasure
-from ssse.models import _grad_total, _targets, params_digest
+from ssse.models import _grad_sums, _targets, params_digest
 
 
 def _setup(seed=0, n=10):
@@ -159,15 +159,15 @@ def _fresh(ds):
 
 
 def _spy_grad_rows(monkeypatch):
-    """Record the row count of every ``_grad_total`` call the erasure module makes."""
+    """Record the row count of every ``_grad_sums`` call the erasure module makes."""
     calls = []
-    real = erasure._grad_total
+    real = erasure._grad_sums
 
     def spy(shape, values, features, *args, **kwargs):
         calls.append(features.shape[0])
         return real(shape, values, features, *args, **kwargs)
 
-    monkeypatch.setattr(erasure, "_grad_total", spy)
+    monkeypatch.setattr(erasure, "_grad_sums", spy)
     return calls
 
 
@@ -195,7 +195,7 @@ def test_remaining_requests_are_bit_identical_on_a_warm_and_a_cold_dataset(seed)
     assert not cached.flags.writeable
     targets = _targets(params.shape, ds.labels)
     np.testing.assert_array_equal(
-        cached, _grad_total(params.shape, params.values, ds.features, targets, cfg.l2_coeff))
+        cached, _grad_sums(params.shape, params.values, ds.features, targets, cfg.l2_coeff)[0])
 
 
 def test_full_data_sum_is_recomputed_for_another_theta_or_l2(monkeypatch):

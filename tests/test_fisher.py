@@ -1,6 +1,7 @@
 """Closed-form block builds, the reference rank-one step, block structure, the container."""
 
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +253,7 @@ def test_non_finite_gradients_are_refused():
         for batch_size in (1, 2, 3):
             with pytest.raises(NumericError, match="for sample b"):
                 build_inverse_fisher(params, ds, LossConfig(), 0.1, batch_size=batch_size)
-        with pytest.raises(NumericError, match="accumulating the diagonal"):
+        with pytest.raises(NumericError, match="for sample b"):
             diagonal_inverse_fisher(params, ds, LossConfig(), 0.1)
 
 
@@ -448,6 +449,43 @@ def test_inverse_fisher_rejects_bad_factors(n_samples, factor, digest, error, ma
             blocks=(np.array(factor),), spec=BlockSpec.single(2), dampening=1.0,
             n_samples=n_samples, batch_size=1, built_at_digest=digest,
         )
+
+
+_SIDES_2_2_2 = BlockSpec(ranges=((0, 2), (2, 4), (4, 6)))
+_SIDES_2_2 = BlockSpec(ranges=((0, 2), (2, 4)))
+
+
+@pytest.mark.parametrize(
+    "n_samples, spec, factors, message",
+    [
+        (1, BlockSpec.single(2), [[[1e200, 0.0]]],
+         "block 0 (parameters 0:2): I - Z Z^T has non-finite entries"),
+        (1, BlockSpec.single(2), [[[1.0, 0.0]]],
+         "block 0 (parameters 0:2): I - Z Z^T is not positive definite"),
+        (3, BlockSpec.single(2), [[[1.0, 0.5], [0.0, 1.0]]],
+         "block 0 (parameters 0:2) is not triangular with a positive diagonal"),
+        # the third block of a dual run, the second of a primal run
+        (1, _SIDES_2_2_2, [[[0.5, 0.0]], [[0.0, 0.5]], [[1e200, 0.0]]],
+         "block 2 (parameters 4:6): I - Z Z^T has non-finite entries"),
+        (3, _SIDES_2_2,
+         [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [np.inf, 1.0]]],
+         "block 1 (parameters 2:4) has non-finite entries"),
+        (3, _SIDES_2_2,
+         [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]],
+         "block 1 (parameters 2:4) is not triangular with a positive diagonal"),
+    ],
+    ids=["dual-overflow", "dual-norm-one", "above-diagonal", "third-of-a-dual-run",
+         "non-finite-second-of-a-primal-run", "second-of-a-primal-run"],
+)
+def test_stored_factor_checks_name_the_block(n_samples, spec, factors, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            InverseFisher(
+                blocks=tuple(np.array(f) for f in factors), spec=spec, dampening=1.0,
+                n_samples=n_samples, batch_size=1, built_at_digest=bytes(32),
+            )
+    assert str(err.value) == f"inverse Fisher factor of {message}"
 
 
 def test_inverse_fisher_accepts_factors_of_both_forms():

@@ -58,7 +58,7 @@ from ssse import (
     predict_proba,
 )
 from ssse.cli import Pipeline
-from ssse.models import _backward, _forward, _grad_total, _sigmoid, _softmax, _targets
+from ssse.models import _backward, _forward, _grad_sums, _sigmoid, _softmax, _targets
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +128,34 @@ def test_forward_and_backward_are_bit_identical_to_the_out_of_place_oracle(shape
         assert (start, stop) == (w_start, w_stop)
         assert np.array_equal(delta, w_delta) and np.array_equal(x, w_x)
     want_total = np.empty(shape.n_params)
+    want_rows = np.empty((ds.n, shape.n_params))
     for start, stop, delta, x in want:
         want_total[start:stop] = (delta.T @ x).ravel()
+        want_rows[:, start:stop] = (delta[:, :, None] * x[:, None, :]).reshape(ds.n, -1)
     want_total += (ds.n * 0.3) * values
+    want_rows += 0.3 * values
     forward = _forward(shape, values, ds.features)
-    assert np.array_equal(_grad_total(shape, values, ds.features, targets, 0.3, forward),
-                          want_total)
-    assert np.array_equal(_grad_total(shape, values, ds.features, targets, 0.3), want_total)
+    assert np.array_equal(_grad_sums(shape, values, ds.features, targets, 0.3, forward=forward),
+                          want_total[None])
+    assert np.array_equal(_grad_sums(shape, values, ds.features, targets, 0.3), want_total[None])
+    rows = _grad_sums(shape, values, ds.features, targets, 0.3, 1)
+    assert np.array_equal(rows, want_rows)
+    params = ModelParams(values=values, shape=shape)
+    assert np.array_equal(rows, grad_matrix(params, ds.features, ds.labels, LossConfig(0.3)))
+    # 40 rows: groups of 3 end in a short group of 1, groups of 45 are one short group
+    for size in (2, 3, ds.n, ds.n + 5):
+        starts = np.arange(0, ds.n, size)
+        want_sums = np.add.reduceat(want_rows, starts, axis=0)
+        got = _grad_sums(shape, values, ds.features, targets, 0.3, size)
+        # the sums round in another order; entries near zero carry the
+        # rounding of the largest, so the bound scales with it
+        np.testing.assert_allclose(got, want_sums, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_sums).max())
+    # zero rows: one zero row for all rows, no groups of a given size
+    for size, want_shape in ((None, (1, shape.n_params)), (1, (0, shape.n_params)),
+                             (3, (0, shape.n_params))):
+        got = _grad_sums(shape, values, ds.features[:0], targets[:0], 0.3, size)
+        assert got.shape == want_shape and not got.any()
 
 
 def test_mlp_gradient_sum_from_a_forward_pass_allocates_one_hidden_sized_array():
@@ -146,7 +167,7 @@ def test_mlp_gradient_sum_from_a_forward_pass_allocates_one_hidden_sized_array()
     forward = _forward(shape, values, ds.features)
     tracemalloc.start()
     try:
-        _grad_total(shape, values, ds.features, targets, 0.1, forward)
+        _grad_sums(shape, values, ds.features, targets, 0.1, forward=forward)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
