@@ -234,10 +234,9 @@ def _removed_only(text: str) -> str:
 
 
 def sweep_settings(cfg: ConfigView, train_ds: Dataset) -> tuple[list[float], str]:
-    """The validated epsilon grid and the selection criterion."""
+    """The validated epsilon grid and the selection criterion the task implies."""
     grid = check_epsilon_grid(cfg.get("sweep", "grid", float_list))
-    default_criterion = "max_gamma" if train_ds.kind == "binary" else "min_delta"
-    return grid, cfg.get("sweep", "criterion", default=default_criterion)
+    return grid, "max_gamma" if train_ds.kind == "binary" else "min_delta"
 
 
 @dataclass(frozen=True)

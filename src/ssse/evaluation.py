@@ -106,6 +106,7 @@ def accuracy(params: ModelParams, dataset: Dataset) -> float:
     """
     if dataset.n == 0:
         return float("nan")
+    _check_task_match(params, dataset)
     preds = predict_labels(params, dataset.features)
     return float((preds == dataset.labels).mean())
 
@@ -116,28 +117,33 @@ def mean_loss(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> float:
     return loss(params, dataset, cfg)
 
 
-def auc_per_attribute(params: ModelParams, dataset: Dataset) -> np.ndarray:
-    """ROC AUC of each attribute head on the given samples."""
-    _check_auc_task(params, dataset)
-    return _auc_profile(predict_proba(params, dataset.features), dataset.labels)
+def _profile(
+    params: ModelParams, dataset: Dataset, kind: str, p: np.ndarray | None = None
+) -> np.ndarray:
+    """The per-attribute AUC profile (``kind`` binary) or the confusion matrix (multinomial).
+
+    ``p`` is the model's forward pass on ``dataset`` when the caller already has it.
+    """
+    _check_task_match(params, dataset)
+    if dataset.kind != kind:
+        raise InputError(f"this metric requires a {kind} task, got {dataset.kind} labels")
+    if p is None:
+        p = predict_proba(params, dataset.features)
+    labels = dataset.labels
+    if kind == "binary":
+        return np.asarray(
+            [roc_auc(p[:, j], labels[:, j]) for j in range(labels.shape[1])], dtype=np.float64
+        )
+    cm = np.zeros((params.shape.n_classes,) * 2, dtype=np.int64)
+    np.add.at(cm, (labels - 1, _labels_from_proba(params.shape, p) - 1), 1)
+    return cm
 
 
-def _check_auc_task(params: ModelParams, dataset: Dataset) -> None:
-    if not isinstance(params.shape, MultiAttrLinear) or dataset.kind != "binary":
-        raise InputError("per-attribute AUC requires a binary multi-attribute task")
-    if dataset.n_attrs != params.shape.n_attrs:
-        raise InputError("dataset attribute count does not match the model")
-
-
-def _auc_profile(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return np.asarray(
-        [roc_auc(p[:, j], labels[:, j]) for j in range(labels.shape[1])], dtype=np.float64
-    )
-
-
-def performance_similarity(a: ModelParams, b: ModelParams, samples: Dataset) -> float:
-    """L1 distance between the two models' per-attribute AUC profiles."""
-    return float(np.abs(auc_per_attribute(a, samples) - auc_per_attribute(b, samples)).sum())
+def _score(kind: str, hat: np.ndarray, star: np.ndarray, retrain: np.ndarray) -> float:
+    """gamma (``kind`` binary) or delta (multinomial) from three :func:`_profile` results."""
+    if kind == "binary":
+        return _ratio(float(np.abs(hat - star).sum()), float(np.abs(hat - retrain).sum()))
+    return _ratio(float(confusion_distance(hat, retrain)), float(confusion_distance(hat, star)))
 
 
 def _ratio(toward_retrain: float, toward_star: float) -> float:
@@ -147,6 +153,16 @@ def _ratio(toward_retrain: float, toward_star: float) -> float:
     return toward_retrain / total
 
 
+def auc_per_attribute(params: ModelParams, dataset: Dataset) -> np.ndarray:
+    """ROC AUC of each attribute head on the given samples."""
+    return _profile(params, dataset, "binary")
+
+
+def performance_similarity(a: ModelParams, b: ModelParams, samples: Dataset) -> float:
+    """L1 distance between the two models' per-attribute AUC profiles."""
+    return float(np.abs(auc_per_attribute(a, samples) - auc_per_attribute(b, samples)).sum())
+
+
 def similarity_ratio(
     theta_hat: ModelParams,
     theta_star: ModelParams,
@@ -154,31 +170,13 @@ def similarity_ratio(
     samples: Dataset,
 ) -> float:
     """gamma in [0, 1]: 1 when the erased model's AUC profile matches the retrain."""
-    d_star = performance_similarity(theta_hat, theta_star, samples)
-    d_retrain = performance_similarity(theta_hat, theta_retrain, samples)
-    return _ratio(d_star, d_retrain)
+    thetas = (theta_hat, theta_star, theta_retrain)
+    return _score("binary", *(_profile(t, samples, "binary") for t in thetas))
 
 
 def confusion_matrix(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Counts with true classes as rows and predicted classes as columns."""
-    _check_confusion_task(params, dataset)
-    preds = predict_labels(params, dataset.features)
-    return _confusion(params.shape.n_classes, dataset.labels, preds)
-
-
-def _check_confusion_task(params: ModelParams, dataset: Dataset) -> None:
-    if isinstance(params.shape, MultiAttrLinear):
-        raise InputError("confusion matrices require a multinomial task")
-    if dataset.kind != "multinomial":
-        raise InputError("confusion matrices require class labels")
-    if dataset.n and dataset.labels.max() > params.shape.n_classes:
-        raise InputError("class label out of range for the model shape")
-
-
-def _confusion(c: int, labels: np.ndarray, preds: np.ndarray) -> np.ndarray:
-    cm = np.zeros((c, c), dtype=np.int64)
-    np.add.at(cm, (labels - 1, preds - 1), 1)
-    return cm
+    return _profile(params, dataset, "multinomial")
 
 
 def confusion_distance(cm_a: np.ndarray, cm_b: np.ndarray) -> int:
@@ -197,10 +195,8 @@ def normalized_confusion_distance(
     samples: Dataset,
 ) -> float:
     """delta in [0, 1]: 0 when the erased model confuses exactly like the retrain."""
-    cm_hat = confusion_matrix(theta_hat, samples)
-    s_retrain = confusion_distance(cm_hat, confusion_matrix(theta_retrain, samples))
-    s_star = confusion_distance(cm_hat, confusion_matrix(theta_star, samples))
-    return _ratio(float(s_retrain), float(s_star))
+    thetas = (theta_hat, theta_star, theta_retrain)
+    return _score("multinomial", *(_profile(t, samples, "multinomial") for t in thetas))
 
 
 def normalized_param_distance(
@@ -269,25 +265,13 @@ class SplitData:
         )
 
 
-def _removed_profile(params: ModelParams, removed: Dataset, p: np.ndarray) -> np.ndarray:
-    """The AUC profile (binary task) or confusion matrix on the removed split, from ``p``."""
-    if removed.kind == "binary":
-        _check_auc_task(params, removed)
-        return _auc_profile(p, removed.labels)
-    _check_confusion_task(params, removed)
-    return _confusion(params.shape.n_classes, removed.labels, _labels_from_proba(params.shape, p))
-
-
 def _references(
     theta_star: ModelParams, theta_retrain: ModelParams, removed: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
     """theta*'s and the retrain's removed-split profiles, which every epsilon compares against."""
     if removed.n == 0:
         raise InputError("evaluation requires a nonempty removed split")
-    return tuple(
-        _removed_profile(t, removed, predict_proba(t, removed.features))
-        for t in (theta_star, theta_retrain)
-    )
+    return tuple(_profile(t, removed, removed.kind) for t in (theta_star, theta_retrain))
 
 
 def _split_scores(params: ModelParams, dataset: Dataset, cfg: LossConfig):
@@ -297,10 +281,10 @@ def _split_scores(params: ModelParams, dataset: Dataset, cfg: LossConfig):
     """
     if dataset.n == 0:
         return float("nan"), float("nan"), None
+    _check_task_match(params, dataset)
     forward = _forward(params.shape, params.values, dataset.features)
     p = forward[1]
     acc = float((_labels_from_proba(params.shape, p) == dataset.labels).mean())
-    _check_task_match(params, dataset)
     return acc, _loss_from_proba(p, dataset, params.values, cfg), forward
 
 
@@ -320,21 +304,12 @@ def _report(
     :func:`normalized_confusion_distance`, the norm of :func:`grad_mean`)
     bit for bit.
     """
-    star, retrain = references
     removed, lko_train = split_data.removed, split_data.lko_train
     shape, values = theta_hat.shape, theta_hat.values
+    binary = removed.kind == "binary"
     acc_removed, loss_removed, forward = _split_scores(theta_hat, removed, loss_cfg)
-    profile = _removed_profile(theta_hat, removed, forward[1])
-    gamma = delta = auc_removed = None
-    if removed.kind == "binary":
-        d_star = float(np.abs(profile - star).sum())
-        d_retrain = float(np.abs(profile - retrain).sum())
-        gamma = _ratio(d_star, d_retrain)
-        auc_removed = tuple(float(v) for v in profile)
-    else:
-        s_retrain = confusion_distance(profile, retrain)
-        s_star = confusion_distance(profile, star)
-        delta = _ratio(float(s_retrain), float(s_star))
+    profile = _profile(theta_hat, removed, removed.kind, forward[1])
+    score = _score(removed.kind, profile, *references)
     acc_lko_train, loss_lko_train, forward = _split_scores(theta_hat, lko_train, loss_cfg)
     if forward is None:
         raise InputError("gradient is undefined on an empty dataset")
@@ -355,11 +330,11 @@ def _report(
         loss_removed=loss_removed,
         loss_lko_test=loss_lko_test,
         loss_removed_test=loss_removed_test,
-        gamma=gamma,
-        delta=delta,
+        gamma=score if binary else None,
+        delta=None if binary else score,
         param_dist=normalized_param_distance(theta_hat, theta_star, theta_retrain),
         grad_norm_lko=float(np.linalg.norm(total / lko_train.n)),
-        auc_removed=auc_removed,
+        auc_removed=tuple(float(v) for v in profile) if binary else None,
     )
 
 
@@ -397,7 +372,7 @@ def epsilon_sweep(
     The grid must pass :func:`check_epsilon_grid`. ``max_gamma``
     applies to binary tasks and picks the largest gamma, ``min_delta``
     to multinomial tasks and picks the smallest delta; ties keep the
-    lowest epsilon because the scan only replaces on strict improvement.
+    lowest epsilon.
 
     The erasure direction and the original and retrained models' profiles
     on the removed split are computed once; each epsilon then costs one
@@ -407,33 +382,21 @@ def epsilon_sweep(
     grid = check_epsilon_grid(grid)
     if criterion not in _CRITERIA:
         raise InputError(f"unknown sweep criterion: {criterion!r}")
-    if criterion == "max_gamma" and train.kind != "binary":
-        raise InputError("max_gamma requires a binary attribute task")
-    if criterion == "min_delta" and train.kind != "multinomial":
-        raise InputError("min_delta requires a multinomial task")
+    if criterion != ("max_gamma" if train.kind == "binary" else "min_delta"):
+        raise InputError(f"{criterion} does not apply to a {train.kind} task")
 
     erased = ssse_grid(theta_star, finv, train, splits.removed, grid, loss_cfg)
     split_data = SplitData.from_splits(train, test, splits)
     references = _references(theta_star, theta_retrain, split_data.removed)
-    reports = []
-    best_idx = 0
-    best_value: float | None = None
-    for i, (eps, (theta_hat, _)) in enumerate(zip(grid, erased)):
-        report = _report(
-            theta_hat, eps, theta_star, theta_retrain, references, split_data, loss_cfg
-        )
-        reports.append(report)
-        value = report.gamma if criterion == "max_gamma" else report.delta
-        assert value is not None
-        better = best_value is None or (
-            value > best_value if criterion == "max_gamma" else value < best_value
-        )
-        if better:
-            best_idx = i
-            best_value = value
-    return SweepResult(
-        criterion=criterion, best_epsilon=grid[best_idx], reports=tuple(reports)
+    reports = tuple(
+        _report(theta_hat, eps, theta_star, theta_retrain, references, split_data, loss_cfg)
+        for eps, (theta_hat, _) in zip(grid, erased)
     )
+    if criterion == "max_gamma":
+        best = -max((r.gamma, -i) for i, r in enumerate(reports))[1]
+    else:
+        best = min((r.delta, i) for i, r in enumerate(reports))[1]
+    return SweepResult(criterion=criterion, best_epsilon=grid[best], reports=reports)
 
 
 # ---------------------------------------------------------------------------

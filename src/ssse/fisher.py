@@ -417,6 +417,7 @@ def save_inverse_fisher(finv: InverseFisher, path: str) -> None:
 
 
 def load_inverse_fisher(path: str) -> InverseFisher:
+    """Read a :func:`save_inverse_fisher` file; every error it raises names ``path``."""
     r = cont.ByteReader(cont.read_file(path), path)
     r.magic(cont.FISHER_MAGIC)
     version = r.u8("version")
@@ -441,11 +442,16 @@ def load_inverse_fisher(path: str) -> InverseFisher:
         ranges.append((cursor, cursor + side))
         cursor += side
     r.expect_end()
-    return InverseFisher(
-        blocks=tuple(blocks),
-        spec=BlockSpec(ranges=tuple(ranges)),
-        dampening=dampening,
-        n_samples=n_samples,
-        batch_size=batch_size,
-        built_at_digest=digest,
-    )
+    try:
+        return InverseFisher(
+            blocks=tuple(blocks),
+            spec=BlockSpec(ranges=tuple(ranges)),
+            dampening=dampening,
+            n_samples=n_samples,
+            batch_size=batch_size,
+            built_at_digest=digest,
+        )
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
+    except InputError as exc:
+        raise ContainerError(f"{path}: {exc}") from exc

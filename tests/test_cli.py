@@ -274,7 +274,7 @@ def test_erase_names_the_invalid_stored_factor_and_exits_three(tmp_path, capsys)
                      "--fisher", str(fisher)])
     assert code == 3
     assert capsys.readouterr().err == (
-        "numeric failure: inverse Fisher factor of block 1 (parameters 2:4): "
+        f"numeric failure: {fisher}: inverse Fisher factor of block 1 (parameters 2:4): "
         "I - Z Z^T has non-finite entries\n")
     assert not os.path.exists(e)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import multinomial_dataset, random_params
+from helpers import binary_dataset, multinomial_dataset, random_params
 from ssse import (
     BlockSpec,
     Dataset,
@@ -206,6 +206,32 @@ def test_confusion_matrix_rejects_out_of_range_labels():
     ds = Dataset(features=np.ones((2, 1)), labels=np.array([1, 3]), ids=make_ids(2))
     with pytest.raises(InputError):
         confusion_matrix(params, ds)
+
+
+_MISMATCHED_METRICS = {
+    "accuracy": lambda bad, good, ds: accuracy(bad, ds),
+    "auc_per_attribute": lambda bad, good, ds: auc_per_attribute(bad, ds),
+    "similarity_ratio": lambda bad, good, ds: similarity_ratio(bad, good, good, ds),
+    "confusion_matrix": lambda bad, good, ds: confusion_matrix(bad, ds),
+    "normalized_confusion_distance": lambda bad, good, ds: normalized_confusion_distance(
+        bad, good, good, ds),
+    "evaluate_erasure": lambda bad, good, ds: evaluate_erasure(
+        bad, 1.0, good, good, SplitData(ds, ds, ds, ds), LossConfig(0.01)),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(_MISMATCHED_METRICS))
+@pytest.mark.parametrize("bad_shape", [
+    MultinomialLinear(n_classes=3, n_features=4),
+    MultiAttrLinear(n_attrs=2, n_features=4),
+], ids=["other-kind", "attribute-count"])
+def test_metrics_refuse_a_model_that_does_not_fit_the_data(metric, bad_shape):
+    # 3-attribute binary data; only the evaluated model mismatches it, so
+    # no reference profile can raise first
+    ds = binary_dataset(13, 12, 4, 3)
+    good = random_params(MultiAttrLinear(n_attrs=3, n_features=4), 1)
+    with pytest.raises(InputError):
+        _MISMATCHED_METRICS[metric](random_params(bad_shape, 2), good, ds)
 
 
 def test_normalized_distances_sentinels():
