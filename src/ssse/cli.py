@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import data as data_mod
@@ -263,7 +264,13 @@ class Pipeline:
         tcfg = train_config(cfg)
         theta_star = train(train_ds, shape, loss_cfg, tcfg).params
         splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
-        retrain = retrain_scratch(train_ds, splits.removed, shape, loss_cfg, tcfg).params
+        with warnings.catch_warnings(record=True) as caught:
+            # retrain_scratch warns when the removal empties a class or an
+            # attribute, which a whole-target removal does on purpose
+            warnings.simplefilter("always", UserWarning)
+            retrain = retrain_scratch(train_ds, splits.removed, shape, loss_cfg, tcfg).params
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
         dampening, batch_size = fisher_settings(cfg, loss_cfg)
         finv = build_inverse_fisher(theta_star, train_ds, loss_cfg, dampening,
                                     batch_size=batch_size)

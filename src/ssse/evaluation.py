@@ -134,9 +134,9 @@ def _profile(
         return np.asarray(
             [roc_auc(p[:, j], labels[:, j]) for j in range(labels.shape[1])], dtype=np.float64
         )
-    cm = np.zeros((params.shape.n_classes,) * 2, dtype=np.int64)
-    np.add.at(cm, (labels - 1, _labels_from_proba(params.shape, p) - 1), 1)
-    return cm
+    c = params.shape.n_classes
+    pred = _labels_from_proba(params.shape, p)
+    return np.bincount((labels - 1) * c + (pred - 1), minlength=c * c).reshape(c, c)
 
 
 def _score(kind: str, hat: np.ndarray, star: np.ndarray, retrain: np.ndarray) -> float:

@@ -401,15 +401,33 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    # Shift by the row max so exp stays bounded, then clamp and renormalize
-    # so every entry is strictly inside (0, 1) and rows still sum to one.
-    # Every step after the shift works in place on its result.
-    p = z - z.max(axis=1, keepdims=True)
+    """Row softmax of the (n, c) logits as a class-major (F-ordered) array.
+
+    The rows are shifted by their max so exp stays bounded, then clamped
+    and renormalized so every entry is strictly inside (0, 1) and rows
+    still sum to one. Every step after the shift works in place on one
+    class-major array, so each per-sample max and sum is a pass over
+    contiguous class columns rather than one short call per row, and each
+    sum adds the classes in order (:func:`_class_sums`).
+    """
+    p = np.subtract(z, z.max(axis=1, keepdims=True), order="F")
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= _class_sums(p)
     np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= _class_sums(p)
     return p
+
+
+def _class_sums(p: np.ndarray) -> np.ndarray:
+    """(n, 1) row sums of a class-major (n, c) array, each added in class order.
+
+    numpy reduces two or more F-ordered rows one class column at a time,
+    a sequential sum per row; a single row is one contiguous vector, which
+    numpy would sum pairwise, so it is accumulated instead.
+    """
+    if p.shape[0] == 1:
+        return np.add.accumulate(p, axis=1)[:, -1:]
+    return p.sum(axis=1, keepdims=True)
 
 
 def _checked_features(shape: Shape, features: np.ndarray) -> np.ndarray:
@@ -430,6 +448,12 @@ def _forward(
     pass allocates one array per layer and a few for the head. The hidden
     activations it returns belong to the caller; :func:`_backward` reuses
     them as scratch.
+
+    Hidden layers and the sigmoid head are sample-major (C-ordered). The
+    softmax head is class-major: its logits are the transpose of
+    ``head @ inputs[-1].T``, the same dot products as ``inputs[-1] @ head.T``
+    stored F-ordered, so the softmax's per-sample reductions run along
+    contiguous memory and the probabilities come back F-ordered.
     """
     features = _checked_features(shape, features)
     *hidden, head = _weights(shape, values)
@@ -437,18 +461,18 @@ def _forward(
     for w in hidden:
         a = inputs[-1] @ w.T
         inputs.append(np.tanh(a, out=a))
-    z = inputs[-1] @ head.T
     if isinstance(shape, MultiAttrLinear):
-        p = _sigmoid(z)
+        p = _sigmoid(inputs[-1] @ head.T)
         return inputs, np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
-    return inputs, _softmax(z)
+    return inputs, _softmax((head @ inputs[-1].T).T)
 
 
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Per-sample probabilities.
 
     Returns (n, n_attrs) independent sigmoid probabilities for the
-    multi-attribute family and (n, n_classes) softmax rows otherwise.
+    multi-attribute family and (n, n_classes) softmax rows otherwise,
+    the latter stored class-major (F-ordered).
     """
     return _forward(params.shape, params.values, features)[1]
 

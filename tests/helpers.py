@@ -32,6 +32,7 @@ from ssse import (
     mean_loss,
     normalized_confusion_distance,
     normalized_param_distance,
+    predict_labels,
     predict_proba,
     similarity_ratio,
     ssse_update,
@@ -134,12 +135,20 @@ def sigmoid_oracle(z):
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def sequential_row_sums(a):
+    """(n, 1) row sums added one class at a time: ((a0 + a1) + a2) + ..."""
+    total = a[:, :1]
+    for j in range(1, a.shape[1]):
+        total = total + a[:, j:j + 1]
+    return total
+
+
 def softmax_oracle(z):
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / sequential_row_sums(e)
     p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / sequential_row_sums(p)
 
 
 def forward_oracle(shape, values, features):
@@ -347,6 +356,14 @@ def evaluation_oracle(theta_hat, epsilon, theta_star, theta_retrain, split_data,
     )
 
 
+def confusion_matrix_oracle(params, dataset):
+    """Confusion counts through ``np.add.at``: true classes as rows, predictions as columns."""
+    c = params.shape.n_classes
+    cm = np.zeros((c, c), dtype=np.int64)
+    np.add.at(cm, (dataset.labels - 1, predict_labels(params, dataset.features) - 1), 1)
+    return cm
+
+
 def sweep_oracle(theta_star, finv, train, test, splits, grid, criterion, theta_retrain, loss_cfg):
     """The epsilon sweep one grid point at a time: its own ssse_update, then evaluation_oracle.
 
@@ -488,6 +505,7 @@ __all__ = [
     "ScalarSplitMix64",
     "backward_oracle",
     "binary_dataset",
+    "confusion_matrix_oracle",
     "dataset_for_shape",
     "dense_block",
     "dense_fisher",
@@ -504,6 +522,7 @@ __all__ = [
     "multinomial_dataset",
     "random_params",
     "random_shape",
+    "sequential_row_sums",
     "sigmoid_oracle",
     "softmax_oracle",
     "softmax_ratio_check_oracle",

@@ -137,6 +137,13 @@ def test_sweep_outputs_are_byte_identical_across_reruns(tmp_path):
         assert read_bytes(os.path.join(a, name)) == read_bytes(os.path.join(b, name)), name
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare-baselines"])
+def test_whole_class_removal_prints_one_warning_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("fraction = 0.5", "fraction = 1.0"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == "warning: removal leaves no samples of class 2\n"
+
+
 def test_compare_baselines_rows(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "bl")

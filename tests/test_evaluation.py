@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import binary_dataset, multinomial_dataset, random_params
+from helpers import binary_dataset, confusion_matrix_oracle, multinomial_dataset, random_params
 from ssse import (
     BlockSpec,
     Dataset,
@@ -186,6 +186,17 @@ def test_confusion_matrix_frozen_counts():
     # class 2 samples predicted (1: one, 2: two)
     np.testing.assert_array_equal(cm, [[1, 1], [1, 2]])
     assert cm.sum() == ds.n
+
+
+@pytest.mark.parametrize("c, n", [(2, 5), (3, 40), (10, 300), (10, 0)])
+def test_confusion_matrix_equals_the_add_at_oracle(c, n):
+    shape = MultinomialLinear(n_classes=c, n_features=4)
+    ds = multinomial_dataset(c + n, n, 4, c)
+    for seed in range(3):
+        params = random_params(shape, seed, scale=2.0)
+        cm = confusion_matrix(params, ds)
+        assert cm.dtype == np.int64 and cm.shape == (c, c)
+        assert np.array_equal(cm, confusion_matrix_oracle(params, ds))
 
 
 def test_confusion_distance_is_even_for_equal_sample_counts():

@@ -96,7 +96,8 @@ def test_head_kernels_are_bit_identical_to_the_out_of_place_formulas():
                          [800.0, 800.0, -800.0, 0.0], [np.inf, -np.inf, 0.0, 1.0],
                          [np.nan, 0.0, 1.0, 2.0], [-800.0, -800.0, -800.0, -800.0]])
     rng = np.random.default_rng(1)
-    for z in (extremes, 30.0 * rng.standard_normal((200, 8)), rng.standard_normal((7, 2))):
+    for z in (extremes, 30.0 * rng.standard_normal((200, 8)), rng.standard_normal((7, 2)),
+              30.0 * rng.standard_normal((1, 10))):
         before = z.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.array_equal(_sigmoid(z), sigmoid_oracle(z), equal_nan=True)
@@ -108,8 +109,10 @@ def test_head_kernels_are_bit_identical_to_the_out_of_place_formulas():
 @pytest.mark.parametrize(
     "shape",
     [MultiAttrLinear(n_attrs=3, n_features=5), MultinomialLinear(n_classes=4, n_features=5),
-     MLP(n_features=5, n_hidden=6, n_classes=4)],
-    ids=["multi-attr", "multinomial", "mlp"],
+     MLP(n_features=5, n_hidden=6, n_classes=4),
+     # from 8 classes on, numpy's pairwise row sum is not the class-order sum
+     MultinomialLinear(n_classes=10, n_features=5), MLP(n_features=5, n_hidden=6, n_classes=10)],
+    ids=["multi-attr", "multinomial", "mlp", "multinomial-10", "mlp-10"],
 )
 def test_forward_and_backward_are_bit_identical_to_the_out_of_place_oracle(shape, scale):
     ds = dataset_for_shape(shape, 11, n=40)
