@@ -40,13 +40,18 @@ class SplitMix64:
         # 53 significant bits per draw, uniform in [low, high).
         return low + (high - low) * ((self._draws(size) >> np.uint64(11)) * 2.0**-53)
 
-    def shuffle(self, items: np.ndarray) -> None:
-        """In-place Fisher-Yates using this stream's draws."""
+    def shuffle(self, items: list | np.ndarray) -> None:
+        """In-place Fisher-Yates using this stream's draws.
+
+        A list is swapped in place. An array is shuffled as a list of its
+        items, which swaps far faster than numpy scalars do, and written back.
+        """
         n = len(items)
         if n < 2:
             return
         picks = (self._draws(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        out = items.tolist()
+        out = items if isinstance(items, list) else items.tolist()
         for i, j in zip(range(n - 1, 0, -1), picks):
             out[i], out[j] = out[j], out[i]
-        items[:] = out
+        if out is not items:
+            items[:] = out

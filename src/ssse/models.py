@@ -42,7 +42,7 @@ DENSE_HESSIAN_CAP = 4096
 class _Network:
     """Bias-free tanh network; ``layers`` is each weight's (out, in) in parameter order."""
 
-    @property
+    @functools.cached_property
     def n_params(self) -> int:
         return sum(rows * cols for rows, cols in self.layers)
 
@@ -261,8 +261,13 @@ class Dataset:
             raise InputError("sample ids must be unique")
 
         features = features.copy() if features is self.features else features
-        features.setflags(write=False)
         labels = labels.copy() if labels is self.labels else labels
+        self._freeze(features, labels, ids, row_of)
+
+    def _freeze(self, features: np.ndarray, labels: np.ndarray, ids: tuple[str, ...],
+                row_of: dict[str, int]) -> None:
+        """Set the validated fields, taking ownership of both arrays and freezing them."""
+        features.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
@@ -331,12 +336,16 @@ class Dataset:
         return np.array(sorted(range(self.n), key=self.ids.__getitem__), dtype=np.intp)
 
     def _take(self, idx: np.ndarray) -> "Dataset":
+        """The rows ``idx`` of this dataset, which has already passed every check.
+
+        The gathers are fresh C-contiguous arrays of the validated dtypes,
+        so the result is built without validating or copying again.
+        """
         # Python ints index the id tuple much faster than numpy integers.
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            ids=tuple(self.ids[i] for i in idx.tolist()),
-        )
+        ids = tuple(self.ids[i] for i in idx.tolist())
+        out = object.__new__(Dataset)
+        out._freeze(self.features[idx], self.labels[idx], ids, dict(zip(ids, range(len(ids)))))
+        return out
 
 
 def _check_id_collection(ids) -> None:
@@ -413,9 +422,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     p = np.subtract(z, z.max(axis=1, keepdims=True), order="F")
     np.exp(p, out=p)
     p /= _class_sums(p)
-    np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
+    _clamp(p)
     p /= _class_sums(p)
     return p
+
+
+def _clamp(p: np.ndarray) -> np.ndarray:
+    """Clamp ``p`` into [PROB_FLOOR, 1 - PROB_FLOOR] in place, as ``np.clip`` would, NaN kept.
+
+    Two ufunc calls skip the Python wrapper around ``np.clip``.
+    """
+    np.maximum(p, PROB_FLOOR, out=p)
+    return np.minimum(p, 1.0 - PROB_FLOOR, out=p)
 
 
 def _class_sums(p: np.ndarray) -> np.ndarray:
@@ -438,7 +456,7 @@ def _checked_features(shape: Shape, features: np.ndarray) -> np.ndarray:
 
 
 def _forward(
-    shape: Shape, values: np.ndarray, features: np.ndarray
+    shape: Shape, values: np.ndarray, features: np.ndarray, weights=None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The input of every layer, then the head's probabilities.
 
@@ -447,7 +465,8 @@ def _forward(
     tanh and the head's clip run in place on the array they act on, so a
     pass allocates one array per layer and a few for the head. The hidden
     activations it returns belong to the caller; :func:`_backward` reuses
-    them as scratch.
+    them as scratch. ``weights`` is :func:`_weights` of ``values`` when the
+    caller already has it.
 
     Hidden layers and the sigmoid head are sample-major (C-ordered). The
     softmax head is class-major: its logits are the transpose of
@@ -456,14 +475,13 @@ def _forward(
     contiguous memory and the probabilities come back F-ordered.
     """
     features = _checked_features(shape, features)
-    *hidden, head = _weights(shape, values)
+    *hidden, head = _weights(shape, values) if weights is None else weights
     inputs = [features]
     for w in hidden:
         a = inputs[-1] @ w.T
         inputs.append(np.tanh(a, out=a))
     if isinstance(shape, MultiAttrLinear):
-        p = _sigmoid(inputs[-1] @ head.T)
-        return inputs, np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR, out=p)
+        return inputs, _clamp(_sigmoid(inputs[-1] @ head.T))
     return inputs, _softmax((head @ inputs[-1].T).T)
 
 
@@ -506,8 +524,10 @@ def loss(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> float:
 def _loss_from_proba(p: np.ndarray, dataset: Dataset, values: np.ndarray, cfg: LossConfig) -> float:
     """:func:`loss` from the head's probabilities ``p`` on the nonempty ``dataset``."""
     if dataset.kind == "binary":
-        y = dataset.labels.astype(np.float64)
-        nll = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=1)
+        # one log of the label's probability: equal bit for bit to
+        # y log(p) + (1 - y) log(1 - p), whose other term is a signed zero
+        # because both logs of a clamped p are finite
+        nll = -np.log(np.where(dataset.labels == 1, p, 1.0 - p)).sum(axis=1)
     else:
         rows = np.arange(dataset.n)
         nll = -np.log(p[rows, dataset.labels - 1])
@@ -539,8 +559,8 @@ def _backward(
     layer below's delta without a fresh array. So a ``forward`` passed
     in is consumed; its hidden activations must not be read afterwards.
     """
-    inputs, p = _forward(shape, values, features) if forward is None else forward
     weights = _weights(shape, values)
+    inputs, p = _forward(shape, values, features, weights) if forward is None else forward
     delta = p - targets
     stop = shape.n_params
     for layer in reversed(range(len(weights))):

@@ -122,13 +122,15 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
     stream = SplitMix64(cfg.seed)
     start = _draw_init(shape, stream, cfg.seed)
     _check_task_match(start, dataset)
-    theta = start.values
+    theta = start.values.copy()
     targets = _targets(shape, dataset.labels)
 
     velocity = np.zeros_like(theta)
+    step = np.empty_like(theta)
     lr = cfg.lr
     schedule = dict(cfg.lr_schedule)
-    order = np.arange(dataset.n, dtype=np.int64)
+    # A list, so the shuffle swaps its items without a round trip through numpy.
+    order = list(range(dataset.n))
 
     history: list[float] = []
     grad_norm = float("inf")
@@ -137,16 +139,22 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
         if epoch in schedule:
             lr *= schedule[epoch]
         stream.shuffle(order)
-        for start in range(0, dataset.n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            g = _grad_sums(shape, theta, dataset.features[rows], targets[rows],
+        # One gather per epoch; each batch is then a contiguous slice of it.
+        rows = np.fromiter(order, dtype=np.intp, count=dataset.n)
+        epoch_features = np.take(dataset.features, rows, axis=0)
+        epoch_targets = np.take(targets, rows, axis=0)
+        for lo in range(0, dataset.n, cfg.batch_size):
+            hi = min(lo + cfg.batch_size, dataset.n)
+            g = _grad_sums(shape, theta, epoch_features[lo:hi], epoch_targets[lo:hi],
                            loss_cfg.l2_coeff)[0]
-            g /= rows.shape[0]
+            g /= hi - lo
             # overflow here is reported through TrainingError, not a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                velocity = cfg.momentum * velocity + g
-                theta = theta - lr * velocity
-            if not np.all(np.isfinite(theta)):
+                velocity *= cfg.momentum
+                velocity += g
+                np.multiply(velocity, lr, out=step)
+                np.subtract(theta, step, out=theta)
+            if not np.isfinite(theta).all():
                 raise TrainingError(
                     f"training diverged at epoch {epoch}: non-finite parameters"
                 )

@@ -39,7 +39,7 @@ from ssse import (
 )
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
 from ssse.fisher import _batch_means, _cholesky, apply_inverse
-from ssse.models import PROB_FLOOR, _weights, hessian_dense, params_digest
+from ssse.models import PROB_FLOOR, _grad_sums, _targets, _weights, hessian_dense, params_digest
 
 
 _MASK = (1 << 64) - 1
@@ -179,6 +179,52 @@ def backward_oracle(shape, values, features, targets):
             delta = (delta @ weights[layer]) * (1.0 - x * x)
         stop = start
     return out
+
+
+def binary_loss_oracle(p, labels, values, cfg):
+    """The mean regularized binary loss with both logs taken, y log(p) + (1 - y) log(1 - p)."""
+    y = labels.astype(np.float64)
+    nll = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum(axis=1)
+    return float(nll.mean() + 0.5 * cfg.l2_coeff * float(values @ values))
+
+
+def train_oracle(dataset, shape, loss_cfg, cfg):
+    """``train`` written plainly: two fancy-index gathers per batch, out-of-place momentum.
+
+    The draws come from :class:`ScalarSplitMix64` and each epoch's loss and
+    gradient norm from the public ``loss`` and ``grad_mean``. Returns
+    ``(theta, loss_history, final_grad_norm, epochs_run)``.
+    """
+    stream = ScalarSplitMix64(cfg.seed)
+    bound = 1.0 / np.sqrt(shape.n_features)
+    theta = stream.uniform_vector(shape.n_params, -bound, bound)
+    targets = _targets(shape, dataset.labels)
+    velocity = np.zeros_like(theta)
+    lr = cfg.lr
+    schedule = dict(cfg.lr_schedule)
+    order = np.arange(dataset.n, dtype=np.int64)
+    history = []
+    grad_norm = float("inf")
+    epochs_run = 0
+    for epoch in range(1, cfg.epochs + 1):
+        if epoch in schedule:
+            lr *= schedule[epoch]
+        stream.shuffle(order)
+        for start in range(0, dataset.n, cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
+            g = _grad_sums(shape, theta, dataset.features[rows], targets[rows],
+                           loss_cfg.l2_coeff)[0]
+            g /= rows.shape[0]
+            velocity = cfg.momentum * velocity + g
+            theta = theta - lr * velocity
+            assert np.all(np.isfinite(theta))
+        epochs_run = epoch
+        params = ModelParams(values=theta, shape=shape, seed=cfg.seed)
+        history.append(loss(params, dataset, loss_cfg))
+        grad_norm = float(np.linalg.norm(grad_mean(params, dataset, loss_cfg)))
+        if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
+            break
+    return theta, tuple(history), grad_norm, epochs_run
 
 
 def random_params(shape, seed, scale=0.5):

@@ -257,6 +257,36 @@ def test_rows_name_the_first_unknown_ids_even_from_a_generator():
             select(iter(ids))
 
 
+def _assert_same_dataset(got, want):
+    """Equal bytes, dtypes, shapes and flags of both arrays, equal ids and id -> row maps."""
+    for a, b in ((got.features, want.features), (got.labels, want.labels)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not a.flags.writeable and not b.flags.writeable
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+    assert got.ids == want.ids
+    assert got._row_of == want._row_of
+    assert got._full_grad is None
+
+
+@pytest.mark.parametrize("n", [0, 12])
+@pytest.mark.parametrize("kind", ["binary", "multinomial"])
+def test_taken_rows_equal_a_freshly_validated_dataset(kind, n):
+    base = binary_dataset(7, n, 3, 2) if kind == "binary" else multinomial_dataset(7, n, 3, 4)
+    ds = _shuffled(base, 9)
+    order = np.argsort(np.asarray(ds.ids, dtype=object)).astype(np.intp)
+    fresh = Dataset(features=ds.features[order], labels=ds.labels[order],
+                    ids=tuple(ds.ids[i] for i in order))
+    taken = [(ds.sorted_by_id(), fresh)]
+    for ids in ((), ds.ids[:1], ds.ids[3:8], ds.ids):
+        for keep, select in ((True, ds.subset), (False, ds.without)):
+            taken.append((select(ids), select_oracle(ds, ids, keep)))
+    for got, want in taken:
+        _assert_same_dataset(got, want)
+        # the result owns its rows
+        assert not np.shares_memory(got.features, ds.features)
+        assert not np.shares_memory(got.labels, ds.labels)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_subset_and_without_equal_the_scanning_oracle(seed):
     rng = np.random.default_rng(seed)

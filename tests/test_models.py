@@ -12,10 +12,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     backward_oracle,
     binary_dataset,
+    binary_loss_oracle,
     dataset_for_shape,
     fd_grad,
     fd_hessian,
@@ -58,7 +60,16 @@ from ssse import (
     predict_proba,
 )
 from ssse.cli import Pipeline
-from ssse.models import _backward, _forward, _grad_sums, _sigmoid, _softmax, _targets
+from ssse.models import (
+    PROB_FLOOR,
+    _backward,
+    _forward,
+    _grad_sums,
+    _loss_from_proba,
+    _sigmoid,
+    _softmax,
+    _targets,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +200,32 @@ def test_loss_at_zero_parameters_is_attr_count_times_log_two():
     shape = MultiAttrLinear(n_attrs=3, n_features=4)
     params = ModelParams(values=np.zeros(shape.n_params), shape=shape)
     assert loss(params, ds, LossConfig()) == pytest.approx(3 * math.log(2), abs=1e-12)
+
+
+@st.composite
+def binary_head_outputs(draw):
+    """Clamped sigmoid probabilities, the floors included, with all-0, all-1 and mixed label rows."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    a = draw(st.integers(min_value=1, max_value=4))
+    prob = st.one_of(st.sampled_from([PROB_FLOOR, 1.0 - PROB_FLOOR, 0.5]),
+                     st.floats(PROB_FLOOR, 1.0 - PROB_FLOOR))
+    p = np.array(draw(st.lists(prob, min_size=n * a, max_size=n * a))).reshape(n, a)
+    row = st.one_of(st.just([0] * a), st.just([1] * a),
+                    st.lists(st.integers(0, 1), min_size=a, max_size=a))
+    labels = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.uint8)
+    values = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6)))
+    l2 = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    return p, labels, values, LossConfig(l2_coeff=l2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_head_outputs())
+def test_binary_loss_equals_the_two_log_expression_bit_for_bit(case):
+    p, labels, values, cfg = case
+    ds = Dataset(features=np.zeros((p.shape[0], 1)), labels=labels, ids=make_ids(p.shape[0]))
+    got = _loss_from_proba(p, ds, values, cfg)
+    want = binary_loss_oracle(p, labels, values, cfg)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_l2_term_added_to_loss():

@@ -8,7 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import ScalarSplitMix64, dataset_for_shape, multinomial_dataset, random_params
+from helpers import (
+    ScalarSplitMix64,
+    dataset_for_shape,
+    multinomial_dataset,
+    random_params,
+    train_oracle,
+)
 from ssse import (
     ContainerError,
     InputError,
@@ -64,6 +70,12 @@ def test_splitmix_draws_are_bit_identical_to_the_scalar_oracle(seed, size):
     fast.shuffle(a)
     slow.shuffle(b)
     np.testing.assert_array_equal(a, b)
+    assert fast.next_u64() == slow.next_u64()
+    # a list is swapped in place and draws the same stream as an array
+    items, expected = list(range(size)), list(range(size))
+    fast.shuffle(items)
+    slow.shuffle(expected)
+    assert items == expected
     assert fast.next_u64() == slow.next_u64()
     u, v = fast.uniform_vector(size, -0.3, 0.7), slow.uniform_vector(size, -0.3, 0.7)
     assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
@@ -164,6 +176,43 @@ def test_epoch_diagnostics_equal_loss_and_grad_mean_bit_for_bit(shape, grad_tol)
     assert result.final_grad_norm == float(np.linalg.norm(grad_mean(result.params, ds, cfg)))
     assert result.loss_history[-1] == result.final_loss
     assert len(result.loss_history) == result.epochs_run
+
+
+LOOP_FAMILIES = {
+    "multi_attr": lambda m: MultiAttrLinear(n_attrs=2, n_features=m),
+    "multinomial": lambda m: MultinomialLinear(n_classes=3, n_features=m),
+    "mlp": lambda m: MLP(n_features=m, n_hidden=3, n_classes=3),
+}
+
+# (features, rows, TrainConfig settings); lr, epochs, seed and grad_tol default below
+LOOP_CASES = {
+    "short-last-batch": (4, 23, dict(batch_size=5, momentum=0.9)),
+    "batch-equals-n": (4, 23, dict(batch_size=23, momentum=0.9)),
+    "batch-above-n": (4, 23, dict(batch_size=40, momentum=0.0)),
+    "momentum-0": (4, 30, dict(batch_size=8, momentum=0.0)),
+    "lr-schedule": (4, 30, dict(batch_size=8, momentum=0.9, lr_schedule=((2, 0.5), (5, 0.2)))),
+    "grad-tol-stop": (4, 30, dict(batch_size=30, momentum=0.5, epochs=400, grad_tol=2e-3)),
+    # 56-byte rows in 3-row batches: every other slice starts 8 bytes off a 16-byte boundary
+    "7-features": (7, 25, dict(batch_size=3, momentum=0.9)),
+}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+@pytest.mark.parametrize("family", LOOP_FAMILIES)
+def test_train_equals_the_plain_loop_byte_for_byte(family, case):
+    m, n, settings = LOOP_CASES[case]
+    shape = LOOP_FAMILIES[family](m)
+    ds = dataset_for_shape(shape, 4, n)
+    loss_cfg = LossConfig(l2_coeff=0.05)
+    cfg = TrainConfig(**{"lr": 0.3, "epochs": 8, "seed": 3, "grad_tol": 0.0, **settings})
+    result = train(ds, shape, loss_cfg, cfg)
+    theta, history, grad_norm, epochs_run = train_oracle(ds, shape, loss_cfg, cfg)
+    assert result.params.values.tobytes() == theta.tobytes()
+    assert np.array(result.loss_history).tobytes() == np.array(history).tobytes()
+    assert np.float64(result.final_grad_norm).tobytes() == np.float64(grad_norm).tobytes()
+    assert result.epochs_run == epochs_run
+    if case == "grad-tol-stop":
+        assert epochs_run < cfg.epochs
 
 
 def test_train_config_validation():
