@@ -19,8 +19,8 @@ fields they read:
   grid): m = n - k, P(g) = F_inv g through the inverse Fisher estimate.
   Reads ``removed_ids``, ``epsilon`` and ``grad_source``.
 - :func:`influence_update`: m = 1 at epsilon 1, P(g) = H_inv g / (n - k)
-  through an exact dense Hessian of the full or the retained data. Reads
-  ``removed_ids`` and ``grad_source``; ``epsilon`` is ignored.
+  through the exact dense Hessian (any family; it must be positive definite)
+  of the full or the retained data. Reads ``removed_ids``, ``grad_source``.
 - :func:`gradient_ascent_step`: m = 1 at epsilon = ``lr``, P(g) = g / k.
   Takes ids and ``lr``, no request.
 - :func:`diag_scrub_update`: m = n - k, P(g) = diag(F_inv) * g, plus
@@ -237,12 +237,12 @@ def influence_update(
     theta_star: ModelParams, dataset: Dataset, req: ErasureRequest, cfg: LossConfig,
     hessian_source: str = "full",
 ) -> ModelParams:
-    """Influence-function step using an exact dense Hessian inverse.
+    """Influence-function step through the exact dense Hessian of any family.
 
     ``hessian_source`` picks where the Hessian is evaluated: "full" uses
-    the whole training set, "lko" the retained samples only. The solve
-    goes through a symmetric positive-definite factorization, so a
-    strictly positive l2_coeff is required. ``req.epsilon`` is ignored,
+    the whole training set, "lko" the retained samples only. The solve is
+    a Cholesky factorization: l2_coeff must be > 0, and a Hessian that is
+    not positive definite raises NumericError. ``req.epsilon`` is ignored,
     and a request with noise is refused.
     """
     if req.noise_sigma > 0:

@@ -7,14 +7,14 @@ Three bias-free families are supported:
 * ``MLP``: one tanh hidden layer followed by a softmax output layer.
 
 All three are one tanh network of depth 0 or 1: each shape's ``layers``
-lists the (out, in) shape of every weight matrix in parameter order, and
-one forward pass, one backward pass and the Fisher's block layout follow
-``layers`` for every family; only the head (a clipped sigmoid or a
-softmax) differs. Parameters are always carried as a flat float64 vector
-whose layout is row-major per weight matrix (output row by output row,
-layer by layer). Every per-sample loss includes the full L2 term, so the
-mean training loss is ``mean_i nll_i + (l2_coeff / 2) * ||theta||^2`` and
-each per-sample gradient carries ``l2_coeff * theta``.
+lists the (out, in) shape of every weight matrix in parameter order, and one
+forward pass, one backward pass, their R-op (exact Hessian-vector products)
+and the Fisher's block layout follow ``layers`` for every family; only the
+head (a clipped sigmoid or a softmax) differs. Parameters are a flat float64
+vector, row-major per weight matrix (output row by output row, layer by
+layer). Every per-sample loss includes the full L2 term, so the mean
+training loss is ``mean_i nll_i + (l2_coeff / 2) * ||theta||^2`` and each
+per-sample gradient carries ``l2_coeff * theta``.
 """
 
 from __future__ import annotations
@@ -366,22 +366,11 @@ def onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 def _check_task_match(params: ModelParams, dataset: Dataset) -> None:
     shape = params.shape
     if dataset.n_features != shape.n_features:
-        raise InputError(
-            f"dataset has {dataset.n_features} features, shape expects {shape.n_features}"
-        )
-    if isinstance(shape, MultiAttrLinear):
-        if dataset.kind != "binary":
-            raise InputError("MultiAttrLinear requires binary attribute labels")
-        if dataset.n_attrs != shape.n_attrs:
-            raise InputError(
-                f"dataset has {dataset.n_attrs} attributes, shape expects {shape.n_attrs}"
-            )
-    else:
-        if dataset.kind != "multinomial":
-            raise InputError("softmax shapes require a class-label vector")
-        n_classes = shape.n_classes
-        if dataset.n and dataset.labels.max() > n_classes:
-            raise InputError("class label out of range for the model shape")
+        raise InputError(f"dataset has {dataset.n_features} features, "
+                         f"shape expects {shape.n_features}")
+    _targets(shape, dataset.labels[:0])  # the labels' layout, checked on no rows
+    if dataset.kind == "multinomial" and dataset.n and dataset.labels.max() > shape.n_classes:
+        raise InputError("class label out of range for the model shape")
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +527,13 @@ def _loss_from_proba(p: np.ndarray, dataset: Dataset, values: np.ndarray, cfg: L
 
 
 def _targets(shape: Shape, labels: np.ndarray) -> np.ndarray:
-    """The head's float targets: the 0/1 attributes, or one-hot classes."""
-    if isinstance(shape, MultiAttrLinear):
-        return np.asarray(labels, dtype=np.float64)
-    return onehot(np.asarray(labels), shape.n_classes)
+    """The head's float targets, 0/1 attributes or one-hot classes, from labels of its layout."""
+    labels = np.asarray(labels)
+    heads = shape.n_attrs if isinstance(shape, MultiAttrLinear) else 0
+    found = labels.shape[1] if labels.ndim == 2 else 0
+    if labels.ndim != 1 + (heads > 0) or found != heads:
+        raise InputError(f"labels have {found} attribute columns, the model expects {heads}")
+    return labels.astype(np.float64) if heads else onehot(labels, shape.n_classes)
 
 
 def _backward(
@@ -679,42 +671,60 @@ def grad_sum(params: ModelParams, dataset: Dataset, ids: Iterable[str], cfg: Los
 
 
 # ---------------------------------------------------------------------------
-# Dense Hessian (linear families only)
+# Hessian-vector products and the dense Hessian
 # ---------------------------------------------------------------------------
 
-def hessian_dense(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.ndarray:
-    """Dense Hessian of the mean regularized loss.
+def _hvp(shape: Shape, values, features, targets, vectors: np.ndarray) -> np.ndarray:
+    """Pearlmutter's exact R-op: the summed data loss's Hessian times each row of ``vectors``.
 
-    Only the linear families admit the closed form used here; the
-    multinomial data term is ``mean_i kron(diag(p_i) - p_i p_i^T, x_i x_i^T)``
-    and the multi-attribute data term is block-diagonal with blocks
-    ``mean_i p_ij (1 - p_ij) x_i x_i^T``. Refused for the MLP and for
-    parameter counts above ``DENSE_HESSIAN_CAP``.
+    The r directions are the leading axis of every product: R(.) of (n, w) is (r, n, w).
+    """
+    r, weights = len(vectors), _weights(shape, values)
+    cuts = np.cumsum([w.size for w in weights])[:-1]
+    dirs = [u.reshape(r, *w.shape) for u, w in zip(np.split(vectors, cuts, axis=1), weights)]
+    inputs, p = forward = _forward(shape, values, features, weights)
+    r_xs, r_a = [None], inputs[0] @ dirs[0].swapaxes(1, 2)  # the features do not move
+    for x, w, u in zip(inputs[1:], weights[1:], dirs[1:]):
+        r_xs.append(r_a * (1.0 - x * x))  # R(tanh(a)) = (1 - tanh(a)^2) R(a)
+        r_a = x @ u.swapaxes(1, 2) + r_xs[-1] @ w.T
+    r_delta = r_a  # R(p - targets) = R(p), formed in place
+    if isinstance(shape, MultiAttrLinear):
+        r_delta *= p * (1.0 - p)
+    else:
+        r_delta -= np.einsum("nc,rnc->rn", p, r_delta)[..., None]
+        r_delta *= p
+    out = np.empty((r, shape.n_params), dtype=np.float64)
+    backward = _backward(shape, values, features, targets, forward)
+    for (start, stop, delta, x), w, u, r_x in zip(backward, weights[::-1], dirs[::-1], r_xs[::-1]):
+        block = r_delta.swapaxes(1, 2) @ x
+        if r_x is not None:  # x is the tanh activation until the next item; R(x^2) = 2 x R(x)
+            block += delta.T @ r_x
+            r_delta = (r_delta @ w + delta @ u) * (1.0 - x * x) - r_x * (2.0 * x * (delta @ w))
+        out[:, start:stop] = block.reshape(r, -1)
+    return out
+
+
+def hessian_dense(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.ndarray:
+    """Dense Hessian of the mean regularized loss, exact for every family.
+
+    Its rows are :func:`_hvp` of the identity's rows over n, plus the l2
+    ridge. Refused for parameter counts above ``DENSE_HESSIAN_CAP``.
     """
     shape = params.shape
-    if isinstance(shape, MLP):
-        raise InputError("dense Hessian is not available for the MLP family")
     _check_task_match(params, dataset)
     if dataset.n == 0:
         raise InputError("Hessian is undefined on an empty dataset")
     d = shape.n_params
     if d > DENSE_HESSIAN_CAP:
         raise InputError(f"dense Hessian refused for d={d} > {DENSE_HESSIAN_CAP}")
-    features = dataset.features
-    p = predict_proba(params, features)
-    if isinstance(shape, MultinomialLinear):
-        c = shape.n_classes
-        factors = np.einsum("ni,ij->nij", p, np.eye(c)) - np.einsum("ni,nj->nij", p, p)
-        h = np.einsum("nij,na,nb->iajb", factors, features, features, optimize=True)
-        h = h.reshape(d, d) / dataset.n
-    else:
-        m = shape.n_features
-        h = np.zeros((d, d), dtype=np.float64)
-        w = p * (1.0 - p)
-        for j in range(shape.n_attrs):
-            block = np.einsum("n,na,nb->ab", w[:, j], features, features) / dataset.n
-            h[j * m : (j + 1) * m, j * m : (j + 1) * m] = block
-    h += cfg.l2_coeff * np.eye(d)
+    targets = _targets(shape, dataset.labels)
+    # chunks of the identity's rows whose (r, n, widest layer) stacks hold at most 16 MiB
+    chunk = max(1, (1 << 24) // (8 * dataset.n * max(map(max, shape.layers))))
+    h = np.empty((d, d), dtype=np.float64)
+    for lo in range(0, d, chunk):
+        eye = np.eye(min(chunk, d - lo), d, lo)
+        hv = _hvp(shape, params.values, dataset.features, targets, eye)
+        h[lo:lo + len(eye)] = hv / dataset.n + cfg.l2_coeff * eye
     if not np.all(np.isfinite(h)):
         raise NumericError("Hessian has non-finite entries")
     return h

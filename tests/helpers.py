@@ -39,7 +39,7 @@ from ssse import (
 )
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
 from ssse.fisher import _batch_means, _cholesky, apply_inverse
-from ssse.models import PROB_FLOOR, _grad_sums, _targets, _weights, hessian_dense, params_digest
+from ssse.models import PROB_FLOOR, _grad_sums, _targets, _weights, params_digest
 
 
 _MASK = (1 << 64) - 1
@@ -296,6 +296,33 @@ def dense_fisher_inverse(params, dataset, cfg, dampening):
     return np.linalg.inv(dense_fisher(params, dataset, cfg, dampening))
 
 
+def hessian_dense_oracle(params, dataset, cfg):
+    """The linear families' dense Hessian of the mean regularized loss in closed form.
+
+    The multinomial data term is ``mean_i kron(diag(p_i) - p_i p_i^T, x_i x_i^T)``
+    and the multi-attribute data term is block-diagonal with blocks
+    ``mean_i p_ij (1 - p_ij) x_i x_i^T``.
+    """
+    shape = params.shape
+    assert not isinstance(shape, MLP), "no closed form for the MLP"
+    d = shape.n_params
+    features = dataset.features
+    p = predict_proba(params, features)
+    if isinstance(shape, MultinomialLinear):
+        c = shape.n_classes
+        factors = np.einsum("ni,ij->nij", p, np.eye(c)) - np.einsum("ni,nj->nij", p, p)
+        h = np.einsum("nij,na,nb->iajb", factors, features, features, optimize=True)
+        h = h.reshape(d, d) / dataset.n
+    else:
+        m = shape.n_features
+        h = np.zeros((d, d), dtype=np.float64)
+        w = p * (1.0 - p)
+        for j in range(shape.n_attrs):
+            block = np.einsum("n,na,nb->ab", w[:, j], features, features) / dataset.n
+            h[j * m : (j + 1) * m, j * m : (j + 1) * m] = block
+    return h + cfg.l2_coeff * np.eye(d)
+
+
 def dense_block(finv, i):
     """Block ``i`` of an inverse Fisher as a dense matrix.
 
@@ -508,10 +535,12 @@ def ssse_grid_oracle(theta_star, finv, dataset, removed_ids, grid, cfg, grad_sou
     return points
 
 
-def influence_update_oracle(theta_star, dataset, req, cfg, hessian_source="full"):
+def influence_update_oracle(theta_star, dataset, req, cfg, hessian_source="full",
+                            hessian=hessian_dense_oracle):
+    """The influence step as a Cholesky solve on ``hessian`` (the closed form by default)."""
     rows = _check_removal(dataset, req.removed_ids)
     base = dataset if hessian_source == "full" else dataset.without(req.removed_ids)
-    h = hessian_dense(theta_star, base, cfg)
+    h = hessian(theta_star, base, cfg)
     g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
     try:
         lower = _cholesky(h, "Hessian")
@@ -562,6 +591,7 @@ __all__ = [
     "fd_hessian",
     "forward_oracle",
     "gradient_ascent_step_oracle",
+    "hessian_dense_oracle",
     "influence_update_oracle",
     "loss_of_values",
     "masked_sigmoid",

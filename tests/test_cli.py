@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import ssse
+from helpers import random_params
 from ssse import BlockSpec, load_model, params_digest
 from ssse.cli import main
 
@@ -176,6 +177,23 @@ def test_demo_boundary_outputs(tmp_path):
     assert len(grid_rows) == 1 + 21 * 21
 
 
+@pytest.mark.parametrize("l2, code", [("0.01", 0), ("0.001", 3)])
+def test_demo_boundary_on_an_mlp(tmp_path, capsys, l2, code):
+    """The influence baselines take the MLP's exact Hessian; an indefinite one exits 3."""
+    text = BASE_CONFIG.replace("family = multinomial_linear", "family = mlp\nn_hidden = 3")
+    text = text.replace("l2_coeff = 0.01", f"l2_coeff = {l2}") + "\n[boundary]\nnx = 21\nny = 21\n"
+    out = str(tmp_path / "demo")
+    assert main(["demo-boundary", "--config", write_config(tmp_path, text), "--out", out]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            "numeric failure: Hessian solve failed: Hessian is not positive definite\n")
+        assert not os.path.exists(out)
+        return
+    summary = json.loads(read_bytes(os.path.join(out, "demo_summary.json")))
+    assert 0 <= summary["disagreement_influence_lko"] <= 1
+    assert len(read_bytes(os.path.join(out, "boundary_grid.csv")).decode().splitlines()) == 442
+
+
 # ---------------------------------------------------------------------------
 # Failure modes
 # ---------------------------------------------------------------------------
@@ -284,6 +302,51 @@ def test_erase_names_the_invalid_stored_factor_and_exits_three(tmp_path, capsys)
         f"numeric failure: {fisher}: inverse Fisher factor of block 1 (parameters 2:4): "
         "I - Z Z^T has non-finite entries\n")
     assert not os.path.exists(e)
+
+
+def _attribute_config(tmp_path, attrs):
+    """BASE_CONFIG on ``attrs`` attributes of 4 features, 60 training rows."""
+    data = ("[data]\nsource = attributes\nseed = 7\ntest_seed = 8\nn = 60\ntest_n = 20\n"
+            f"n_features = 4\nn_attrs = {attrs}\nfrequencies = {', '.join(['0.4'] * attrs)}\n\n")
+    text = data + BASE_CONFIG[BASE_CONFIG.index("[model]"):]
+    text = text.replace("multinomial_linear", "multi_attr_linear")
+    text = text.replace("kind = class\nindex = 2", "kind = attribute\nindex = 1")
+    return write_config(tmp_path, text, f"attrs_{attrs}.cfg")
+
+
+@pytest.mark.parametrize("command", ["fisher", "erase"])
+def test_a_model_with_fewer_heads_than_the_data_has_attributes_exits_two(tmp_path, capsys,
+                                                                         command):
+    one, three = _attribute_config(tmp_path, 1), _attribute_config(tmp_path, 3)
+    f, o = str(tmp_path / "f"), str(tmp_path / "o")
+    model = str(tmp_path / "model.bin")
+    ssse.save_model(random_params(ssse.MultiAttrLinear(n_attrs=1, n_features=4), 1),
+                    ssse.LossConfig(0.01), model)
+    # an erase needs an inverse Fisher built at the model on as many rows: the 1-attribute set's
+    assert main(["fisher", "--config", one, "--out", f, "--model", model]) == 0
+    extra = ["--fisher", os.path.join(f, "fisher.bin")] if command == "erase" else []
+    assert main([command, "--config", three, "--out", o, "--model", model] + extra) == 2
+    assert capsys.readouterr().err == (
+        "error: labels have 3 attribute columns, the model expects 1\n")
+    assert not os.path.exists(o)
+
+
+@pytest.mark.parametrize("shape, found, expected", [
+    (ssse.MultiAttrLinear(n_attrs=1, n_features=4), 0, 1),
+    (ssse.MultinomialLinear(n_classes=2, n_features=4), 3, 0),
+], ids=["binary-model-class-data", "softmax-model-attribute-data"])
+def test_fisher_with_a_model_of_the_other_label_kind_exits_two(tmp_path, capsys, shape, found,
+                                                              expected):
+    four_features = "source = gaussian_classes\nn_features = 4\nn_classes = 2"
+    cfg = (write_config(tmp_path, BASE_CONFIG.replace("source = blobs", four_features))
+           if found == 0 else _attribute_config(tmp_path, 3))
+    model = str(tmp_path / "model.bin")
+    ssse.save_model(random_params(shape, 1), ssse.LossConfig(0.01), model)
+    o = str(tmp_path / "o")
+    assert main(["fisher", "--config", cfg, "--out", o, "--model", model]) == 2
+    assert capsys.readouterr().err == (
+        f"error: labels have {found} attribute columns, the model expects {expected}\n")
+    assert not os.path.exists(o)
 
 
 def test_divergence_exits_three(tmp_path, capsys):

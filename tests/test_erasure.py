@@ -1,6 +1,7 @@
 """Closed-form erasure updates against dense linear-algebra oracles."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ import helpers
 from helpers import (
     dataset_for_shape,
     dense_fisher_inverse,
+    fd_hessian,
+    hessian_dense_oracle,
+    loss_of_values,
     multinomial_dataset,
     random_params,
     random_shape,
@@ -186,7 +190,7 @@ def test_remaining_requests_are_bit_identical_on_a_warm_and_a_cold_dataset(seed)
                 params, finv, d, ids, [0.0, 0.5, 2.0], cfg, "remaining")],
             lambda d: diag_scrub_update(params, diag, d, req, cfg).values,
         ]
-        if linear:
+        if linear:  # a random MLP's Hessian is indefinite, so its influence step fails
             updates.append(lambda d: influence_update(params, d, req, cfg).values)
         for update in updates:
             np.testing.assert_array_equal(update(ds), update(_fresh(ds)))
@@ -287,6 +291,9 @@ def test_requests_build_no_dataset(monkeypatch, grad_source):
 _PACKAGE = {f.__name__: f for f in (ssse_update, erasure.ssse_grid, influence_update,
                                      gradient_ascent_step, diag_scrub_update)}
 _ORACLES = {name: getattr(helpers, name + "_oracle") for name in _PACKAGE}
+# the influence body solves on the package's own Hessian here, so the two agree bit for
+# bit; the influence tests below check that Hessian against the closed form
+_ORACLES["influence_update"] = partial(helpers.influence_update_oracle, hessian=hessian_dense)
 
 
 def _points(update, fns, params, finv, diag, ds, req, cfg):
@@ -318,7 +325,7 @@ def test_updates_are_bit_identical_to_their_separate_bodies(update, grad_source,
     """
     cfg = LossConfig(l2_coeff=0.05)
     shapes = [MultinomialLinear(n_classes=3, n_features=3), MultiAttrLinear(n_attrs=2, n_features=3)]
-    if not update.startswith("influence_"):
+    if not update.startswith("influence_"):  # this MLP's Hessian is indefinite
         shapes.append(MLP(n_features=3, n_hidden=3, n_classes=3))
     for seed, shape in enumerate(shapes):
         ds = dataset_for_shape(shape, seed + 40, n=12)
@@ -395,7 +402,7 @@ def test_influence_matches_dense_hessian_solve(source):
     req = ErasureRequest(removed_ids=removed, epsilon=1.0)
     out = influence_update(params, ds, req, cfg, source)
     base = ds if source == "full" else ds.without(removed)
-    h = hessian_dense(params, base, cfg)
+    h = hessian_dense_oracle(params, base, cfg)
     g = grad_sum(params, ds, removed, cfg)
     expected = params.values + np.linalg.solve(h, g) / (ds.n - 2)
     np.testing.assert_allclose(out.values, expected, atol=1e-9)
@@ -413,13 +420,14 @@ def test_influence_remaining_steps_along_the_negated_retained_sum(source):
     base = ds if source == "full" else ds.without(removed)
     kept = ds.without(removed)
     g = -grad_matrix(params, kept.features, kept.labels, cfg).sum(axis=0)
-    expected = params.values + np.linalg.solve(hessian_dense(params, base, cfg), g) / (ds.n - 2)
+    h = hessian_dense_oracle(params, base, cfg)
+    expected = params.values + np.linalg.solve(h, g) / (ds.n - 2)
     np.testing.assert_allclose(out.values, expected, atol=1e-9)
     removed_step = influence_update(params, ds, ErasureRequest(removed_ids=removed), cfg, source)
     assert np.abs(out.values - removed_step.values).max() > 1e-3
 
 
-def test_influence_requires_l2_and_linear_shape():
+def test_influence_requires_l2():
     shape = MultinomialLinear(n_classes=2, n_features=2)
     ds = multinomial_dataset(9, 6, 2, 2)
     params = random_params(shape, 10)
@@ -427,10 +435,44 @@ def test_influence_requires_l2_and_linear_shape():
     with pytest.raises(InputError, match="l2_coeff"):
         influence_update(params, ds, req, LossConfig(), "full")
 
-    mlp_shape = MLP(n_features=2, n_hidden=2, n_classes=2)
-    mlp_params = random_params(mlp_shape, 11)
-    with pytest.raises(InputError):
-        influence_update(mlp_params, ds, req, LossConfig(0.1), "full")
+
+@pytest.mark.parametrize("shape", [MultinomialLinear(n_classes=3, n_features=3),
+                                   MultiAttrLinear(n_attrs=2, n_features=3)],
+                         ids=["multinomial", "multi-attr"])
+@pytest.mark.parametrize("grad_source", ["removed", "remaining"])
+@pytest.mark.parametrize("source", ["full", "lko"])
+def test_influence_matches_the_closed_form_hessian_solve(shape, grad_source, source):
+    ds = dataset_for_shape(shape, 36, n=12)
+    cfg = LossConfig(l2_coeff=0.05)
+    params = random_params(shape, 37)
+    req = ErasureRequest(removed_ids=ds.ids[2:5], grad_source=grad_source)
+    got = influence_update(params, ds, req, cfg, source).values
+    want = helpers.influence_update_oracle(params, ds, req, cfg, source).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("l2", [0.5, 0.01], ids=["positive-definite", "indefinite"])
+@pytest.mark.parametrize("source", ["full", "lko"])
+def test_influence_on_a_tiny_mlp_solves_the_finite_difference_hessian(source, l2):
+    """The step is a solve on the exact Hessian, and an indefinite one is refused."""
+    shape = MLP(n_features=2, n_hidden=2, n_classes=3)
+    ds = multinomial_dataset(41, 12, 2, 3)
+    params = random_params(shape, 40)
+    cfg = LossConfig(l2_coeff=l2)
+    removed = ds.ids[:2]
+    base = ds if source == "full" else ds.without(removed)
+    h_fd = fd_hessian(loss_of_values(shape, base, cfg), params.values, h=1e-4)
+    req = ErasureRequest(removed_ids=removed)
+    if l2 < 0.1:
+        assert np.linalg.eigvalsh(h_fd)[0] < -0.1
+        with pytest.raises(NumericError,
+                           match="^Hessian solve failed: Hessian is not positive definite$"):
+            influence_update(params, ds, req, cfg, source)
+        return
+    assert np.linalg.eigvalsh(h_fd)[0] > 0.1
+    got = influence_update(params, ds, req, cfg, source).values - params.values
+    want = np.linalg.solve(h_fd, grad_sum(params, ds, removed, cfg)) / (ds.n - 2)
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("hessian, message", [

@@ -22,6 +22,7 @@ from helpers import (
     fd_grad,
     fd_hessian,
     forward_oracle,
+    hessian_dense_oracle,
     loss_of_values,
     masked_sigmoid,
     multinomial_dataset,
@@ -44,6 +45,7 @@ from ssse import (
     SplitSet,
     TrainResult,
     build_inverse_fisher,
+    diagonal_inverse_fisher,
     fisher_hessian_ratio_check,
     grad,
     grad_matrix,
@@ -59,12 +61,15 @@ from ssse import (
     predict_labels,
     predict_proba,
 )
+from ssse import models
 from ssse.cli import Pipeline
 from ssse.models import (
+    DENSE_HESSIAN_CAP,
     PROB_FLOOR,
     _backward,
     _forward,
     _grad_sums,
+    _hvp,
     _loss_from_proba,
     _sigmoid,
     _softmax,
@@ -383,14 +388,17 @@ def test_two_class_softmax_gradient_mirrors_binary_head():
 # Dense Hessians
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("kind", ["multinomial", "binary"])
+@pytest.mark.parametrize("kind", ["multinomial", "binary", "mlp"])
 def test_hessian_dense_matches_finite_differences(kind):
     if kind == "multinomial":
         shape = MultinomialLinear(n_classes=3, n_features=2)
         ds = multinomial_dataset(3, 6, 2, 3)
-    else:
+    elif kind == "binary":
         shape = MultiAttrLinear(n_attrs=2, n_features=2)
         ds = binary_dataset(4, 6, 2, 2)
+    else:
+        shape = MLP(n_features=2, n_hidden=3, n_classes=3)
+        ds = multinomial_dataset(5, 6, 2, 3)
     cfg = LossConfig(l2_coeff=0.15)
     params = random_params(shape, 9)
     H = hessian_dense(params, ds, cfg)
@@ -399,11 +407,88 @@ def test_hessian_dense_matches_finite_differences(kind):
     np.testing.assert_allclose(H, H.T, atol=1e-12)
 
 
-def test_hessian_dense_refuses_mlp():
-    shape = MLP(n_features=2, n_hidden=2, n_classes=2)
-    ds = multinomial_dataset(5, 4, 2, 2)
-    with pytest.raises(InputError):
-        hessian_dense(random_params(shape, 1), ds, LossConfig())
+@pytest.mark.parametrize("shape", [
+    MultinomialLinear(n_classes=3, n_features=4), MultinomialLinear(n_classes=2, n_features=4),
+    MultiAttrLinear(n_attrs=3, n_features=4), MultiAttrLinear(n_attrs=1, n_features=4),
+], ids=["multinomial", "multinomial-2", "multi-attr", "single-attr"])
+def test_hvp_equals_the_closed_form_hessian_times_the_directions(shape):
+    ds = dataset_for_shape(shape, 21, n=30)
+    params = random_params(shape, 22)
+    vectors = np.random.default_rng(23).standard_normal((5, shape.n_params))
+    got = _hvp(shape, params.values, ds.features, _targets(shape, ds.labels), vectors)
+    want = ds.n * (hessian_dense_oracle(params, ds, LossConfig()) @ vectors.T).T
+    # entries near zero carry the rounding of the largest, so the bound scales with it
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(hessian_dense(params, ds, LossConfig(0.3)),
+                               hessian_dense_oracle(params, ds, LossConfig(0.3)),
+                               rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_hidden", [1, 5])
+def test_mlp_hvp_is_a_central_difference_of_the_gradient_sum(n_hidden):
+    shape = MLP(n_features=4, n_hidden=n_hidden, n_classes=3)
+    ds = dataset_for_shape(shape, 24, n=30)
+    values = random_params(shape, 25).values
+    targets = _targets(shape, ds.labels)
+    vectors = np.random.default_rng(26).standard_normal((4, shape.n_params))
+    got = _hvp(shape, values, ds.features, targets, vectors)
+    h = 1e-5
+    want = np.stack([
+        (_grad_sums(shape, values + h * v, ds.features, targets, 0.0)[0]
+         - _grad_sums(shape, values - h * v, ds.features, targets, 0.0)[0]) / (2 * h)
+        for v in vectors])
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6 * np.abs(want).max())
+
+
+def test_hessian_dense_on_an_mlp_is_symmetric_and_one_hvp_of_the_identity():
+    shape = MLP(n_features=3, n_hidden=4, n_classes=3)
+    ds = dataset_for_shape(shape, 27, n=20)
+    params = random_params(shape, 28)
+    cfg = LossConfig(l2_coeff=0.1)
+    h = hessian_dense(params, ds, cfg)
+    np.testing.assert_allclose(h, h.T, rtol=0, atol=1e-14 * np.abs(h).max())
+    eye = np.eye(shape.n_params)
+    want = _hvp(shape, params.values, ds.features, _targets(shape, ds.labels), eye) / ds.n
+    np.testing.assert_allclose(h, want + 0.1 * eye, rtol=0, atol=1e-14 * np.abs(h).max())
+
+
+@pytest.mark.parametrize("n, calls_wanted", [(1, 1), (400, 5)])
+def test_hessian_dense_takes_the_identity_in_chunks(monkeypatch, n, calls_wanted):
+    """Each chunk's (r, n, widest layer) stack stays within 16 MiB, and every row is taken once."""
+    shape = MLP(n_features=3, n_hidden=64, n_classes=3)
+    ds = dataset_for_shape(shape, 31, n=n)
+    params = random_params(shape, 32)
+    calls = []
+
+    def spy(shape, values, features, targets, vectors):
+        calls.append(vectors.copy())
+        return hvp(shape, values, features, targets, vectors)
+
+    hvp = models._hvp
+    monkeypatch.setattr(models, "_hvp", spy)
+    hessian_dense(params, ds, LossConfig(0.1))
+    assert len(calls) == calls_wanted
+    assert all(len(v) * n * 64 * 8 <= 1 << 24 for v in calls)
+    np.testing.assert_array_equal(np.concatenate(calls), np.eye(shape.n_params))
+
+
+def test_hessian_dense_refuses_d_above_the_cap_before_allocating(monkeypatch):
+    shape = MultinomialLinear(n_classes=2, n_features=DENSE_HESSIAN_CAP // 2 + 1)
+    ds = multinomial_dataset(29, 3, shape.n_features, 2)
+    params = random_params(shape, 30)
+
+    def refuse(*args):
+        raise AssertionError("a Hessian-vector product was taken")
+
+    monkeypatch.setattr(models, "_hvp", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"d={shape.n_params} > {DENSE_HESSIAN_CAP}"):
+            hessian_dense(params, ds, LossConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < shape.n_params * 8
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +531,25 @@ def test_softmax_ratio_check_equals_the_per_sample_loop(c):
     check = fisher_hessian_ratio_check(params, ds)
     assert check.warning is not None
     assert check == softmax_ratio_check_oracle(params, ds)
+
+
+@pytest.mark.parametrize("shape, ds, found, expected", [
+    (MultiAttrLinear(n_attrs=1, n_features=2), binary_dataset(31, 8, 2, 3), 3, 1),
+    (MultiAttrLinear(n_attrs=2, n_features=2), multinomial_dataset(32, 8, 2, 3), 0, 2),
+    (MultinomialLinear(n_classes=3, n_features=2), binary_dataset(33, 8, 2, 1), 1, 0),
+    (MLP(n_features=2, n_hidden=2, n_classes=3), binary_dataset(34, 8, 2, 3), 3, 0),
+], ids=["fewer-heads", "binary-model-class-data", "softmax-model-attribute-data",
+        "mlp-attribute-data"])
+def test_every_gradient_path_refuses_labels_of_another_layout(shape, ds, found, expected):
+    params = random_params(shape, 35)
+    cfg = LossConfig(0.1)
+    message = f"labels have {found} attribute columns, the model expects {expected}$"
+    for compute in (lambda: grad_sum(params, ds, ds.ids[:2], cfg),
+                    lambda: grad_matrix(params, ds.features, ds.labels, cfg),
+                    lambda: diagonal_inverse_fisher(params, ds, cfg, 0.1),
+                    lambda: build_inverse_fisher(params, ds, cfg, 0.1)):
+        with pytest.raises(InputError, match=message):
+            compute()
 
 
 def test_ratio_check_rejects_mlp_and_multi_head():
