@@ -5,174 +5,52 @@ one closed-form parameter update, using a block-diagonal inverse
 empirical Fisher information matrix built from Cholesky factors. Ships the
 training loop, erasure baselines, evaluation metrics, and synthetic
 data generators used to exercise them.
+
+The namespace is lazy (PEP 562): ``import ssse`` loads no submodule, and
+the first use of a public name, or of a submodule such as ``ssse.models``,
+imports the submodule that owns it. A process that only erases never
+loads the evaluation code.
 """
 
-from .data import (
-    RemovalSpec,
-    SplitSet,
-    build_splits,
-    load_csv,
-    make_attributes,
-    make_blobs,
-    make_gaussian_classes,
-    make_ids,
-    make_parallel_planes_binary,
-    make_separable_subspace,
-    save_csv,
-)
-from .erasure import (
-    ErasureRequest,
-    diag_scrub_update,
-    gradient_ascent_step,
-    influence_update,
-    ssse_update,
-)
-from .errors import (
-    ContainerError,
-    InputError,
-    NumericError,
-    SsseError,
-    StaleFisherError,
-    TrainingError,
-)
-from .evaluation import (
-    EvalReport,
-    GridSpec,
-    SplitData,
-    SweepResult,
-    accuracy,
-    auc_per_attribute,
-    boundary_disagreement,
-    confusion_distance,
-    confusion_matrix,
-    epsilon_sweep,
-    evaluate_erasure,
-    mean_loss,
-    normalized_confusion_distance,
-    normalized_param_distance,
-    performance_similarity,
-    roc_auc,
-    similarity_ratio,
-    sweep_csv_text,
-    sweep_report_text,
-)
-from .fisher import (
-    BlockSpec,
-    InverseFisher,
-    apply_inverse,
-    build_inverse_fisher,
-    diagonal_inverse_fisher,
-    load_inverse_fisher,
-    save_inverse_fisher,
-    sherman_morrison_step,
-)
-from .models import (
-    Dataset,
-    LossConfig,
-    MLP,
-    ModelParams,
-    MultiAttrLinear,
-    MultinomialLinear,
-    RatioCheck,
-    Shape,
-    fisher_hessian_ratio_check,
-    grad,
-    grad_matrix,
-    grad_mean,
-    grad_sum,
-    hessian_dense,
-    loss,
-    onehot,
-    params_digest,
-    predict_labels,
-    predict_proba,
-)
-from .training import (
-    TrainConfig,
-    TrainResult,
-    init_params,
-    load_model,
-    retrain_scratch,
-    save_model,
-    train,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockSpec",
-    "ContainerError",
-    "Dataset",
-    "ErasureRequest",
-    "EvalReport",
-    "GridSpec",
-    "InputError",
-    "InverseFisher",
-    "LossConfig",
-    "MLP",
-    "ModelParams",
-    "MultiAttrLinear",
-    "MultinomialLinear",
-    "NumericError",
-    "RatioCheck",
-    "RemovalSpec",
-    "Shape",
-    "SplitData",
-    "SplitSet",
-    "SsseError",
-    "StaleFisherError",
-    "SweepResult",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingError",
-    "accuracy",
-    "apply_inverse",
-    "auc_per_attribute",
-    "boundary_disagreement",
-    "build_inverse_fisher",
-    "build_splits",
-    "confusion_distance",
-    "confusion_matrix",
-    "diag_scrub_update",
-    "diagonal_inverse_fisher",
-    "epsilon_sweep",
-    "evaluate_erasure",
-    "fisher_hessian_ratio_check",
-    "grad",
-    "grad_matrix",
-    "grad_mean",
-    "grad_sum",
-    "gradient_ascent_step",
-    "hessian_dense",
-    "influence_update",
-    "init_params",
-    "load_csv",
-    "load_inverse_fisher",
-    "load_model",
-    "loss",
-    "make_attributes",
-    "make_blobs",
-    "make_gaussian_classes",
-    "make_ids",
-    "make_parallel_planes_binary",
-    "make_separable_subspace",
-    "mean_loss",
-    "normalized_confusion_distance",
-    "normalized_param_distance",
-    "onehot",
-    "params_digest",
-    "performance_similarity",
-    "predict_labels",
-    "predict_proba",
-    "retrain_scratch",
-    "roc_auc",
-    "save_csv",
-    "save_inverse_fisher",
-    "save_model",
-    "sherman_morrison_step",
-    "similarity_ratio",
-    "ssse_update",
-    "sweep_csv_text",
-    "sweep_report_text",
-    "train",
-]
+# submodule -> the public names it owns
+_EXPORTS = {
+    "data": """RemovalSpec SplitSet build_splits load_csv make_attributes make_blobs
+        make_gaussian_classes make_ids make_parallel_planes_binary make_separable_subspace
+        save_csv""",
+    "erasure": """ErasureRequest diag_scrub_update gradient_ascent_step influence_update
+        ssse_update""",
+    "errors": "ContainerError InputError NumericError SsseError StaleFisherError TrainingError",
+    "evaluation": """EvalReport GridSpec SplitData SweepResult accuracy auc_per_attribute
+        boundary_disagreement confusion_distance confusion_matrix epsilon_sweep
+        evaluate_erasure mean_loss normalized_confusion_distance normalized_param_distance
+        performance_similarity roc_auc similarity_ratio sweep_csv_text sweep_report_text""",
+    "fisher": """BlockSpec InverseFisher apply_inverse build_inverse_fisher
+        diagonal_inverse_fisher load_inverse_fisher save_inverse_fisher
+        sherman_morrison_step""",
+    "models": """Dataset LossConfig MLP ModelParams MultiAttrLinear MultinomialLinear
+        RatioCheck Shape fisher_hessian_ratio_check grad grad_matrix grad_mean grad_sum
+        hessian_dense loss onehot params_digest predict_labels predict_proba""",
+    "training": "TrainConfig TrainResult init_params load_model retrain_scratch save_model train",
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = frozenset({*_EXPORTS, "cli", "_container", "_splitmix"})
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

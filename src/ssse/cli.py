@@ -21,9 +21,9 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import data as data_mod
-from . import evaluation as eval_mod
 from ._container import write_atomic
 from .erasure import (
     ErasureRequest,
@@ -53,6 +53,9 @@ from .models import (
     predict_labels,
 )
 from .training import TrainConfig, load_model, retrain_scratch, save_model, train
+
+if TYPE_CHECKING:  # evaluation loads only in the commands that evaluate
+    from .evaluation import SweepResult
 
 log = logging.getLogger("ssse")
 
@@ -198,7 +201,6 @@ def loss_config(cfg: ConfigView) -> LossConfig:
 
 
 def train_config(cfg: ConfigView) -> TrainConfig:
-    schedule = cfg.get("train", "lr_schedule", float_pairs, [])
     return TrainConfig(
         lr=cfg.get("train", "lr", float),
         epochs=cfg.get("train", "epochs", int),
@@ -206,7 +208,7 @@ def train_config(cfg: ConfigView) -> TrainConfig:
         seed=cfg.get("train", "seed", int),
         momentum=cfg.get("train", "momentum", float, 0.0),
         grad_tol=cfg.get("train", "grad_tol", float, 1e-5),
-        lr_schedule=tuple((int(e), f) for e, f in schedule),
+        lr_schedule=cfg.get("train", "lr_schedule", float_pairs, ()),
     )
 
 
@@ -276,8 +278,10 @@ class Pipeline:
                                     batch_size=batch_size)
         return Pipeline(train_ds, test_ds, loss_cfg, theta_star, retrain, splits, finv)
 
-    def sweep(self, grid: list[float], criterion: str) -> eval_mod.SweepResult:
-        return eval_mod.epsilon_sweep(
+    def sweep(self, grid: list[float], criterion: str) -> SweepResult:
+        from .evaluation import epsilon_sweep
+
+        return epsilon_sweep(
             self.theta_star, self.finv, self.train_ds, self.test_ds, self.splits, grid,
             criterion, self.retrain, self.loss_cfg,
         )
@@ -356,6 +360,8 @@ def cmd_erase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import evaluation as eval_mod
+
     cfg = ConfigView(args.config)
     train_ds, test_ds = build_datasets(cfg)
     grid, criterion = sweep_settings(cfg, train_ds)
@@ -372,6 +378,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo_boundary(args) -> int:
+    from . import evaluation as eval_mod
+
     cfg = ConfigView(args.config)
     train_ds, test_ds = build_datasets(cfg)
     if train_ds.n_features != 2:
@@ -420,6 +428,8 @@ def cmd_demo_boundary(args) -> int:
 
 
 def cmd_compare_baselines(args) -> int:
+    from . import evaluation as eval_mod
+
     cfg = ConfigView(args.config)
     eps = cfg.get("baselines", "ssse_epsilon", float, 1.0)
     ga_lr = cfg.get("baselines", "ga_lr", float)

@@ -8,7 +8,6 @@ separate train and test datasets.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -126,9 +125,25 @@ def make_attributes(
         direction = overlap * shared + (1.0 - overlap) * own
         direction /= np.linalg.norm(direction)
         scores = features @ direction
-        threshold = np.quantile(scores, 1.0 - freqs[j])
-        labels[:, j] = scores > threshold
+        labels[:, j] = scores > _quantile(scores, 1.0 - freqs[j])
     return Dataset(features=features, labels=labels, ids=make_ids(n, id_prefix))
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` bit for bit, from one partition.
+
+    numpy's default ``linear`` method: the virtual index ``(n - 1) * q``,
+    the order statistics at its floor and the next position, and numpy's
+    two-branch lerp. It stands in for ``np.quantile``, whose ``np.unique``
+    call imports ``numpy.ma``.
+    """
+    pos = (values.size - 1) * q
+    lo = math.floor(pos)
+    hi = min(lo + 1, values.size - 1)
+    a, b = np.partition(values, (lo, hi))[[lo, hi]]
+    t = pos - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def _rank_c_matrix(rng: np.random.Generator, c: int, m: int) -> np.ndarray:
@@ -243,6 +258,8 @@ def make_parallel_planes_binary(
 
 def _read_rows(path: str) -> tuple[list[list[str]], int]:
     """Rows plus the 1-based line number of the first data row."""
+    import csv
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -306,6 +323,8 @@ def load_csv(features_path: str, labels_path: str, kind: str, id_prefix: str = "
 
 def save_csv(dataset: Dataset, features_path: str, labels_path: str) -> None:
     """Write a dataset back out; floats use shortest round-trip formatting."""
+    import csv
+
     with open(features_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in dataset.features:

@@ -122,13 +122,14 @@ def _profile(
 ) -> np.ndarray:
     """The per-attribute AUC profile (``kind`` binary) or the confusion matrix (multinomial).
 
-    ``p`` is the model's forward pass on ``dataset`` when the caller already has it.
+    ``p`` is the model's forward pass on ``dataset`` when the caller already
+    has it, and has then already checked the pair with :func:`_check_task_match`.
     """
-    _check_task_match(params, dataset)
+    if p is None:
+        _check_task_match(params, dataset)
+        p = predict_proba(params, dataset.features)
     if dataset.kind != kind:
         raise InputError(f"this metric requires a {kind} task, got {dataset.kind} labels")
-    if p is None:
-        p = predict_proba(params, dataset.features)
     labels = dataset.labels
     if kind == "binary":
         return np.asarray(
@@ -265,6 +266,12 @@ class SplitData:
         )
 
 
+def _check_splits(params: ModelParams, split_data: SplitData) -> None:
+    """The task check of every split, made once per evaluation or sweep."""
+    for dataset in vars(split_data).values():
+        _check_task_match(params, dataset)
+
+
 def _references(
     theta_star: ModelParams, theta_retrain: ModelParams, removed: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -277,11 +284,11 @@ def _references(
 def _split_scores(params: ModelParams, dataset: Dataset, cfg: LossConfig):
     """Accuracy and mean loss on one split, and the one forward pass they come from.
 
-    An empty split scores nan twice and makes no pass.
+    An empty split scores nan twice and makes no pass. The caller has run
+    :func:`_check_splits`.
     """
     if dataset.n == 0:
         return float("nan"), float("nan"), None
-    _check_task_match(params, dataset)
     forward = _forward(params.shape, params.values, dataset.features)
     p = forward[1]
     acc = float((_labels_from_proba(params.shape, p) == dataset.labels).mean())
@@ -347,6 +354,7 @@ def evaluate_erasure(
     loss_cfg: LossConfig,
 ) -> EvalReport:
     """Assemble one report row; gamma for binary tasks, delta for multinomial."""
+    _check_splits(theta_hat, split_data)
     references = _references(theta_star, theta_retrain, split_data.removed)
     return _report(
         theta_hat, epsilon, theta_star, theta_retrain, references, split_data, loss_cfg
@@ -387,6 +395,7 @@ def epsilon_sweep(
 
     erased = ssse_grid(theta_star, finv, train, splits.removed, grid, loss_cfg)
     split_data = SplitData.from_splits(train, test, splits)
+    _check_splits(theta_star, split_data)  # every erased model has theta*'s shape
     references = _references(theta_star, theta_retrain, split_data.removed)
     reports = tuple(
         _report(theta_hat, eps, theta_star, theta_retrain, references, split_data, loss_cfg)

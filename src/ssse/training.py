@@ -44,10 +44,11 @@ class TrainConfig:
     """Optimizer settings.
 
     ``lr_schedule`` is a tuple of (epoch, factor) pairs with strictly
-    increasing 1-based epochs; the learning rate is multiplied by the
-    factor at the start of the named epoch. ``grad_tol`` > 0 stops
-    training after any epoch whose full-gradient norm falls to or below
-    it; 0 disables early stopping.
+    increasing 1-based whole-number epochs (40.0 counts as 40, 2.7 is
+    refused); the learning rate is multiplied by the factor at the start
+    of the named epoch. ``grad_tol`` > 0 stops training after any epoch
+    whose full-gradient norm falls to or below it; 0 disables early
+    stopping.
 
     Full-batch runs (batch_size >= n, momentum 0) decrease the loss every
     epoch when the learning rate is below the curvature bound of the
@@ -73,6 +74,9 @@ class TrainConfig:
             raise InputError("momentum must lie in [0, 1)")
         if not np.isfinite(self.grad_tol) or self.grad_tol < 0:
             raise InputError("grad_tol must be finite and >= 0")
+        for epoch, _ in self.lr_schedule:
+            if not (np.isfinite(epoch) and epoch == int(epoch)):
+                raise InputError(f"lr_schedule epochs must be whole numbers, got {epoch}")
         sched = tuple((int(e), float(f)) for e, f in self.lr_schedule)
         last = 0
         for epoch, factor in sched:

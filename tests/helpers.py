@@ -6,9 +6,13 @@ about the model families beyond "loss is a function of a flat vector".
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import ssse
 from ssse import (
     Dataset,
     ErasureRequest,
@@ -40,6 +44,14 @@ from ssse import (
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
 from ssse.fisher import _batch_means, _cholesky, apply_inverse
 from ssse.models import PROB_FLOOR, _grad_sums, _targets, _weights, params_digest
+
+
+def run_fresh(code):
+    """The stdout of ``code`` run by a fresh interpreter that imports this ``ssse``."""
+    src = os.path.dirname(os.path.dirname(ssse.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True).stdout
 
 
 _MASK = (1 << 64) - 1

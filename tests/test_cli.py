@@ -5,8 +5,6 @@ import json
 import logging
 import os
 import struct
-import subprocess
-import sys
 import textwrap
 import warnings
 
@@ -14,7 +12,7 @@ import numpy as np
 import pytest
 
 import ssse
-from helpers import random_params
+from helpers import random_params, run_fresh
 from ssse import BlockSpec, load_model, params_digest
 from ssse.cli import main
 
@@ -371,6 +369,17 @@ def test_malformed_value_exits_two_naming_the_key(tmp_path, capsys, command, old
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("schedule", ["nan:0.5", "inf:0.5", "2.7:0.5"])
+def test_lr_schedule_epoch_that_is_not_a_whole_number_exits_two(tmp_path, capsys, schedule):
+    out = str(tmp_path / "o")
+    text = BASE_CONFIG.replace("batch_size = 10\n", f"batch_size = 10\nlr_schedule = {schedule}\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: lr_schedule epochs must be whole numbers" in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
 @pytest.mark.parametrize("grid", [",", "1, -1"], ids=["empty", "negative"])
 def test_erase_rejects_bad_grid_before_writing(tmp_path, capsys, grid):
     cfg = write_config(tmp_path)
@@ -428,8 +437,28 @@ def test_unknown_command_raises_system_exit(tmp_path):
 
 
 def test_package_and_cli_import_without_scipy():
-    src = os.path.dirname(os.path.dirname(ssse.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, ssse, ssse.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_cli_import_and_an_erase_never_load_evaluation(tmp_path):
+    cfg = write_config(tmp_path)
+    t, f = str(tmp_path / "t"), str(tmp_path / "f")
+    commands = [
+        ["train", "--config", cfg, "--out", t],
+        ["fisher", "--config", cfg, "--out", f, "--model", os.path.join(t, "model.bin")],
+        ["erase", "--config", cfg, "--out", str(tmp_path / "e"),
+         "--model", os.path.join(t, "model.bin"), "--fisher", os.path.join(f, "fisher.bin")],
+        ["sweep", "--config", cfg, "--out", str(tmp_path / "s")],
+    ]
+    code = textwrap.dedent(f"""
+        import sys
+        from ssse.cli import main
+        seen = ["ssse.evaluation" in sys.modules]
+        for argv in {commands!r}:
+            assert main(argv) == 0
+            seen.append("ssse.evaluation" in sys.modules)
+        print(seen)
+    """)
+    # after import, train, fisher and erase: not loaded; the sweep loads it
+    assert run_fresh(code).strip() == "[False, False, False, False, True]"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import binary_dataset, multinomial_dataset, select_oracle
+from helpers import binary_dataset, multinomial_dataset, run_fresh, select_oracle
 from ssse import (
     Dataset,
     InputError,
@@ -21,6 +21,7 @@ from ssse import (
     predict_proba,
     save_csv,
 )
+from ssse import data
 from ssse.data import RemovalSpec, SplitSet
 
 
@@ -63,6 +64,58 @@ def test_make_attributes_respects_frequencies():
     assert ds.kind == "binary" and ds.labels.shape == (2000, 2)
     rates = ds.labels.mean(axis=0)
     np.testing.assert_allclose(rates, freqs, atol=0.02)
+
+
+def _quantile_cases():
+    """(values, q) pairs: integer virtual indices, tied scores, and a seeded grid."""
+    rng = np.random.default_rng(2024)
+    yield np.array([0.3, -1.2, 2.5]), 0.5  # n = 3, q = 0.5: virtual index 1
+    yield np.array([4.0, -1.0, 0.5, 2.0, 3.5]), 0.25  # n = 5, q = 0.25: virtual index 1
+    yield np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0]), 0.6  # ties on both sides
+    for n in (2, 3, 5, 7, 10, 33, 101, 1500):
+        for tied in (False, True):
+            values = (rng.integers(1, 6, n).astype(np.float64) if tied
+                      else rng.standard_normal(n))
+            # 1 - 1e-17 rounds to 1.0: the virtual index is the last position
+            for q in (*rng.uniform(0.0, 1.0, 6), 0.25, 0.5, 0.6, 0.85, 1.0 - 1e-17):
+                yield values, np.float64(q)
+
+
+def test_partition_threshold_equals_np_quantile_bit_for_bit():
+    cases = 0
+    for values, q in _quantile_cases():
+        before = values.copy()
+        got = np.float64(data._quantile(values, q))
+        assert got.tobytes() == np.float64(np.quantile(values, q)).tobytes(), (values.size, q)
+        assert np.array_equal(values, before)
+        cases += 1
+    assert cases == 3 + 8 * 2 * 11
+
+
+@pytest.mark.parametrize("n", [40, 1500])
+def test_make_attributes_labels_equal_those_from_np_quantile(monkeypatch, n):
+    common = dict(n=n, n_features=20, n_attrs=8, frequencies=(0.15,) + (0.4,) * 7,
+                  overlap=0.4, direction_seed=41)
+    got = [make_attributes(seed, **common) for seed in range(10)]
+    monkeypatch.setattr(data, "_quantile", np.quantile)
+    for seed, ds in enumerate(got):
+        want = make_attributes(seed, **common)
+        assert np.array_equal(ds.labels, want.labels) and ds.labels.dtype == want.labels.dtype
+        assert np.array_equal(ds.features, want.features)
+
+
+def test_make_attributes_does_not_import_numpy_ma():
+    code = (
+        "import sys, numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from ssse import make_attributes\n"
+        "make_attributes(0, 50, n_features=4, n_attrs=2, frequencies=[0.2, 0.5])\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    before, after = run_fresh(code).split()
+    if before == "True":
+        pytest.skip("import numpy alone loads numpy.ma on this numpy release; nothing to check")
+    assert after == "False"
 
 
 def test_make_separable_subspace_hits_the_margin_exactly():

@@ -245,6 +245,16 @@ def test_metrics_refuse_a_model_that_does_not_fit_the_data(metric, bad_shape):
         _MISMATCHED_METRICS[metric](random_params(bad_shape, 2), good, ds)
 
 
+@pytest.mark.parametrize("split", ["lko_train", "removed", "lko_test", "removed_test"])
+def test_evaluate_erasure_checks_every_split(split):
+    ds = binary_dataset(13, 12, 4, 3)
+    good = random_params(MultiAttrLinear(n_attrs=3, n_features=4), 1)
+    splits = dict.fromkeys(["lko_train", "removed", "lko_test", "removed_test"], ds)
+    splits[split] = binary_dataset(14, 12, 5, 3)  # five features, not four
+    with pytest.raises(InputError, match="5 features"):
+        evaluate_erasure(good, 1.0, good, good, SplitData(**splits), LossConfig(0.01))
+
+
 def test_normalized_distances_sentinels():
     shape = MultinomialLinear(n_classes=2, n_features=2)
     star = random_params(shape, 10)

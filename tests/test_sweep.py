@@ -26,7 +26,7 @@ from ssse import (
     sweep_report_text,
     train,
 )
-from ssse import erasure
+from ssse import erasure, evaluation
 
 GRID = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
 
@@ -97,3 +97,20 @@ def test_sweep_reports_a_non_finite_direction(monkeypatch):
     monkeypatch.setattr(erasure, "apply_inverse", lambda finv, g: np.full_like(g, np.nan))
     with pytest.raises(NumericError, match="non-finite"):
         epsilon_sweep(star, finv, train_ds, test_ds, splits, GRID, criterion, retrain, cfg)
+
+
+@pytest.mark.parametrize("family", ["multinomial_linear", "multi_attr_linear"])
+def test_sweep_checks_each_split_once_whatever_the_grid_length(monkeypatch, family):
+    star, finv, train_ds, test_ds, splits, criterion, retrain, cfg = _task(family)
+    checked = []
+    real = evaluation._check_task_match
+    monkeypatch.setattr(evaluation, "_check_task_match",
+                        lambda params, dataset: checked.append(dataset.n) or real(params, dataset))
+    counts = []
+    for grid in ([1.0], [0.0] + [2.0 ** i for i in range(-8, 8)]):
+        checked.clear()
+        epsilon_sweep(star, finv, train_ds, test_ds, splits, grid, criterion, retrain, cfg)
+        counts.append(len(checked))
+    # the four splits once against theta*, the removed split once each for
+    # theta* and the retrain references
+    assert counts == [6, 6]

@@ -230,6 +230,19 @@ def test_train_config_validation():
         TrainConfig(lr=0.1, epochs=1, batch_size=1, seed=0, lr_schedule=((1, 0.0),))
 
 
+@pytest.mark.parametrize("epoch", [2.7, float("nan"), float("inf"), -float("inf")])
+def test_lr_schedule_refuses_an_epoch_that_is_not_a_whole_number(epoch):
+    with pytest.raises(InputError, match="whole numbers"):
+        TrainConfig(lr=0.1, epochs=5, batch_size=1, seed=0, lr_schedule=((epoch, 0.5),))
+
+
+def test_lr_schedule_accepts_whole_number_floats_as_ints():
+    cfg = TrainConfig(lr=0.1, epochs=50, batch_size=1, seed=0,
+                      lr_schedule=((2.0, 0.5), (np.float64(40.0), 0.1)))
+    assert cfg.lr_schedule == ((2, 0.5), (40, 0.1))
+    assert all(type(e) is int for e, _ in cfg.lr_schedule)
+
+
 # ---------------------------------------------------------------------------
 # Retraining without the removed samples
 # ---------------------------------------------------------------------------
