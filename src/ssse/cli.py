@@ -150,17 +150,14 @@ _SOURCES = {
 }
 
 
-def build_datasets(cfg: ConfigView) -> tuple[Dataset, Dataset]:
-    """Train and test datasets with disjoint id prefixes tr/te."""
+def build_dataset(cfg: ConfigView, test: bool = False) -> Dataset:
+    """The training set, or with ``test`` the test set; id prefixes tr/te keep them disjoint."""
     source = cfg.get("data", "source")
+    pre, tag = ("test_", "te") if test else ("", "tr")
     if source == "csv":
         kind = cfg.get("data", "kind")
-        train_ds, test_ds = (
-            data_mod.load_csv(cfg.get("data", f"{pre}features"), cfg.get("data", f"{pre}labels"),
-                              kind, id_prefix=tag)
-            for pre, tag in (("", "tr"), ("test_", "te"))
-        )
-        return train_ds, test_ds
+        return data_mod.load_csv(cfg.get("data", f"{pre}features"),
+                                 cfg.get("data", f"{pre}labels"), kind, id_prefix=tag)
     if source not in _SOURCES:
         raise InputError(f"unknown data.source: {source!r}")
     generator, size_key, test_size_key, shared = _SOURCES[source]
@@ -170,12 +167,14 @@ def build_datasets(cfg: ConfigView) -> tuple[Dataset, Dataset]:
         for key, (parse, default) in shared.items()
     }
     n = cfg.get("data", size_key, int)
-    train_ds = generator(seed, n, id_prefix="tr", **kwargs)
-    test_ds = generator(
-        cfg.get("data", "test_seed", int), cfg.get("data", test_size_key, int, n),
-        id_prefix="te", **kwargs,
-    )
-    return train_ds, test_ds
+    if test:
+        seed, n = cfg.get("data", "test_seed", int), cfg.get("data", test_size_key, int, n)
+    return generator(seed, n, id_prefix=tag, **kwargs)
+
+
+def build_datasets(cfg: ConfigView) -> tuple[Dataset, Dataset]:
+    """The training and the test set."""
+    return build_dataset(cfg), build_dataset(cfg, test=True)
 
 
 def model_shape(cfg: ConfigView, train_ds: Dataset, test_ds: Dataset) -> Shape:
@@ -325,7 +324,7 @@ def cmd_train(args) -> int:
 
 def cmd_fisher(args) -> int:
     cfg = ConfigView(args.config)
-    train_ds, _ = build_datasets(cfg)
+    train_ds = build_dataset(cfg)
     params, loss_cfg = load_model(args.model)
     dampening, batch_size = fisher_settings(cfg, loss_cfg)
     finv = build_inverse_fisher(params, train_ds, loss_cfg, dampening, batch_size=batch_size)
@@ -339,22 +338,22 @@ def cmd_fisher(args) -> int:
 
 def cmd_erase(args) -> int:
     cfg = ConfigView(args.config)
-    train_ds, test_ds = build_datasets(cfg)
+    train_ds = build_dataset(cfg)
     params, loss_cfg = load_model(args.model)
     finv = load_inverse_fisher(args.fisher)
-    splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
+    removed = data_mod.draw_removed(train_ds, removal_spec(cfg))
     grid, _ = sweep_settings(cfg, train_ds)
     grad_source = cfg.get("sweep", "grad_source", default="removed")
     # Every update is computed, from one erasure direction, before the first
     # file is written, so a failing grid point leaves --out untouched.
-    erased = ssse_grid(params, finv, train_ds, splits.removed, grid, loss_cfg, grad_source)
+    erased = ssse_grid(params, finv, train_ds, removed, grid, loss_cfg, grad_source)
     written = []
     for i, (eps, (theta, step_norm)) in enumerate(zip(grid, erased)):
         name = f"erased_{i:03d}_eps_{eps!r}.bin"
         save_model(theta, loss_cfg, _out_path(args.out, name))
         written.append({"epsilon": eps, "file": name, "step_norm": step_norm})
     _write_json(args.out, "erase_manifest.json",
-                {"config_digest": cfg.digest, "outputs": written, "removed": len(splits.removed)})
+                {"config_digest": cfg.digest, "outputs": written, "removed": len(removed)})
     log.info("wrote %d erased models", len(written))
     return 0
 
@@ -388,6 +387,14 @@ def cmd_demo_boundary(args) -> int:
         )
     grid, criterion = sweep_settings(cfg, train_ds)
     cfg.get("sweep", "grad_source", _removed_only, "removed")
+    gspec = eval_mod.GridSpec(
+        x_min=cfg.get("boundary", "x_min", float, -6.0),
+        x_max=cfg.get("boundary", "x_max", float, 6.0),
+        y_min=cfg.get("boundary", "y_min", float, -6.0),
+        y_max=cfg.get("boundary", "y_max", float, 6.0),
+        nx=cfg.get("boundary", "nx", int, 161),
+        ny=cfg.get("boundary", "ny", int, 161),
+    )
     run = Pipeline.fit(cfg, train_ds, test_ds)
     sweep = run.sweep(grid, criterion)
     theta, loss_cfg = run.theta_star, run.loss_cfg
@@ -400,14 +407,6 @@ def cmd_demo_boundary(args) -> int:
         "influence_lko": influence_update(theta, train_ds, best_req, loss_cfg, "lko"),
     }
 
-    gspec = eval_mod.GridSpec(
-        x_min=cfg.get("boundary", "x_min", float, -6.0),
-        x_max=cfg.get("boundary", "x_max", float, 6.0),
-        y_min=cfg.get("boundary", "y_min", float, -6.0),
-        y_max=cfg.get("boundary", "y_max", float, 6.0),
-        nx=cfg.get("boundary", "nx", int, 161),
-        ny=cfg.get("boundary", "ny", int, 161),
-    )
     pts = gspec.points()
     preds = {name: predict_labels(p, pts) for name, p in variants.items()}
     lines = ["x,y," + ",".join(f"pred_{name}" for name in variants)]

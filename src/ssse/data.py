@@ -70,6 +70,8 @@ def make_gaussian_classes(
     """
     if n_per_class < 1 or n_features < 1 or n_classes < 2:
         raise InputError("need n_per_class >= 1, n_features >= 1, n_classes >= 2")
+    if spread <= 0:
+        raise InputError("need spread > 0")
     rng = np.random.default_rng(seed)
     center_rng = rng if center_seed is None else np.random.default_rng([center_seed, 1])
     centers = center_scale * center_rng.standard_normal((n_classes, n_features))
@@ -401,27 +403,35 @@ def _matching_rows(dataset: Dataset, spec: RemovalSpec) -> np.ndarray:
     return np.flatnonzero(dataset.labels[:, spec.index - 1] == 1)
 
 
-def build_splits(train: Dataset, test: Dataset, spec: RemovalSpec) -> SplitSet:
-    """Draw the removed set and derive the four disjoint splits.
+def draw_removed(train: Dataset, spec: RemovalSpec) -> tuple[str, ...]:
+    """The removed training ids, in dataset order.
 
-    The removed set is a uniform sample without replacement of
-    ``ceil(fraction * n_matching)`` target-matching training samples,
-    drawn with ``numpy.random.default_rng(spec.seed)``. All matching test
-    samples form ``removed_test``.
+    A uniform sample without replacement of ``ceil(fraction * n_matching)``
+    target-matching training samples, drawn with
+    ``numpy.random.default_rng(spec.seed)``.
     """
     matching = _matching_rows(train, spec)
     if matching.size == 0:
         raise InputError("no training samples match the removal target")
     k = math.ceil(spec.fraction * matching.size)
     rng = np.random.default_rng(spec.seed)
-    chosen = matching[rng.permutation(matching.size)[:k]]
-    chosen_set = {train.ids[i] for i in chosen}
+    chosen = np.sort(matching[rng.permutation(matching.size)[:k]])
+    return tuple(train.ids[i] for i in chosen)
+
+
+def build_splits(train: Dataset, test: Dataset, spec: RemovalSpec) -> SplitSet:
+    """The removed set of :func:`draw_removed` and the four disjoint splits around it.
+
+    All matching test samples form ``removed_test``.
+    """
+    removed = draw_removed(train, spec)
+    chosen_set = set(removed)
 
     test_matching = _matching_rows(test, spec)
     removed_test = {test.ids[i] for i in test_matching}
 
     return SplitSet(
-        removed=tuple(s for s in train.ids if s in chosen_set),
+        removed=removed,
         lko_train=tuple(s for s in train.ids if s not in chosen_set),
         removed_test=tuple(s for s in test.ids if s in removed_test),
         lko_test=tuple(s for s in test.ids if s not in removed_test),

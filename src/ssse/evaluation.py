@@ -55,47 +55,46 @@ from .data import SplitSet
 # Scalar metrics
 # ---------------------------------------------------------------------------
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of a vector, tied values sharing their mean rank; all NaN if any is NaN.
+def _aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mann-Whitney ROC AUC of every column of (n, a) scores in one pass, ties counted one half.
 
-    Each tie run spans sorted positions [start, end) and gets the mean
-    (start + end + 1) / 2 of its ranks, a half-integer, so exact in float64.
+    A tie run at sorted positions [start, end) of a column ranks (start + end + 1) / 2,
+    a half-integer, so ranks and rank sums are exact: neither the order inside a run
+    nor the summation order changes a bit. A column lacking a class (0 or 1) scores 0.
     """
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [x.size]))
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
+    if not np.isfinite(scores).all():
+        raise InputError("scores must be finite")
+    n, a = scores.shape
+    by_attr = scores.T.copy()
+    order = by_attr.argsort(axis=1) + n * np.arange(a)[:, None]  # flat positions in by_attr
+    sorted_scores, sorted_labels = by_attr.take(order), labels.T.take(order)
+    run_start = np.ones((a, n), dtype=bool)  # each column's first position starts a run
+    np.not_equal(sorted_scores[:, 1:], sorted_scores[:, :-1], out=run_start[:, 1:])
+    bounds = np.concatenate((np.flatnonzero(run_start), [a * n]))
+    lengths = bounds[1:] - bounds[:-1]
+    ranks = np.repeat(bounds[:-1] % n + (lengths + 1) / 2.0, lengths).reshape(a, n)
+    pos = sorted_labels == 1
+    n_pos = pos.sum(axis=1)
+    pairs = n_pos * (sorted_labels == 0).sum(axis=1)
+    rank_sums = np.add.reduce(ranks, axis=1, where=pos)
+    return np.divide(rank_sums - n_pos * (n_pos + 1) / 2.0, pairs,
+                     out=np.zeros(a), where=pairs > 0)
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney ROC AUC with ties counted one half.
+    """Mann-Whitney ROC AUC with ties counted one half: :func:`_aucs` of one column.
 
     By convention a degenerate split (no positives or no negatives,
-    including an empty input) scores 0. That makes an attribute with a
-    single class on the evaluation samples contribute nothing to the
-    performance-similarity distance between two models. Non-finite
-    scores raise InputError rather than turning the area into NaN.
+    including an empty input) scores 0, so an attribute with a single
+    class on the evaluation samples adds nothing to the performance-
+    similarity distance. Non-finite scores raise InputError. One pass
+    ranks every attribute, and the order inside a tie does not matter.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be matching vectors")
-    if not np.all(np.isfinite(scores)):
-        raise InputError("scores must be finite")
-    pos = labels == 1
-    neg = labels == 0
-    n_pos = int(pos.sum())
-    n_neg = int(neg.sum())
-    if n_pos == 0 or n_neg == 0:
-        return 0.0
-    ranks = _average_ranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(_aucs(scores[:, None], labels[:, None])[0])
 
 
 def accuracy(params: ModelParams, dataset: Dataset) -> float:
@@ -132,9 +131,7 @@ def _profile(
         raise InputError(f"this metric requires a {kind} task, got {dataset.kind} labels")
     labels = dataset.labels
     if kind == "binary":
-        return np.asarray(
-            [roc_auc(p[:, j], labels[:, j]) for j in range(labels.shape[1])], dtype=np.float64
-        )
+        return _aucs(p, labels)
     c = params.shape.n_classes
     pred = _labels_from_proba(params.shape, p)
     return np.bincount((labels - 1) * c + (pred - 1), minlength=c * c).reshape(c, c)
@@ -424,8 +421,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self) -> None:
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise InputError("grid extents must satisfy max > min")
+        extents = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not np.isfinite(extents).all() or self.x_max <= self.x_min or self.y_max <= self.y_min:
+            raise InputError("grid extents must be finite and satisfy max > min")
         if self.nx < 2 or self.ny < 2:
             raise InputError("grid needs nx >= 2 and ny >= 2")
 

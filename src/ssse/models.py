@@ -388,11 +388,13 @@ def _weights(shape: Shape, values: np.ndarray) -> list[np.ndarray]:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
-    # never overflows; the arithmetic runs in place on two temporaries.
+    # never overflows; the arithmetic runs in place on two temporaries. The
+    # numerator max(e, z >= 0) is 1 where z >= 0 (e <= 1 there) and e below
+    # (e < 1), NaN where z is NaN; e is never -0.0, so no zero changes sign.
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    p = np.where(z >= 0, 1.0, e)
+    p = np.maximum(e, z >= 0)
     e += 1.0
     p /= e
     return p

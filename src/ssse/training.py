@@ -11,6 +11,7 @@ vector because initialization depends only on the seed and the shape.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -39,13 +40,28 @@ from .models import (
 )
 
 
+def _whole(value, refusal: str) -> int:
+    """``value`` as an int: an integer, or a float with no fraction (40.0 counts as 40).
+
+    Anything else, 2.7, NaN and the infinities among it, raises
+    InputError(``refusal``, then the value).
+    """
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{refusal}, got {value}") from None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings.
 
-    ``lr_schedule`` is a tuple of (epoch, factor) pairs with strictly
-    increasing 1-based whole-number epochs (40.0 counts as 40, 2.7 is
-    refused); the learning rate is multiplied by the factor at the start
+    ``epochs``, ``batch_size`` and ``seed`` are whole numbers, stored as
+    ints (40.0 counts as 40, 2.7 is refused). ``lr_schedule`` is a tuple
+    of (epoch, factor) pairs with strictly increasing 1-based whole-number
+    epochs; the learning rate is multiplied by the factor at the start
     of the named epoch. ``grad_tol`` > 0 stops training after any epoch
     whose full-gradient norm falls to or below it; 0 disables early
     stopping.
@@ -66,6 +82,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.lr) or self.lr <= 0:
             raise InputError("lr must be finite and > 0")
+        for name in ("epochs", "batch_size", "seed"):
+            whole = _whole(getattr(self, name), f"{name} must be a whole number")
+            object.__setattr__(self, name, whole)
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -74,10 +93,8 @@ class TrainConfig:
             raise InputError("momentum must lie in [0, 1)")
         if not np.isfinite(self.grad_tol) or self.grad_tol < 0:
             raise InputError("grad_tol must be finite and >= 0")
-        for epoch, _ in self.lr_schedule:
-            if not (np.isfinite(epoch) and epoch == int(epoch)):
-                raise InputError(f"lr_schedule epochs must be whole numbers, got {epoch}")
-        sched = tuple((int(e), float(f)) for e, f in self.lr_schedule)
+        sched = tuple((_whole(e, "lr_schedule epochs must be whole numbers"), float(f))
+                      for e, f in self.lr_schedule)
         last = 0
         for epoch, factor in sched:
             if epoch <= last:

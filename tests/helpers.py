@@ -29,7 +29,6 @@ from ssse import (
     StaleFisherError,
     SweepResult,
     accuracy,
-    auc_per_attribute,
     grad_mean,
     loss,
     make_ids,
@@ -38,7 +37,6 @@ from ssse import (
     normalized_param_distance,
     predict_labels,
     predict_proba,
-    similarity_ratio,
     ssse_update,
 )
 from ssse.erasure import _check_removal, _erasure_direction, _finite_params, check_epsilon_grid
@@ -419,8 +417,8 @@ def evaluation_oracle(theta_hat, epsilon, theta_star, theta_retrain, split_data,
     removed = split_data.removed
     gamma = delta = auc_removed = None
     if removed.kind == "binary":
-        gamma = similarity_ratio(theta_hat, theta_star, theta_retrain, removed)
-        auc_removed = tuple(float(v) for v in auc_per_attribute(theta_hat, removed))
+        gamma = similarity_ratio_oracle(theta_hat, theta_star, theta_retrain, removed)
+        auc_removed = tuple(float(v) for v in auc_per_attribute_oracle(theta_hat, removed))
     else:
         delta = normalized_confusion_distance(theta_hat, theta_star, theta_retrain, removed)
     return EvalReport(
@@ -439,6 +437,52 @@ def evaluation_oracle(theta_hat, epsilon, theta_star, theta_retrain, split_data,
         grad_norm_lko=float(np.linalg.norm(grad_mean(theta_hat, split_data.lko_train, loss_cfg))),
         auc_removed=auc_removed,
     )
+
+
+def roc_auc_oracle(scores, labels):
+    """Mann-Whitney ROC AUC of one score vector, from a stable sort and explicit tie runs.
+
+    Each tie run spans sorted positions [start, end) and every member gets
+    the mean rank (start + end + 1) / 2. A split without a positive or a
+    negative scores 0; non-finite scores raise InputError.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 1:
+        raise InputError("scores and labels must be matching vectors")
+    if not np.all(np.isfinite(scores)):
+        raise InputError("scores must be finite")
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = int((labels == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        return 0.0
+    order = np.argsort(scores, kind="stable")
+    xs = scores[order]
+    cuts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [scores.size]))
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def auc_per_attribute_oracle(params, dataset):
+    """:func:`roc_auc_oracle` of each attribute head, one column at a time."""
+    p = predict_proba(params, dataset.features)
+    return np.array([roc_auc_oracle(p[:, j], dataset.labels[:, j]) for j in range(p.shape[1])])
+
+
+def similarity_ratio_oracle(theta_hat, theta_star, theta_retrain, samples):
+    """gamma = D(hat, star) / (D(hat, star) + D(hat, retrain)) from the oracle AUC profiles.
+
+    Two zero distances give 0.5.
+    """
+    hat, star, retrain = (auc_per_attribute_oracle(t, samples)
+                          for t in (theta_hat, theta_star, theta_retrain))
+    to_retrain = float(np.abs(hat - star).sum())
+    total = to_retrain + float(np.abs(hat - retrain).sum())
+    return 0.5 if total == 0.0 else to_retrain / total
 
 
 def confusion_matrix_oracle(params, dataset):
@@ -590,6 +634,7 @@ def diag_scrub_update_oracle(theta_star, diag_finv, dataset, req, cfg):
 
 __all__ = [
     "ScalarSplitMix64",
+    "auc_per_attribute_oracle",
     "backward_oracle",
     "binary_dataset",
     "confusion_matrix_oracle",
@@ -610,8 +655,10 @@ __all__ = [
     "multinomial_dataset",
     "random_params",
     "random_shape",
+    "roc_auc_oracle",
     "sequential_row_sums",
     "sigmoid_oracle",
+    "similarity_ratio_oracle",
     "softmax_oracle",
     "softmax_ratio_check_oracle",
     "ssse_grid_oracle",

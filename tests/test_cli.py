@@ -127,6 +127,33 @@ def test_erase_manifest_records_each_step_norm(tmp_path):
         assert o["step_norm"] == pytest.approx(float(np.linalg.norm(erased - theta)), rel=1e-12)
 
 
+def test_erase_reads_no_test_data(tmp_path):
+    """A CSV config's test files are not needed to erase, and do not change what erase writes."""
+    files = {}
+    for pre, seed, tag in (("", 7, "tr"), ("test_", 8, "te")):
+        ds = ssse.make_blobs(seed, 20, [(-2.0, 0.0), (2.0, 0.0)], 1.0, id_prefix=tag)
+        for key in ("features", "labels"):
+            files[pre + key] = str(tmp_path / f"{pre}{key}.csv")
+        ssse.save_csv(ds, files[pre + "features"], files[pre + "labels"])
+    source = "\n".join(["source = csv", "kind = multinomial",
+                        *(f"{key} = {path}" for key, path in files.items())])
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("source = blobs", source))
+    t, f = str(tmp_path / "t"), str(tmp_path / "f")
+    assert main(["train", "--config", cfg, "--out", t]) == 0
+    model = os.path.join(t, "model.bin")
+    assert main(["fisher", "--config", cfg, "--out", f, "--model", model]) == 0
+    erase = ["erase", "--config", cfg, "--model", model, "--fisher", os.path.join(f, "fisher.bin")]
+    assert main(erase + ["--out", str(tmp_path / "with_test")]) == 0
+    os.remove(files["test_features"])
+    os.remove(files["test_labels"])
+    assert main(erase + ["--out", str(tmp_path / "without_test")]) == 0
+    names = sorted(os.listdir(tmp_path / "with_test"))
+    assert names == sorted(os.listdir(tmp_path / "without_test")) and len(names) == 4
+    for name in names:
+        assert (read_bytes(tmp_path / "with_test" / name)
+                == read_bytes(tmp_path / "without_test" / name))
+
+
 def test_sweep_outputs_are_byte_identical_across_reruns(tmp_path):
     cfg = write_config(tmp_path)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -345,6 +372,28 @@ def test_fisher_with_a_model_of_the_other_label_kind_exits_two(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: labels have {found} attribute columns, the model expects {expected}\n")
     assert not os.path.exists(o)
+
+
+@pytest.mark.parametrize("spread", ["0", "-1"])
+def test_gaussian_classes_with_a_spread_that_is_not_positive_exits_two(tmp_path, capsys, spread):
+    source = f"source = gaussian_classes\nn_features = 3\nn_classes = 2\nspread = {spread}"
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("source = blobs", source)
+                       .replace("spread = 1.0\n", ""))
+    out = str(tmp_path / "o")
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    assert "spread > 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("extent", ["x_min = nan", "y_max = nan", "x_max = inf", "y_min = -inf"])
+def test_demo_boundary_with_a_non_finite_extent_exits_two_before_training(tmp_path, capsys,
+                                                                          extent):
+    # this training run would diverge with exit 3; the bad extent must fail first
+    text = BASE_CONFIG.replace("lr = 0.4", "lr = 1e150") + f"\n[boundary]\n{extent}\n"
+    out = str(tmp_path / "demo")
+    assert main(["demo-boundary", "--config", write_config(tmp_path, text), "--out", out]) == 2
+    assert "error: grid extents must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_divergence_exits_three(tmp_path, capsys):

@@ -22,7 +22,7 @@ from ssse import (
     save_csv,
 )
 from ssse import data
-from ssse.data import RemovalSpec, SplitSet
+from ssse.data import RemovalSpec, SplitSet, draw_removed
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,16 @@ def test_make_gaussian_classes_covers_all_classes():
     ds = make_gaussian_classes(3, 4, n_features=6, n_classes=5)
     assert ds.n == 20 and ds.n_features == 6
     assert sorted(set(ds.labels.tolist())) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("generator", ["blobs", "gaussian_classes"])
+@pytest.mark.parametrize("spread", [0.0, -1.0])
+def test_class_generators_refuse_a_spread_that_is_not_positive(generator, spread):
+    with pytest.raises(InputError, match="spread > 0"):
+        if generator == "blobs":
+            make_blobs(1, 5, [(-2.0, 0.0), (2.0, 0.0)], spread)
+        else:
+            make_gaussian_classes(1, 5, n_features=3, n_classes=2, spread=spread)
 
 
 def test_make_attributes_respects_frequencies():
@@ -243,6 +253,27 @@ def test_build_splits_class_removal():
     assert again.removed == splits.removed
     other = build_splits(train, test, RemovalSpec(kind="class", index=2, fraction=0.3, seed=10))
     assert other.removed != splits.removed
+
+
+@pytest.mark.parametrize("kind, index, fraction", [("class", 2, 0.3), ("class", 1, 1.0),
+                                                    ("attribute", 2, 0.5)])
+def test_draw_removed_is_the_removed_split(kind, index, fraction):
+    if kind == "class":
+        train, test = _class_fixture()
+        matching = np.flatnonzero(train.labels == index)
+    else:
+        train = make_attributes(5, 120, n_features=4, n_attrs=3, frequencies=[0.5, 0.3, 0.2],
+                                id_prefix="tr")
+        test = make_attributes(6, 40, n_features=4, n_attrs=3, frequencies=[0.5, 0.3, 0.2],
+                               id_prefix="te")
+        matching = np.flatnonzero(train.labels[:, index - 1] == 1)
+    spec = RemovalSpec(kind=kind, index=index, fraction=fraction, seed=9)
+    removed = draw_removed(train, spec)
+    assert removed == build_splits(train, test, spec).removed
+    # the first ceil(fraction * m) of a seeded permutation of the m matching rows, in id order
+    k = math.ceil(fraction * matching.size)
+    chosen = {train.ids[i] for i in matching[np.random.default_rng(9).permutation(matching.size)[:k]]}
+    assert removed == tuple(s for s in train.ids if s in chosen)
 
 
 def test_build_splits_attribute_removal():

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import binary_dataset, confusion_matrix_oracle, multinomial_dataset, random_params
+from helpers import (
+    auc_per_attribute_oracle,
+    binary_dataset,
+    confusion_matrix_oracle,
+    multinomial_dataset,
+    random_params,
+    roc_auc_oracle,
+    similarity_ratio_oracle,
+)
 from ssse import (
     BlockSpec,
     Dataset,
@@ -36,6 +44,7 @@ from ssse import (
     sweep_report_text,
 )
 from ssse.data import RemovalSpec
+from ssse.evaluation import _aucs
 
 
 def pairwise_auc(scores, labels):
@@ -119,6 +128,54 @@ def test_roc_auc_matches_pairwise_loop(seed):
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
     assert roc_auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _auc_case(rng, case):
+    """An (n, a) score matrix and labels; ``case`` picks the score and label patterns."""
+    n, a = int(rng.integers(0, 80)), int(rng.integers(1, 9))
+    scores = (
+        rng.standard_normal((n, a)),
+        rng.integers(0, 4, (n, a)) / 4.0,  # quantized
+        np.full((n, a), 0.5),  # all tied
+        rng.choice([-0.0, 0.0, 1.0], (n, a)),  # signed zeros tie
+        np.round(rng.random((n, a)), 1),
+    )[case % 5]
+    labels = rng.integers(0, 2, (n, a)) if case % 3 else rng.integers(-1, 3, (n, a))
+    if case % 7 == 0:
+        labels[:, 0] = 1  # no negatives
+    if case % 11 == 0:
+        labels[:, -1] = 0  # no positives
+    return scores, labels
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_aucs_equals_the_oracle_column_by_column(seed):
+    rng = np.random.default_rng(seed)
+    for case in range(500):
+        scores, labels = _auc_case(rng, case)
+        want = [roc_auc_oracle(scores[:, j], labels[:, j]) for j in range(scores.shape[1])]
+        assert _hex(_aucs(scores, labels)) == _hex(want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_aucs_refuses_non_finite_scores(bad):
+    scores = np.array([[0.2, 0.1], [0.3, bad], [0.7, 0.5]])
+    with pytest.raises(InputError, match="finite"):
+        _aucs(scores, np.array([[1, 0], [0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("n, a", [(225, 8), (40, 3), (2, 1)])
+def test_auc_profile_and_gamma_equal_the_oracle(n, a):
+    shape = MultiAttrLinear(n_attrs=a, n_features=5)
+    ds = binary_dataset(n + a, n, 5, a)
+    hat, star, retrain = (random_params(shape, seed, scale=2.0) for seed in range(3))
+    assert _hex(auc_per_attribute(hat, ds)) == _hex(auc_per_attribute_oracle(hat, ds))
+    assert (similarity_ratio(hat, star, retrain, ds).hex()
+            == similarity_ratio_oracle(hat, star, retrain, ds).hex())
 
 
 # ---------------------------------------------------------------------------

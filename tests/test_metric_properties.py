@@ -8,13 +8,16 @@ without paying for elementwise draws.
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import auc_per_attribute_oracle, roc_auc_oracle, similarity_ratio_oracle
 from ssse import (
     Dataset,
     GridSpec,
     ModelParams,
     MultinomialLinear,
     accuracy,
+    auc_per_attribute,
     boundary_disagreement,
     confusion_distance,
     confusion_matrix,
@@ -24,6 +27,7 @@ from ssse import (
     roc_auc,
     similarity_ratio,
 )
+from ssse.evaluation import _aucs
 from ssse.models import MultiAttrLinear
 
 EXAMPLES = settings(max_examples=200, deadline=None)
@@ -38,6 +42,17 @@ def scores_and_labels(draw):
     if draw(st.booleans()):
         scores = np.round(scores, 1)  # provoke ties
     labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return scores, labels
+
+
+@st.composite
+def score_matrix_and_labels(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    a = draw(st.integers(min_value=1, max_value=6))
+    # a few shared values, signed zeros among them, provoke ties within a column
+    elements = st.one_of(finite_floats, st.sampled_from([-0.0, 0.0, 0.5, 1.0]))
+    scores = draw(arrays(np.float64, (n, a), elements=elements))
+    labels = draw(arrays(np.int64, (n, a), elements=st.integers(-1, 2)))
     return scores, labels
 
 
@@ -109,6 +124,24 @@ def test_auc_invariant_under_increasing_affine_maps(case, slope, shift):
     # structure, so only keep instances where the map preserved it
     assume(np.unique(mapped).size == np.unique(scores).size)
     assert roc_auc(mapped, labels) == roc_auc(scores, labels)
+
+
+@EXAMPLES
+@given(score_matrix_and_labels())
+def test_aucs_equal_the_oracle_bit_for_bit(case):
+    scores, labels = case
+    want = [roc_auc_oracle(scores[:, j], labels[:, j]).hex() for j in range(scores.shape[1])]
+    assert [v.hex() for v in _aucs(scores, labels).tolist()] == want
+
+
+@EXAMPLES
+@given(binary_instance())
+def test_auc_profile_and_gamma_equal_the_oracle(case):
+    ds, (hat, star, retrain) = case
+    got, want = auc_per_attribute(hat, ds), auc_per_attribute_oracle(hat, ds)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert (similarity_ratio(hat, star, retrain, ds).hex()
+            == similarity_ratio_oracle(hat, star, retrain, ds).hex())
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,26 @@ def test_lr_schedule_refuses_an_epoch_that_is_not_a_whole_number(epoch):
         TrainConfig(lr=0.1, epochs=5, batch_size=1, seed=0, lr_schedule=((epoch, 0.5),))
 
 
+@pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"), "3"])
+def test_train_config_refuses_a_count_that_is_not_a_whole_number(name, value):
+    settings = {"lr": 0.1, "epochs": 2, "batch_size": 4, "seed": 0, name: value}
+    with pytest.raises(InputError, match=f"{name} must be a whole number"):
+        TrainConfig(**settings)
+
+
+@pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
+def test_train_config_stores_whole_number_floats_as_ints(name):
+    shape = MultiAttrLinear(n_attrs=2, n_features=3)
+    ds = dataset_for_shape(shape, 1, 12)
+    settings = {"lr": 0.1, "epochs": 2, "batch_size": 4, "seed": 3}
+    cfg = TrainConfig(**{**settings, name: np.float64(settings[name])})
+    assert type(getattr(cfg, name)) is int and cfg == TrainConfig(**settings)
+    got, want = (train(ds, shape, LossConfig(), c).params.values
+                 for c in (cfg, TrainConfig(**settings)))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_lr_schedule_accepts_whole_number_floats_as_ints():
     cfg = TrainConfig(lr=0.1, epochs=50, batch_size=1, seed=0,
                       lr_schedule=((2.0, 0.5), (np.float64(40.0), 0.1)))
