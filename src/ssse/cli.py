@@ -50,6 +50,7 @@ from .models import (
     MultiAttrLinear,
     MultinomialLinear,
     Shape,
+    _seed,
     predict_labels,
 )
 from .training import TrainConfig, load_model, retrain_scratch, save_model, train
@@ -263,8 +264,9 @@ class Pipeline:
         shape = model_shape(cfg, train_ds, test_ds)
         loss_cfg = loss_config(cfg)
         tcfg = train_config(cfg)
+        spec = removal_spec(cfg)
         theta_star = train(train_ds, shape, loss_cfg, tcfg).params
-        splits = data_mod.build_splits(train_ds, test_ds, removal_spec(cfg))
+        splits = data_mod.build_splits(train_ds, test_ds, spec)
         with warnings.catch_warnings(record=True) as caught:
             # retrain_scratch warns when the removal empties a class or an
             # attribute, which a whole-target removal does on purpose
@@ -435,7 +437,8 @@ def cmd_compare_baselines(args) -> int:
     scrub = dict(
         epsilon=cfg.get("baselines", "scrub_epsilon", float, eps),
         noise_sigma=cfg.get("baselines", "scrub_noise_sigma", float, 0.0),
-        noise_seed=cfg.get("baselines", "scrub_noise_seed", int, 0),
+        noise_seed=_seed(cfg.get("baselines", "scrub_noise_seed", int, 0),
+                         "baselines.scrub_noise_seed"),
     )
     run = Pipeline.fit(cfg, *build_datasets(cfg))
     theta, train_ds, loss_cfg = run.theta_star, run.train_ds, run.loss_cfg

@@ -1,6 +1,7 @@
 """Dataset generators, CSV ingestion, and removal-split construction.
 
-Synthetic generators are pure functions of their seed. Sample ids are
+Synthetic generators are pure functions of their seed, a whole number
+>= 0 as ``numpy.random.default_rng`` takes it. Sample ids are
 zero-padded strings so lexicographic id order equals generation order;
 an optional prefix keeps id spaces disjoint when an experiment carries
 separate train and test datasets.
@@ -15,7 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericError
-from .models import Dataset, ModelParams, MultiAttrLinear, MultinomialLinear, predict_proba
+from .models import (
+    Dataset,
+    ModelParams,
+    MultiAttrLinear,
+    MultinomialLinear,
+    _seed,
+    predict_proba,
+)
 
 _MARGIN_RESIDUAL_TOL = 1e-9
 
@@ -42,7 +50,7 @@ def make_blobs(
     if n_per_class < 1 or spread <= 0:
         raise InputError("need n_per_class >= 1 and spread > 0")
     c = centers_arr.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     features = np.vstack(
         [centers_arr[k] + spread * rng.standard_normal((n_per_class, 2)) for k in range(c)]
     )
@@ -72,8 +80,9 @@ def make_gaussian_classes(
         raise InputError("need n_per_class >= 1, n_features >= 1, n_classes >= 2")
     if spread <= 0:
         raise InputError("need spread > 0")
-    rng = np.random.default_rng(seed)
-    center_rng = rng if center_seed is None else np.random.default_rng([center_seed, 1])
+    rng = np.random.default_rng(_seed(seed, "seed"))
+    center_rng = (rng if center_seed is None
+                  else np.random.default_rng([_seed(center_seed, "center_seed"), 1]))
     centers = center_scale * center_rng.standard_normal((n_classes, n_features))
     features = np.vstack(
         [centers[k] + spread * rng.standard_normal((n_per_class, n_features)) for k in range(n_classes)]
@@ -115,9 +124,10 @@ def make_attributes(
         raise InputError("frequencies must hold n_attrs values strictly inside (0, 1)")
     if not 0 <= overlap < 1:
         raise InputError("overlap must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     features = rng.standard_normal((n, n_features))
-    dir_rng = rng if direction_seed is None else np.random.default_rng([direction_seed, 1])
+    dir_rng = (rng if direction_seed is None
+               else np.random.default_rng([_seed(direction_seed, "direction_seed"), 1]))
     shared = dir_rng.standard_normal(n_features)
     shared /= np.linalg.norm(shared)
     labels = np.zeros((n, n_attrs), dtype=np.uint8)
@@ -177,7 +187,7 @@ def make_separable_subspace(
         raise InputError("need c >= 2, m > c, n_per_class >= 1")
     if eps_margin <= 0 or 1.0 - (c - 1) * eps_margin <= 0:
         raise InputError("eps_margin must satisfy 0 < eps and 1 - (c-1) eps > 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     theta = _rank_c_matrix(rng, c, m)
     _, _, vt = np.linalg.svd(theta, full_matrices=True)
     null_basis = vt[c:].T
@@ -226,7 +236,7 @@ def make_parallel_planes_binary(
         raise InputError("need m >= 2 and n_per_class >= 1")
     if not 0 < eps_margin < 0.5:
         raise InputError("eps_margin must lie in (0, 0.5)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed, "seed"))
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
     logit = math.log((1.0 - eps_margin) / eps_margin)
@@ -350,7 +360,8 @@ class RemovalSpec:
     """What to erase: a class or an attribute, a fraction, and a sampling seed.
 
     ``index`` is 1-based for both kinds: class labels are 1..c and
-    attribute heads are numbered 1..n_attrs.
+    attribute heads are numbered 1..n_attrs. ``seed`` is a whole number
+    >= 0, stored as an int.
     """
 
     kind: str
@@ -365,6 +376,7 @@ class RemovalSpec:
             raise InputError("removal index is 1-based and must be >= 1")
         if not 0 < self.fraction <= 1:
             raise InputError("removal fraction must lie in (0, 1]")
+        object.__setattr__(self, "seed", _seed(self.seed, "removal seed"))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .models import (
     ModelParams,
     _check_id_collection,
     _grad_sums,
+    _seed,
     _targets,
     grad_sum,  # unused here; the benchmark's traced runs wrap this name
     hessian_dense,
@@ -64,7 +65,8 @@ class ErasureRequest:
     feed the update: the removed samples themselves (default) or the
     negated gradient sum of the retained samples, which agrees with the
     default at an exact optimum where all per-sample gradients cancel.
-    ``noise_sigma`` and ``noise_seed`` are read by the diagonal scrub only.
+    ``noise_sigma`` and ``noise_seed`` are read by the diagonal scrub only;
+    ``noise_seed`` is a whole number >= 0, stored as an int.
     """
 
     removed_ids: tuple[str, ...]
@@ -85,6 +87,7 @@ class ErasureRequest:
             raise InputError("epsilon must be finite and >= 0")
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise InputError("noise_sigma must be finite and >= 0")
+        object.__setattr__(self, "noise_seed", _seed(self.noise_seed, "noise_seed"))
         if self.grad_source not in _GRAD_SOURCES:
             raise InputError(f"unknown grad_source: {self.grad_source!r}")
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
@@ -33,6 +35,36 @@ PROB_FLOOR = 1e-12
 
 # Dense Hessians above this parameter count are refused.
 DENSE_HESSIAN_CAP = 4096
+
+# The rounding margin and floor of _grad_sums's norm_above early exit.
+_NORM_MARGIN = 1.0 + 1e-6
+_NORM_FLOOR = 1e-150
+
+
+def _whole(value, refusal: str) -> int:
+    """``value`` as an int: an integer, or a float with no fraction (40.0 counts as 40).
+
+    Anything else, 2.7, NaN and the infinities among it, raises
+    InputError(``refusal``, then the value).
+    """
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{refusal}, got {value}") from None
+
+
+def _seed(value, name: str) -> int:
+    """``value`` as a seed for ``np.random.default_rng``: a whole number >= 0.
+
+    Anything else raises InputError naming ``name``.
+    """
+    refusal = f"{name} must be a whole number >= 0"
+    seed = _whole(value, refusal)
+    if seed < 0:
+        raise InputError(f"{refusal}, got {value}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +611,8 @@ def _grad_sums(
     size: int | None = None,
     forward=None,
     out: np.ndarray | None = None,
-) -> np.ndarray:
+    norm_above: float | None = None,
+) -> np.ndarray | None:
     """Regularized gradient sums of consecutive groups of ``size`` rows, one row per group.
 
     The last group may be short; ``size=None`` is one group of all rows
@@ -588,6 +621,21 @@ def _grad_sums(
     product delta^T x per layer, and one more for a short last group.
     ``out`` is a C-contiguous float64 (groups, n_params) array to write.
     A ``forward`` passed in is consumed, as in :func:`_backward`.
+
+    ``norm_above``, given with ``size=None`` on n > 0 rows, ends the pass
+    as soon as one layer block shows that the mean gradient's norm,
+    ``np.linalg.norm(out[0] / n)``, exceeds it: after every block but the
+    last one computed (layers run last first), the block's own norm,
+    divided by n, is compared with ``max(norm_above, 1e-150) * (1 + 1e-6)``,
+    and above it the remaining layers are skipped and None is returned.
+    The block's entries, its share of the L2 term included (added layer
+    by layer, elementwise), are the same floats as in the full vector, and
+    both norms are the square root of a dot product over them, each with
+    relative error below about n_params * 2^-53 (4e-13 at 3840 entries).
+    So for fewer than about 1e9 parameters the 1e-6 margin covers the
+    rounding of both, and the full norm computed from ``out`` would exceed
+    ``norm_above``. The floor keeps the squares clear of subnormals, where
+    that relative bound does not hold.
     """
     n = features.shape[0]
     full = 0 if size is None else n // size
@@ -595,22 +643,28 @@ def _grad_sums(
     groups = full + (size is None or cut < n)
     if out is None:
         out = np.empty((groups, shape.n_params), dtype=np.float64)
+    if norm_above is not None:
+        bound = max(norm_above, _NORM_FLOOR) * _NORM_MARGIN
     for start, stop, delta, x in _backward(shape, values, features, targets, forward):
         r, c = delta.shape[1], x.shape[1]
         sums = out[:, start:stop].reshape(groups, r, c)
         if size == 1:
             np.einsum("nr,nc->nrc", delta, x, out=sums)
-            continue
-        if full:
-            np.matmul(delta[:cut].reshape(full, size, r).transpose(0, 2, 1),
-                      x[:cut].reshape(full, size, c), out=sums[:full])
-        if groups > full:
-            np.matmul(delta[cut:].T, x[cut:], out=sums[full])
-    if l2_coeff:
-        if full:
-            out[:full] += (size * l2_coeff) * values
-        if groups > full:
-            out[full] += ((n - cut) * l2_coeff) * values
+        else:
+            if full:
+                np.matmul(delta[:cut].reshape(full, size, r).transpose(0, 2, 1),
+                          x[:cut].reshape(full, size, c), out=sums[:full])
+            if groups > full:
+                np.matmul(delta[cut:].T, x[cut:], out=sums[full])
+        if l2_coeff:
+            if full:
+                out[:full, start:stop] += (size * l2_coeff) * values[start:stop]
+            if groups > full:
+                out[full, start:stop] += ((n - cut) * l2_coeff) * values[start:stop]
+        if norm_above is not None and start:
+            mean = out[0, start:stop] / n
+            if math.sqrt(mean @ mean) > bound:
+                return None
     return out
 
 

@@ -11,7 +11,6 @@ vector because initialization depends only on the seed and the shape.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +29,7 @@ from .models import (
     _grad_sums,
     _loss_from_proba,
     _targets,
+    _whole,
     # unused here; the benchmark's traced runs patch these three in training
     grad_matrix,
     grad_mean,
@@ -38,20 +38,6 @@ from .models import (
     shape_from_kind_code,
     shape_kind_code,
 )
-
-
-def _whole(value, refusal: str) -> int:
-    """``value`` as an int: an integer, or a float with no fraction (40.0 counts as 40).
-
-    Anything else, 2.7, NaN and the infinities among it, raises
-    InputError(``refusal``, then the value).
-    """
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{refusal}, got {value}") from None
 
 
 @dataclass(frozen=True)
@@ -64,7 +50,11 @@ class TrainConfig:
     epochs; the learning rate is multiplied by the factor at the start
     of the named epoch. ``grad_tol`` > 0 stops training after any epoch
     whose full-gradient norm falls to or below it; 0 disables early
-    stopping.
+    stopping. Each epoch's gradient is computed layer by layer, last layer
+    first, only until one layer's block rules out a stop (its own norm is
+    already above ``grad_tol``); with ``grad_tol`` = 0 only the last epoch
+    computes one. ``final_grad_norm`` is always the exact full norm at the
+    last epoch run.
 
     Full-batch runs (batch_size >= n, momentum 0) decrease the loss every
     epoch when the learning rate is below the curvature bound of the
@@ -164,29 +154,38 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
         rows = np.fromiter(order, dtype=np.intp, count=dataset.n)
         epoch_features = np.take(dataset.features, rows, axis=0)
         epoch_targets = np.take(targets, rows, axis=0)
-        for lo in range(0, dataset.n, cfg.batch_size):
-            hi = min(lo + cfg.batch_size, dataset.n)
-            g = _grad_sums(shape, theta, epoch_features[lo:hi], epoch_targets[lo:hi],
-                           loss_cfg.l2_coeff)[0]
-            g /= hi - lo
-            # overflow here is reported through TrainingError, not a warning
-            with np.errstate(over="ignore", invalid="ignore"):
+        # overflow here is reported through TrainingError, not a warning: a
+        # non-finite entry of theta stays non-finite through every later step
+        # (m * inf and inf - inf are NaN), so one check after the epoch names
+        # the epoch of the first non-finite step. Nothing in a step divides by
+        # zero: softmax and sigmoid denominators are >= 1 or NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, dataset.n, cfg.batch_size):
+                hi = min(lo + cfg.batch_size, dataset.n)
+                g = _grad_sums(shape, theta, epoch_features[lo:hi], epoch_targets[lo:hi],
+                               loss_cfg.l2_coeff)[0]
+                g /= hi - lo
                 velocity *= cfg.momentum
                 velocity += g
                 np.multiply(velocity, lr, out=step)
                 np.subtract(theta, step, out=theta)
-            if not np.isfinite(theta).all():
-                raise TrainingError(
-                    f"training diverged at epoch {epoch}: non-finite parameters"
-                )
+        if not np.isfinite(theta).all():
+            raise TrainingError(f"training diverged at epoch {epoch}: non-finite parameters")
 
         epochs_run = epoch
         # One full-data forward pass gives the epoch's loss and its gradient.
         forward, value = _epoch_loss(shape, theta, dataset, loss_cfg, epoch)
         history.append(value)
+        last = epoch == cfg.epochs
+        if not (cfg.grad_tol or last):
+            continue
+        # Before the last epoch the gradient is built layer by layer only
+        # until one block proves its norm is above grad_tol.
         total = _grad_sums(shape, theta, dataset.features, targets, loss_cfg.l2_coeff,
-                           forward=forward)[0]
-        grad_norm = float(np.linalg.norm(total / dataset.n))
+                           forward=forward, norm_above=None if last else cfg.grad_tol)
+        if total is None:
+            continue
+        grad_norm = float(np.linalg.norm(total[0] / dataset.n))
         if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
             break
 

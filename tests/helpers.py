@@ -198,12 +198,22 @@ def binary_loss_oracle(p, labels, values, cfg):
     return float(nll.mean() + 0.5 * cfg.l2_coeff * float(values @ values))
 
 
+class OracleDiverged(Exception):
+    """:func:`train_oracle`'s per-step check found non-finite parameters in ``epoch``."""
+
+    def __init__(self, epoch):
+        super().__init__(f"non-finite parameters after a step of epoch {epoch}")
+        self.epoch = epoch
+
+
 def train_oracle(dataset, shape, loss_cfg, cfg):
     """``train`` written plainly: two fancy-index gathers per batch, out-of-place momentum.
 
     The draws come from :class:`ScalarSplitMix64` and each epoch's loss and
-    gradient norm from the public ``loss`` and ``grad_mean``. Returns
-    ``(theta, loss_history, final_grad_norm, epochs_run)``.
+    full gradient norm from the public ``loss`` and ``grad_mean``. Returns
+    ``(theta, loss_history, final_grad_norm, epochs_run)``; every step is
+    checked, and the first that leaves non-finite parameters raises
+    :class:`OracleDiverged`.
     """
     stream = ScalarSplitMix64(cfg.seed)
     bound = 1.0 / np.sqrt(shape.n_features)
@@ -227,7 +237,8 @@ def train_oracle(dataset, shape, loss_cfg, cfg):
             g /= rows.shape[0]
             velocity = cfg.momentum * velocity + g
             theta = theta - lr * velocity
-            assert np.all(np.isfinite(theta))
+            if not np.all(np.isfinite(theta)):
+                raise OracleDiverged(epoch)
         epochs_run = epoch
         params = ModelParams(values=theta, shape=shape, seed=cfg.seed)
         history.append(loss(params, dataset, loss_cfg))

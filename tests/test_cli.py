@@ -418,6 +418,28 @@ def test_malformed_value_exits_two_naming_the_key(tmp_path, capsys, command, old
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, old, new, named",
+    [
+        ("train", "seed = 7", "seed = -7", "seed"),
+        ("train", "test_seed = 8", "test_seed = -7", "seed"),
+        ("sweep", "seed = 11", "seed = -1", "removal seed"),
+        ("compare-baselines", "ga_lr = 0.05",
+         "ga_lr = 0.05\nscrub_noise_sigma = 0.1\nscrub_noise_seed = -1",
+         "baselines.scrub_noise_seed"),
+    ],
+    ids=["data", "test", "removal", "scrub-noise"],
+)
+def test_negative_seed_exits_two_before_training(tmp_path, capsys, command, old, new, named):
+    # this training run would diverge with exit 3; the bad seed must fail first
+    text = BASE_CONFIG.replace("lr = 0.4", "lr = 1e150").replace(old, new)
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_config(tmp_path, text), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named} must be a whole number >= 0, got -" in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
 @pytest.mark.parametrize("schedule", ["nan:0.5", "inf:0.5", "2.7:0.5"])
 def test_lr_schedule_epoch_that_is_not_a_whole_number_exits_two(tmp_path, capsys, schedule):
     out = str(tmp_path / "o")

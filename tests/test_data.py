@@ -149,6 +149,32 @@ def test_make_parallel_planes_binary_margin():
     np.testing.assert_allclose(np.abs(p - y), eps, atol=1e-10)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, float("inf")])
+@pytest.mark.parametrize("draw, name", [
+    (lambda s: make_blobs(s, 3, [(0.0, 0.0), (1.0, 1.0)], 1.0), "seed"),
+    (lambda s: make_gaussian_classes(s, 3, 2, 2), "seed"),
+    (lambda s: make_gaussian_classes(1, 3, 2, 2, center_seed=s), "center_seed"),
+    (lambda s: make_attributes(s, 10, 3, 1, [0.5]), "seed"),
+    (lambda s: make_attributes(1, 10, 3, 1, [0.5], direction_seed=s), "direction_seed"),
+    (lambda s: make_separable_subspace(2, 3, 0.1, 2, s), "seed"),
+    (lambda s: make_parallel_planes_binary(3, 0.1, 2, s), "seed"),
+    (lambda s: RemovalSpec(kind="class", index=1, fraction=0.5, seed=s), "removal seed"),
+], ids=["blobs", "gaussian", "center", "attributes", "direction", "subspace", "planes",
+        "removal"])
+def test_seeds_are_whole_numbers_from_zero(draw, name, seed):
+    with pytest.raises(InputError, match=f"^{name} must be a whole number >= 0, got {seed}$"):
+        draw(seed)
+
+
+def test_a_whole_number_float_seed_draws_as_its_int():
+    a = make_gaussian_classes(4.0, 3, 2, 2, center_seed=np.float64(5))
+    b = make_gaussian_classes(4, 3, 2, 2, center_seed=5)
+    assert a.features.tobytes() == b.features.tobytes()
+    spec = RemovalSpec(kind="class", index=1, fraction=0.5, seed=9.0)
+    assert type(spec.seed) is int and spec == RemovalSpec(kind="class", index=1, fraction=0.5,
+                                                          seed=9)
+
+
 def test_generator_input_validation():
     with pytest.raises(InputError):
         make_blobs(1, 0, [(0.0, 0.0)], 1.0)

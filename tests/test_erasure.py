@@ -388,6 +388,17 @@ def test_request_validation():
         ErasureRequest(removed_ids=("a",), grad_source="elsewhere")
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "3"])
+def test_request_refuses_a_noise_seed_that_is_not_a_whole_number_from_zero(seed):
+    with pytest.raises(InputError, match="noise_seed must be a whole number >= 0"):
+        ErasureRequest(removed_ids=("a",), noise_seed=seed)
+
+
+def test_request_stores_a_whole_number_noise_seed_as_an_int():
+    req = ErasureRequest(removed_ids=("a",), noise_seed=np.float64(3.0))
+    assert type(req.noise_seed) is int and req == ErasureRequest(removed_ids=("a",), noise_seed=3)
+
+
 # ---------------------------------------------------------------------------
 # Influence baselines
 # ---------------------------------------------------------------------------

@@ -185,6 +185,29 @@ def test_forward_and_backward_are_bit_identical_to_the_out_of_place_oracle(shape
         assert got.shape == want_shape and not got.any()
 
 
+@pytest.mark.parametrize("family", ["mlp", "multinomial", "multi_attr"])
+def test_grad_sums_norm_above_ends_the_pass_only_when_a_block_proves_the_norm_exceeds_it(family):
+    shape = {"mlp": MLP(n_features=5, n_hidden=4, n_classes=3),
+             "multinomial": MultinomialLinear(n_classes=3, n_features=5),
+             "multi_attr": MultiAttrLinear(n_attrs=3, n_features=5)}[family]
+    ds = dataset_for_shape(shape, 5, n=40)
+    values = random_params(shape, 6).values
+    targets = _targets(shape, ds.labels)
+    full = _grad_sums(shape, values, ds.features, targets, 0.05)
+    rows, cols = shape.layers[-1]
+    head = full[0, shape.n_params - rows * cols:] / ds.n
+    h, f = np.linalg.norm(head), np.linalg.norm(full[0] / ds.n)
+    # the margin is 1e-6: a head norm 2e-6 above a bound ends the pass, 5e-7 above does not
+    for above in (0.0, h / 2, h / (1 + 2e-6), h / (1 + 5e-7), h, (h + f) / 2, f, 2 * f):
+        got = _grad_sums(shape, values, ds.features, targets, 0.05, norm_above=above)
+        if len(shape.layers) > 1 and above < h / (1 + 1e-6):
+            assert got is None and f > above
+        else:
+            assert got.tobytes() == full.tobytes()
+    if len(shape.layers) > 1:
+        assert h < f
+
+
 def test_mlp_gradient_sum_from_a_forward_pass_allocates_one_hidden_sized_array():
     shape = MLP(n_features=50, n_hidden=64, n_classes=10)
     n = 2000

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    OracleDiverged,
     ScalarSplitMix64,
     dataset_for_shape,
     multinomial_dataset,
@@ -20,6 +21,7 @@ from ssse import (
     InputError,
     LossConfig,
     MLP,
+    ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
     TrainConfig,
@@ -29,10 +31,12 @@ from ssse import (
     load_model,
     loss,
     make_blobs,
+    make_gaussian_classes,
     retrain_scratch,
     save_model,
     train,
 )
+from ssse import models
 from ssse._splitmix import SplitMix64
 
 TWO_BLOBS = [(-2.0, 0.0), (2.0, 0.0)]
@@ -152,6 +156,25 @@ def test_lr_schedule_factor_at_epoch_one_equals_smaller_lr():
     np.testing.assert_array_equal(a.params.values, b.params.values)
 
 
+@pytest.mark.parametrize("family", ["multi_attr", "multinomial", "mlp"])
+def test_divergence_names_the_epoch_of_the_first_non_finite_step(family):
+    shape = LOOP_FAMILIES[family](4)
+    ds = dataset_for_shape(shape, 4, 23)
+    loss_cfg = LossConfig(l2_coeff=0.1)
+    # a sane rate for two epochs, then one that overflows within the third
+    cfg = TrainConfig(lr=0.1, epochs=6, batch_size=5, seed=3, momentum=0.9,
+                      lr_schedule=((3, 1e150),))
+    with np.errstate(all="ignore"), pytest.raises(OracleDiverged) as oracle:
+        train_oracle(ds, shape, loss_cfg, cfg)
+    assert oracle.value.epoch == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingError) as err:
+            train(ds, shape, loss_cfg, cfg)
+    assert str(err.value) == "training diverged at epoch 3: non-finite parameters"
+    assert caught == []
+
+
 def test_divergence_raises_training_error_naming_epoch():
     ds = blob_data()
     shape = MultinomialLinear(n_classes=2, n_features=2)
@@ -197,6 +220,16 @@ LOOP_CASES = {
 }
 
 
+def assert_train_equals_oracle(ds, shape, loss_cfg, cfg):
+    result = train(ds, shape, loss_cfg, cfg)
+    theta, history, grad_norm, epochs_run = train_oracle(ds, shape, loss_cfg, cfg)
+    assert result.params.values.tobytes() == theta.tobytes()
+    assert np.array(result.loss_history).tobytes() == np.array(history).tobytes()
+    assert np.float64(result.final_grad_norm).tobytes() == np.float64(grad_norm).tobytes()
+    assert result.epochs_run == epochs_run
+    return result
+
+
 @pytest.mark.parametrize("case", LOOP_CASES)
 @pytest.mark.parametrize("family", LOOP_FAMILIES)
 def test_train_equals_the_plain_loop_byte_for_byte(family, case):
@@ -205,14 +238,79 @@ def test_train_equals_the_plain_loop_byte_for_byte(family, case):
     ds = dataset_for_shape(shape, 4, n)
     loss_cfg = LossConfig(l2_coeff=0.05)
     cfg = TrainConfig(**{"lr": 0.3, "epochs": 8, "seed": 3, "grad_tol": 0.0, **settings})
-    result = train(ds, shape, loss_cfg, cfg)
-    theta, history, grad_norm, epochs_run = train_oracle(ds, shape, loss_cfg, cfg)
-    assert result.params.values.tobytes() == theta.tobytes()
-    assert np.array(result.loss_history).tobytes() == np.array(history).tobytes()
-    assert np.float64(result.final_grad_norm).tobytes() == np.float64(grad_norm).tobytes()
-    assert result.epochs_run == epochs_run
+    result = assert_train_equals_oracle(ds, shape, loss_cfg, cfg)
     if case == "grad-tol-stop":
-        assert epochs_run < cfg.epochs
+        assert result.epochs_run < cfg.epochs
+
+
+MLP_TOL_SHAPE = MLP(n_features=4, n_hidden=3, n_classes=3)
+MLP_TOL_SETTINGS = dict(lr=0.3, batch_size=8, seed=3, momentum=0.5)
+
+
+def mlp_oracle_epochs(epochs):
+    """Per epoch k = 1..epochs, the plain loop's theta after k epochs and its full gradient norm."""
+    ds = dataset_for_shape(MLP_TOL_SHAPE, 4, 30)
+    out = []
+    for k in range(1, epochs + 1):
+        cfg = TrainConfig(epochs=k, grad_tol=0.0, **MLP_TOL_SETTINGS)
+        theta, _, grad_norm, _ = train_oracle(ds, MLP_TOL_SHAPE, LossConfig(0.05), cfg)
+        out.append((theta, grad_norm))
+    return ds, out
+
+
+def test_mlp_grad_tol_equal_to_an_epochs_norm_stops_at_that_epoch():
+    ds, epochs = mlp_oracle_epochs(12)
+    norms = [grad_norm for _, grad_norm in epochs]
+    k = int(np.argmin(norms)) + 1
+    assert k > 1
+    cfg = TrainConfig(epochs=20, grad_tol=norms[k - 1], **MLP_TOL_SETTINGS)
+    result = assert_train_equals_oracle(ds, MLP_TOL_SHAPE, LossConfig(0.05), cfg)
+    assert result.epochs_run == k and result.final_grad_norm == cfg.grad_tol
+
+
+def test_mlp_grad_tol_between_the_head_and_the_full_norm_changes_nothing():
+    ds, epochs = mlp_oracle_epochs(12)
+    norms = [grad_norm for _, grad_norm in epochs]
+    k = int(np.argmin(norms)) + 1
+    rows, cols = MLP_TOL_SHAPE.layers[-1]
+    params = ModelParams(values=epochs[k - 1][0], shape=MLP_TOL_SHAPE, seed=3)
+    head = grad_mean(params, ds, LossConfig(0.05))[MLP_TOL_SHAPE.n_params - rows * cols:]
+    head_norm = float(np.linalg.norm(head))
+    # the head block alone cannot rule out a stop, the full norm never meets the bound
+    grad_tol = (head_norm + norms[k - 1]) / 2
+    assert head_norm * (1 + 1e-6) < grad_tol < min(norms)
+    cfg = TrainConfig(epochs=12, grad_tol=grad_tol, **MLP_TOL_SETTINGS)
+    result = assert_train_equals_oracle(ds, MLP_TOL_SHAPE, LossConfig(0.05), cfg)
+    assert result.epochs_run == 12
+
+
+@pytest.mark.parametrize("grad_tol", [1e-7, 0.0])
+def test_epoch_gradient_reaches_the_first_layer_on_the_last_epoch_only(monkeypatch, grad_tol):
+    # the 50-64-10 MLP of the benchmark workload, on fewer epochs
+    ds = make_gaussian_classes(31, 200, 50, 10, spread=2.0, center_seed=31)
+    shape = MLP(n_features=50, n_hidden=64, n_classes=10)
+    cfg = TrainConfig(lr=0.1, epochs=6, batch_size=100, seed=5, momentum=0.9, grad_tol=grad_tol)
+    calls = []
+    real = models._backward
+
+    def spy(shape, values, features, targets, forward=None):
+        starts = []
+        calls.append((forward is not None, starts))
+        for item in real(shape, values, features, targets, forward):
+            starts.append(item[0])
+            yield item
+
+    monkeypatch.setattr(models, "_backward", spy)
+    result = train(ds, shape, LossConfig(0.01), cfg)
+    monkeypatch.undo()
+    head_start = shape.n_params - 10 * 64
+    steps = [starts for epoch_end, starts in calls if not epoch_end]
+    ends = [starts for epoch_end, starts in calls if epoch_end]
+    assert len(steps) == cfg.epochs * 20 and all(s == [head_start, 0] for s in steps)
+    assert ends == [[head_start]] * (cfg.epochs - 1) * (grad_tol > 0) + [[head_start, 0]]
+    assert result.epochs_run == cfg.epochs
+    assert result.final_grad_norm == float(np.linalg.norm(
+        grad_mean(result.params, ds, LossConfig(0.01))))
 
 
 def test_train_config_validation():
