@@ -50,7 +50,7 @@ from .models import (
     MultiAttrLinear,
     MultinomialLinear,
     Shape,
-    _seed,
+    _whole,
     predict_labels,
 )
 from .training import TrainConfig, load_model, retrain_scratch, save_model, train
@@ -225,7 +225,7 @@ def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int]:
     dampening = cfg.get("fisher", "dampening", float, loss_cfg.l2_coeff)
     if dampening <= 0:
         raise InputError("fisher.dampening must be > 0 (set it explicitly when l2_coeff is 0)")
-    return dampening, cfg.get("fisher", "batch_size", int, 1)
+    return dampening, _whole(cfg.get("fisher", "batch_size", int, 1), "fisher.batch_size", 1)
 
 
 def _removed_only(text: str) -> str:
@@ -265,6 +265,7 @@ class Pipeline:
         loss_cfg = loss_config(cfg)
         tcfg = train_config(cfg)
         spec = removal_spec(cfg)
+        dampening, batch_size = fisher_settings(cfg, loss_cfg)
         theta_star = train(train_ds, shape, loss_cfg, tcfg).params
         splits = data_mod.build_splits(train_ds, test_ds, spec)
         with warnings.catch_warnings(record=True) as caught:
@@ -274,7 +275,6 @@ class Pipeline:
             retrain = retrain_scratch(train_ds, splits.removed, shape, loss_cfg, tcfg).params
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        dampening, batch_size = fisher_settings(cfg, loss_cfg)
         finv = build_inverse_fisher(theta_star, train_ds, loss_cfg, dampening,
                                     batch_size=batch_size)
         return Pipeline(train_ds, test_ds, loss_cfg, theta_star, retrain, splits, finv)
@@ -437,8 +437,8 @@ def cmd_compare_baselines(args) -> int:
     scrub = dict(
         epsilon=cfg.get("baselines", "scrub_epsilon", float, eps),
         noise_sigma=cfg.get("baselines", "scrub_noise_sigma", float, 0.0),
-        noise_seed=_seed(cfg.get("baselines", "scrub_noise_seed", int, 0),
-                         "baselines.scrub_noise_seed"),
+        noise_seed=_whole(cfg.get("baselines", "scrub_noise_seed", int, 0),
+                          "baselines.scrub_noise_seed", 0),
     )
     run = Pipeline.fit(cfg, *build_datasets(cfg))
     theta, train_ds, loss_cfg = run.theta_star, run.train_ds, run.loss_cfg
@@ -455,20 +455,14 @@ def cmd_compare_baselines(args) -> int:
         "diag_scrub": diag_scrub_update(theta, diag_finv, train_ds, scrub_req, loss_cfg),
     }
 
-    split_data = eval_mod.SplitData.from_splits(train_ds, run.test_ds, run.splits)
-    split_sets = {
-        "lko_train": split_data.lko_train,
-        "removed": split_data.removed,
-        "lko_test": split_data.lko_test,
-        "removed_test": split_data.removed_test,
-    }
-    ref = [eval_mod.accuracy(run.retrain, ds) for ds in split_sets.values()]
+    split_sets = vars(eval_mod.SplitData.from_splits(train_ds, run.test_ds, run.splits))
+    accs = {method: [eval_mod.accuracy(params, ds) for ds in split_sets.values()]
+            for method, params in rows.items()}
     header = ["method", *(f"acc_{s}" for s in split_sets), *(f"d_{s}" for s in split_sets)]
     lines = [",".join(header)]
-    for method, params in rows.items():
-        accs = [eval_mod.accuracy(params, ds) for ds in split_sets.values()]
-        deltas = [abs(a - r) for a, r in zip(accs, ref)]
-        lines.append(",".join([method] + [repr(v) for v in accs + deltas]))
+    for method, row in accs.items():
+        deltas = [abs(a - r) for a, r in zip(row, accs["retrain"])]
+        lines.append(",".join([method] + [repr(v) for v in row + deltas]))
     _write_text(args.out, "baselines.csv", "\n".join(lines) + "\n")
     text = ["# baseline comparison (accuracy deltas vs retrain)"]
     text += [line.replace(",", "  ") for line in lines]

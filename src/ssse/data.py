@@ -21,7 +21,7 @@ from .models import (
     ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
-    _seed,
+    _whole,
     predict_proba,
 )
 
@@ -29,7 +29,7 @@ _MARGIN_RESIDUAL_TOL = 1e-9
 
 
 def make_ids(n: int, prefix: str = "") -> tuple[str, ...]:
-    return tuple(f"{prefix}{i:06d}" for i in range(n))
+    return tuple(f"{prefix}{i:06d}" for i in range(_whole(n, "n", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +47,11 @@ def make_blobs(
     centers_arr = np.asarray(centers, dtype=np.float64)
     if centers_arr.ndim != 2 or centers_arr.shape[1] != 2:
         raise InputError("centers must be a sequence of 2-d points")
-    if n_per_class < 1 or spread <= 0:
-        raise InputError("need n_per_class >= 1 and spread > 0")
+    n_per_class = _whole(n_per_class, "n_per_class", 1)
+    if spread <= 0:
+        raise InputError("need spread > 0")
     c = centers_arr.shape[0]
-    rng = np.random.default_rng(_seed(seed, "seed"))
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     features = np.vstack(
         [centers_arr[k] + spread * rng.standard_normal((n_per_class, 2)) for k in range(c)]
     )
@@ -76,13 +77,14 @@ def make_gaussian_classes(
     single-stream draw where ``seed`` controls both. The center stream is
     keyed so it never replays the noise stream even when the seeds match.
     """
-    if n_per_class < 1 or n_features < 1 or n_classes < 2:
-        raise InputError("need n_per_class >= 1, n_features >= 1, n_classes >= 2")
+    n_per_class = _whole(n_per_class, "n_per_class", 1)
+    n_features = _whole(n_features, "n_features", 1)
+    n_classes = _whole(n_classes, "n_classes", 2)
     if spread <= 0:
         raise InputError("need spread > 0")
-    rng = np.random.default_rng(_seed(seed, "seed"))
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     center_rng = (rng if center_seed is None
-                  else np.random.default_rng([_seed(center_seed, "center_seed"), 1]))
+                  else np.random.default_rng([_whole(center_seed, "center_seed", 0), 1]))
     centers = center_scale * center_rng.standard_normal((n_classes, n_features))
     features = np.vstack(
         [centers[k] + spread * rng.standard_normal((n_per_class, n_features)) for k in range(n_classes)]
@@ -117,17 +119,18 @@ def make_attributes(
     still each sample's own quantiles). The direction stream is keyed so it
     never replays the feature stream even when the seeds match.
     """
-    if n < 2 or n_features < 1 or n_attrs < 1:
-        raise InputError("need n >= 2, n_features >= 1, n_attrs >= 1")
+    n = _whole(n, "n", 2)
+    n_features = _whole(n_features, "n_features", 1)
+    n_attrs = _whole(n_attrs, "n_attrs", 1)
     freqs = np.asarray(frequencies, dtype=np.float64)
     if freqs.shape != (n_attrs,) or np.any(freqs <= 0) or np.any(freqs >= 1):
         raise InputError("frequencies must hold n_attrs values strictly inside (0, 1)")
     if not 0 <= overlap < 1:
         raise InputError("overlap must lie in [0, 1)")
-    rng = np.random.default_rng(_seed(seed, "seed"))
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     features = rng.standard_normal((n, n_features))
     dir_rng = (rng if direction_seed is None
-               else np.random.default_rng([_seed(direction_seed, "direction_seed"), 1]))
+               else np.random.default_rng([_whole(direction_seed, "direction_seed", 0), 1]))
     shared = dir_rng.standard_normal(n_features)
     shared /= np.linalg.norm(shared)
     labels = np.zeros((n, n_attrs), dtype=np.uint8)
@@ -183,11 +186,14 @@ def make_separable_subspace(
     within a class therefore varies only along the (m - c)-dimensional
     null space of theta.
     """
-    if c < 2 or m <= c or n_per_class < 1:
-        raise InputError("need c >= 2, m > c, n_per_class >= 1")
+    c = _whole(c, "c", 2)
+    m = _whole(m, "m")
+    n_per_class = _whole(n_per_class, "n_per_class", 1)
+    if m <= c:
+        raise InputError(f"need m > c, got m = {m} and c = {c}")
     if eps_margin <= 0 or 1.0 - (c - 1) * eps_margin <= 0:
         raise InputError("eps_margin must satisfy 0 < eps and 1 - (c-1) eps > 0")
-    rng = np.random.default_rng(_seed(seed, "seed"))
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     theta = _rank_c_matrix(rng, c, m)
     _, _, vt = np.linalg.svd(theta, full_matrices=True)
     null_basis = vt[c:].T
@@ -232,11 +238,11 @@ def make_parallel_planes_binary(
     the logit equals +/- log((1 - eps) / eps), varying freely along the
     (m - 1)-dimensional orthogonal complement of the weight vector.
     """
-    if m < 2 or n_per_class < 1:
-        raise InputError("need m >= 2 and n_per_class >= 1")
+    m = _whole(m, "m", 2)
+    n_per_class = _whole(n_per_class, "n_per_class", 1)
     if not 0 < eps_margin < 0.5:
         raise InputError("eps_margin must lie in (0, 0.5)")
-    rng = np.random.default_rng(_seed(seed, "seed"))
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     w = rng.standard_normal(m)
     w /= np.linalg.norm(w)
     logit = math.log((1.0 - eps_margin) / eps_margin)
@@ -360,8 +366,8 @@ class RemovalSpec:
     """What to erase: a class or an attribute, a fraction, and a sampling seed.
 
     ``index`` is 1-based for both kinds: class labels are 1..c and
-    attribute heads are numbered 1..n_attrs. ``seed`` is a whole number
-    >= 0, stored as an int.
+    attribute heads are numbered 1..n_attrs. ``index`` (>= 1) and ``seed``
+    (>= 0) are whole numbers, stored as ints.
     """
 
     kind: str
@@ -372,11 +378,10 @@ class RemovalSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("class", "attribute"):
             raise InputError(f"removal kind must be 'class' or 'attribute', got {self.kind!r}")
-        if self.index < 1:
-            raise InputError("removal index is 1-based and must be >= 1")
+        object.__setattr__(self, "index", _whole(self.index, "removal index", 1))
         if not 0 < self.fraction <= 1:
             raise InputError("removal fraction must lie in (0, 1]")
-        object.__setattr__(self, "seed", _seed(self.seed, "removal seed"))
+        object.__setattr__(self, "seed", _whole(self.seed, "removal seed", 0))
 
 
 @dataclass(frozen=True)

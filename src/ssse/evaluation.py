@@ -44,6 +44,7 @@ from .models import (
     _labels_from_proba,
     _loss_from_proba,
     _targets,
+    _whole,
     loss,
     predict_labels,
     predict_proba,
@@ -424,8 +425,8 @@ class GridSpec:
         extents = (self.x_min, self.x_max, self.y_min, self.y_max)
         if not np.isfinite(extents).all() or self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise InputError("grid extents must be finite and satisfy max > min")
-        if self.nx < 2 or self.ny < 2:
-            raise InputError("grid needs nx >= 2 and ny >= 2")
+        for name in ("nx", "ny"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, 2))
 
     def points(self) -> np.ndarray:
         xs = np.linspace(self.x_min, self.x_max, self.nx)
@@ -500,16 +501,7 @@ def sweep_report_text(result: SweepResult) -> str:
     return "\n".join(lines)
 
 
-_CSV_FIELDS = (
-    "epsilon",
-    "gamma",
-    "delta",
-    "param_dist",
-    "acc_lko_train",
-    "acc_removed",
-    "acc_lko_test",
-    "acc_removed_test",
-)
+_CSV_FIELDS = _REPORT_FIELDS[:8]  # epsilon through acc_removed_test
 
 
 def sweep_csv_text(result: SweepResult) -> str:

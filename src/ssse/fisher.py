@@ -52,6 +52,7 @@ from .models import (
     Shape,
     _grad_sums,
     _targets,
+    _whole,
     grad_matrix,  # unused here; the benchmark's traced runs patch this name
     params_digest,
 )
@@ -69,12 +70,14 @@ class BlockSpec:
     def __post_init__(self) -> None:
         if not self.ranges:
             raise InputError("block spec needs at least one interval")
+        ranges = tuple((_whole(lo, "block bound"), _whole(hi, "block bound"))
+                       for lo, hi in self.ranges)
         cursor = 0
-        for lo, hi in self.ranges:
+        for lo, hi in ranges:
             if lo != cursor or hi <= lo:
                 raise InputError("block intervals must be contiguous, ascending, nonempty")
             cursor = hi
-        object.__setattr__(self, "ranges", tuple((int(a), int(b)) for a, b in self.ranges))
+        object.__setattr__(self, "ranges", ranges)
 
     @property
     def n_params(self) -> int:
@@ -129,8 +132,8 @@ class InverseFisher:
             raise InputError("block count does not match the block spec")
         if self.dampening <= 0 or not np.isfinite(self.dampening):
             raise InputError("dampening must be finite and > 0")
-        if self.n_samples < 1 or self.batch_size < 1:
-            raise InputError("n_samples and batch_size must be >= 1")
+        for name in ("n_samples", "batch_size"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, 1))
         if len(self.built_at_digest) != 32:
             raise InputError("parameter digest must be 32 bytes")
         count = self.rank_one_count
@@ -196,8 +199,7 @@ def sherman_morrison_step(inv_block: np.ndarray, g: np.ndarray, count: int) -> n
     The result is re-symmetrized by averaging with its transpose so
     rounding cannot drift a folded block away from symmetry.
     """
-    if count < 1:
-        raise InputError("count must be >= 1")
+    count = _whole(count, "count", 1)
     g = np.asarray(g, dtype=np.float64)
     u = inv_block @ g
     denom = float(count + g @ u)
@@ -318,8 +320,7 @@ def build_inverse_fisher(
     """
     if dampening <= 0 or not np.isfinite(dampening):
         raise InputError("dampening must be finite and > 0")
-    if batch_size < 1:
-        raise InputError("batch_size must be >= 1")
+    batch_size = _whole(batch_size, "batch_size", 1)
     if dataset.n == 0:
         raise InputError("cannot build a Fisher estimate from an empty dataset")
     if spec is None:

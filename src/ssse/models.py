@@ -41,30 +41,25 @@ _NORM_MARGIN = 1.0 + 1e-6
 _NORM_FLOOR = 1e-150
 
 
-def _whole(value, refusal: str) -> int:
+def _whole(value, name: str, least: int | None = None) -> int:
     """``value`` as an int: an integer, or a float with no fraction (40.0 counts as 40).
 
-    Anything else, 2.7, NaN and the infinities among it, raises
-    InputError(``refusal``, then the value).
+    Anything else (2.5, NaN, an infinity, the string "3"), or a whole
+    number below ``least``, raises InputError("<name> must be a whole
+    number[ >= least], got <value>"). This is the one check of every count,
+    index and seed the package takes.
     """
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"{refusal}, got {value}") from None
-
-
-def _seed(value, name: str) -> int:
-    """``value`` as a seed for ``np.random.default_rng``: a whole number >= 0.
-
-    Anything else raises InputError naming ``name``.
-    """
-    refusal = f"{name} must be a whole number >= 0"
-    seed = _whole(value, refusal)
-    if seed < 0:
-        raise InputError(f"{refusal}, got {value}")
-    return seed
+        whole = int(value)
+    else:
+        try:
+            whole = operator.index(value)
+        except TypeError:
+            whole = None
+    if whole is None or (least is not None and whole < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(f"{name} must be a whole number{bound}, got {value}")
+    return whole
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +67,18 @@ def _seed(value, name: str) -> int:
 # ---------------------------------------------------------------------------
 
 class _Network:
-    """Bias-free tanh network; ``layers`` is each weight's (out, in) in parameter order."""
+    """Bias-free tanh network; ``layers`` is each weight's (out, in) in parameter order.
+
+    Every field is a whole number, stored as an int: ``n_classes`` at
+    least 2, every other field at least 1. A shape is checked once, when
+    it is built.
+    """
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            least = 2 if f.name == "n_classes" else 1
+            whole = _whole(getattr(self, f.name), f"{type(self).__name__}.{f.name}", least)
+            object.__setattr__(self, f.name, whole)
 
     @functools.cached_property
     def n_params(self) -> int:
@@ -90,10 +96,6 @@ class MultiAttrLinear(_Network):
     def layers(self) -> tuple[tuple[int, int], ...]:
         return ((self.n_attrs, self.n_features),)
 
-    def validate(self) -> None:
-        if self.n_attrs < 1 or self.n_features < 1:
-            raise InputError("MultiAttrLinear needs n_attrs >= 1 and n_features >= 1")
-
 
 @dataclass(frozen=True)
 class MultinomialLinear(_Network):
@@ -105,10 +107,6 @@ class MultinomialLinear(_Network):
     @property
     def layers(self) -> tuple[tuple[int, int], ...]:
         return ((self.n_classes, self.n_features),)
-
-    def validate(self) -> None:
-        if self.n_classes < 2 or self.n_features < 1:
-            raise InputError("MultinomialLinear needs n_classes >= 2 and n_features >= 1")
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,6 @@ class MLP(_Network):
     @property
     def layers(self) -> tuple[tuple[int, int], ...]:
         return ((self.n_hidden, self.n_features), (self.n_classes, self.n_hidden))
-
-    def validate(self) -> None:
-        if self.n_features < 1 or self.n_hidden < 1 or self.n_classes < 2:
-            raise InputError("MLP needs n_features, n_hidden >= 1 and n_classes >= 2")
 
 
 Shape = Union[MultiAttrLinear, MultinomialLinear, MLP]
@@ -177,7 +171,6 @@ class ModelParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.shape.validate()
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 1:
             raise InputError("parameter values must be a flat vector")
@@ -213,7 +206,7 @@ class ModelParams:
         h = hashlib.sha256()
         h.update(bytes([shape_kind_code(self.shape)]))
         for dim in shape_dims(self.shape):
-            h.update(int(dim).to_bytes(8, "little"))
+            h.update(dim.to_bytes(8, "little"))
         h.update(self.values.tobytes())
         return h.digest()
 

@@ -44,11 +44,12 @@ from .models import (
 class TrainConfig:
     """Optimizer settings.
 
-    ``epochs``, ``batch_size`` and ``seed`` are whole numbers, stored as
-    ints (40.0 counts as 40, 2.7 is refused). ``lr_schedule`` is a tuple
-    of (epoch, factor) pairs with strictly increasing 1-based whole-number
-    epochs; the learning rate is multiplied by the factor at the start
-    of the named epoch. ``grad_tol`` > 0 stops training after any epoch
+    ``epochs`` and ``batch_size`` (>= 1) and ``seed`` (any sign, since
+    SplitMix64 masks it) are whole numbers, stored as ints (40.0 counts as
+    40, 2.7 is refused). ``lr_schedule`` is a tuple of (epoch, factor)
+    pairs with strictly increasing 1-based whole-number epochs; the
+    learning rate is multiplied by the factor at the start of the named
+    epoch. ``grad_tol`` > 0 stops training after any epoch
     whose full-gradient norm falls to or below it; 0 disables early
     stopping. Each epoch's gradient is computed layer by layer, last layer
     first, only until one layer's block rules out a stop (its own norm is
@@ -72,19 +73,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not np.isfinite(self.lr) or self.lr <= 0:
             raise InputError("lr must be finite and > 0")
-        for name in ("epochs", "batch_size", "seed"):
-            whole = _whole(getattr(self, name), f"{name} must be a whole number")
-            object.__setattr__(self, name, whole)
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise InputError("batch_size must be >= 1")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", None)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, least))
         if not 0 <= self.momentum < 1:
             raise InputError("momentum must lie in [0, 1)")
         if not np.isfinite(self.grad_tol) or self.grad_tol < 0:
             raise InputError("grad_tol must be finite and >= 0")
-        sched = tuple((_whole(e, "lr_schedule epochs must be whole numbers"), float(f))
-                      for e, f in self.lr_schedule)
+        sched = tuple((_whole(e, "lr_schedule epoch"), float(f)) for e, f in self.lr_schedule)
         last = 0
         for epoch, factor in sched:
             if epoch <= last:
@@ -112,7 +107,6 @@ class TrainResult:
 
 def init_params(shape: Shape, seed: int) -> ModelParams:
     """The initial parameters :func:`train` starts from for this shape and seed."""
-    shape.validate()
     return _draw_init(shape, SplitMix64(seed), seed)
 
 
@@ -127,7 +121,6 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
     """Minibatch SGD with momentum from the seeded initialization."""
     if dataset.n == 0:
         raise InputError("cannot train on an empty dataset")
-    shape.validate()
     # The same stream feeds initialization and every epoch shuffle, so the
     # whole trajectory is a function of (seed, data, config) alone.
     stream = SplitMix64(cfg.seed)

@@ -440,6 +440,33 @@ def test_negative_seed_exits_two_before_training(tmp_path, capsys, command, old,
     assert "Traceback" not in err and not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, old, new, refusal",
+    [
+        ("train", "n_per_class = 20", "n_per_class = 0",
+         "n_per_class must be a whole number >= 1, got 0"),
+        ("train", "family = multinomial_linear", "family = mlp\nn_hidden = 0",
+         "MLP.n_hidden must be a whole number >= 1, got 0"),
+        ("train", "epochs = 40", "epochs = 0", "epochs must be a whole number >= 1, got 0"),
+        ("sweep", "index = 2", "index = 0", "removal index must be a whole number >= 1, got 0"),
+        ("sweep", "[baselines]", "[fisher]\nbatch_size = 0\n\n[baselines]",
+         "fisher.batch_size must be a whole number >= 1, got 0"),
+        ("demo-boundary", "[baselines]", "[boundary]\nnx = 1\n\n[baselines]",
+         "nx must be a whole number >= 2, got 1"),
+    ],
+    ids=["data", "shape", "train", "removal", "fisher", "boundary"],
+)
+def test_count_below_its_least_exits_two_before_training(tmp_path, capsys, command, old, new,
+                                                         refusal):
+    # this training run would diverge with exit 3; the bad count must fail first
+    text = BASE_CONFIG.replace("lr = 0.4", "lr = 1e150").replace(old, new)
+    out = str(tmp_path / "o")
+    assert main([command, "--config", write_config(tmp_path, text), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {refusal}\n" in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
 @pytest.mark.parametrize("schedule", ["nan:0.5", "inf:0.5", "2.7:0.5"])
 def test_lr_schedule_epoch_that_is_not_a_whole_number_exits_two(tmp_path, capsys, schedule):
     out = str(tmp_path / "o")
@@ -447,7 +474,8 @@ def test_lr_schedule_epoch_that_is_not_a_whole_number_exits_two(tmp_path, capsys
     cfg = write_config(tmp_path, text)
     assert main(["train", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "error: lr_schedule epochs must be whole numbers" in err
+    epoch = float(schedule.split(":")[0])
+    assert f"error: lr_schedule epoch must be a whole number, got {epoch}\n" in err
     assert "Traceback" not in err and not os.path.exists(out)
 
 

@@ -1,16 +1,25 @@
 """Synthetic generators, CSV IO, and removal splits."""
 
 import math
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import binary_dataset, multinomial_dataset, run_fresh, select_oracle
+from helpers import binary_dataset, multinomial_dataset, random_params, run_fresh, select_oracle
 from ssse import (
+    MLP,
     Dataset,
+    GridSpec,
     InputError,
+    LossConfig,
+    MultiAttrLinear,
+    MultinomialLinear,
+    build_inverse_fisher,
     build_splits,
+    init_params,
     load_csv,
     make_attributes,
     make_blobs,
@@ -31,6 +40,7 @@ from ssse.data import RemovalSpec, SplitSet, draw_removed
 
 def test_make_ids_zero_padded_and_lexicographic():
     ids = make_ids(12, "tr")
+    assert make_ids(12.0, "tr") == ids and make_ids(0) == ()
     assert ids[0] == "tr000000"
     assert ids[11] == "tr000011"
     assert list(ids) == sorted(ids)
@@ -173,6 +183,116 @@ def test_a_whole_number_float_seed_draws_as_its_int():
     spec = RemovalSpec(kind="class", index=1, fraction=0.5, seed=9.0)
     assert type(spec.seed) is int and spec == RemovalSpec(kind="class", index=1, fraction=0.5,
                                                           seed=9)
+
+
+def _tiny_fisher(batch_size=1):
+    params = random_params(MultinomialLinear(n_classes=2, n_features=2), 1)
+    return build_inverse_fisher(params, multinomial_dataset(2, 5, 2, 2), LossConfig(), 0.1,
+                                batch_size=batch_size)
+
+
+_GRID = (-1.0, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", ["least", 2.5, float("nan"), float("inf"), "3"])
+@pytest.mark.parametrize("build, name, least", [
+    (make_ids, "n", 0),
+    (lambda v: make_blobs(1, v, [(0.0, 0.0), (1.0, 1.0)], 1.0), "n_per_class", 1),
+    (lambda v: make_gaussian_classes(1, v, 2, 2), "n_per_class", 1),
+    (lambda v: make_gaussian_classes(1, 3, v, 2), "n_features", 1),
+    (lambda v: make_gaussian_classes(1, 3, 2, v), "n_classes", 2),
+    (lambda v: make_attributes(1, v, 3, 1, [0.5]), "n", 2),
+    (lambda v: make_attributes(1, 10, v, 1, [0.5]), "n_features", 1),
+    (lambda v: make_attributes(1, 10, 3, v, [0.5]), "n_attrs", 1),
+    (lambda v: make_separable_subspace(v, 5, 0.1, 2, 0), "c", 2),
+    (lambda v: make_separable_subspace(2, 5, 0.1, v, 0), "n_per_class", 1),
+    (lambda v: make_parallel_planes_binary(v, 0.1, 2, 0), "m", 2),
+    (lambda v: make_parallel_planes_binary(3, 0.1, v, 0), "n_per_class", 1),
+    (lambda v: RemovalSpec(kind="class", index=v, fraction=0.5, seed=0), "removal index", 1),
+    (lambda v: GridSpec(*_GRID, nx=v, ny=3), "nx", 2),
+    (lambda v: GridSpec(*_GRID, nx=3, ny=v), "ny", 2),
+    (lambda v: _tiny_fisher(batch_size=v), "batch_size", 1),
+    (lambda v: replace(_tiny_fisher(), n_samples=v), "n_samples", 1),
+    (lambda v: replace(_tiny_fisher(), batch_size=v), "batch_size", 1),
+    (lambda v: MultiAttrLinear(n_attrs=v, n_features=2), "MultiAttrLinear.n_attrs", 1),
+    (lambda v: MultiAttrLinear(n_attrs=2, n_features=v), "MultiAttrLinear.n_features", 1),
+    (lambda v: MultinomialLinear(n_classes=v, n_features=2), "MultinomialLinear.n_classes", 2),
+    (lambda v: MultinomialLinear(n_classes=2, n_features=v), "MultinomialLinear.n_features", 1),
+    (lambda v: MLP(n_features=v, n_hidden=2, n_classes=2), "MLP.n_features", 1),
+    (lambda v: MLP(n_features=2, n_hidden=v, n_classes=2), "MLP.n_hidden", 1),
+    (lambda v: MLP(n_features=2, n_hidden=2, n_classes=v), "MLP.n_classes", 2),
+], ids=["ids-n", "blobs-n_per_class", "gaussian-n_per_class", "gaussian-n_features",
+        "gaussian-n_classes", "attributes-n", "attributes-n_features", "attributes-n_attrs",
+        "subspace-c", "subspace-n_per_class", "planes-m", "planes-n_per_class",
+        "removal-index", "grid-nx", "grid-ny", "build-fisher-batch_size",
+        "fisher-n_samples", "fisher-batch_size", "multi_attr-n_attrs",
+        "multi_attr-n_features", "multinomial-n_classes", "multinomial-n_features",
+        "mlp-n_features", "mlp-n_hidden", "mlp-n_classes"])
+def test_counts_are_whole_numbers_from_their_least(build, name, least, bad):
+    value = least - 1 if bad == "least" else bad
+    refusal = f"{name} must be a whole number >= {least}, got {value}"
+    with pytest.raises(InputError, match=f"^{re.escape(refusal)}$"):
+        build(value)
+
+
+def test_subspace_dimension_must_exceed_the_class_count():
+    with pytest.raises(InputError, match="^need m > c, got m = 3 and c = 3$"):
+        make_separable_subspace(3, 3.0, 0.1, 2, 0)
+    with pytest.raises(InputError, match="^m must be a whole number, got 4.5$"):
+        make_separable_subspace(3, 4.5, 0.1, 2, 0)
+
+
+def _same_dataset(a, b):
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes() and a.ids == b.ids
+
+
+def test_whole_float_counts_draw_what_their_ints_draw():
+    centers = [(0.0, 0.0), (1.0, 1.0)]
+    _same_dataset(make_blobs(1, 2.0, centers, 1.0), make_blobs(1, 2, centers, 1.0))
+    _same_dataset(make_gaussian_classes(1, 3.0, np.float64(2), 2.0),
+                  make_gaussian_classes(1, 3, 2, 2))
+    _same_dataset(make_attributes(1, 20.0, np.float64(3), 2.0, [0.3, 0.5]),
+                  make_attributes(1, 20, 3, 2, [0.3, 0.5]))
+    for (a, a_params), (b, b_params) in [
+        (make_separable_subspace(2.0, 5.0, 0.1, np.float64(3), 0),
+         make_separable_subspace(2, 5, 0.1, 3, 0)),
+        (make_parallel_planes_binary(3.0, 0.1, 2.0, 0), make_parallel_planes_binary(3, 0.1, 2, 0)),
+    ]:
+        _same_dataset(a, b)
+        assert a_params == b_params and type(a_params.shape.n_features) is int
+
+
+@pytest.mark.parametrize("kind, index", [("class", 2.0), ("attribute", np.float64(2))])
+def test_a_whole_float_removal_index_draws_as_its_int(kind, index):
+    train = (multinomial_dataset(3, 30, 2, 3) if kind == "class"
+             else binary_dataset(3, 30, 2, 2))
+    spec = RemovalSpec(kind=kind, index=index, fraction=0.5, seed=4)
+    assert type(spec.index) is int and spec == RemovalSpec(kind=kind, index=2, fraction=0.5, seed=4)
+    assert draw_removed(train, spec) == draw_removed(train, replace(spec, index=2))
+
+
+def test_whole_float_grid_and_fisher_counts_are_stored_as_ints():
+    grid = GridSpec(*_GRID, nx=3.0, ny=np.float64(4))
+    assert (type(grid.nx), type(grid.ny)) == (int, int)
+    assert grid.points().tobytes() == GridSpec(*_GRID, nx=3, ny=4).points().tobytes()
+    a, b = _tiny_fisher(batch_size=2.0), _tiny_fisher(batch_size=2)
+    assert type(a.batch_size) is int and a.rank_one_count == b.rank_one_count == 3
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(a.blocks, b.blocks))
+    c = replace(b, n_samples=np.float64(5), batch_size=2.0)
+    assert (type(c.n_samples), type(c.batch_size)) == (int, int)
+
+
+@pytest.mark.parametrize("floats, ints", [
+    (MultiAttrLinear(n_attrs=2.0, n_features=np.float64(3)), MultiAttrLinear(2, 3)),
+    (MultinomialLinear(n_classes=np.float64(3), n_features=2.0), MultinomialLinear(3, 2)),
+    (MLP(n_features=3.0, n_hidden=np.float64(4), n_classes=2.0), MLP(3, 4, 2)),
+], ids=["multi_attr", "multinomial", "mlp"])
+def test_a_shape_stores_whole_float_fields_as_ints(floats, ints):
+    assert floats == ints and hash(floats) == hash(ints)
+    assert all(type(getattr(floats, f.name)) is int for f in fields(floats))
+    assert type(floats.n_params) is int
+    assert init_params(floats, 7) == init_params(ints, 7)
 
 
 def test_generator_input_validation():

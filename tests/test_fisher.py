@@ -423,6 +423,12 @@ def test_block_spec_validation():
         BlockSpec(ranges=((0, 0),))  # empty interval
     with pytest.raises(InputError):
         BlockSpec(ranges=())
+    # a fractional bound is refused, not truncated into another layout
+    with pytest.raises(InputError, match="^block bound must be a whole number, got 1.5$"):
+        BlockSpec(ranges=((0, 1.5), (1.5, 3)))
+    spec = BlockSpec(ranges=((0, 2.0), (np.int64(2), np.float64(3))))
+    assert spec.ranges == ((0, 2), (2, 3))
+    assert all(type(bound) is int for pair in spec.ranges for bound in pair)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Determinism, convergence, divergence, and the model container."""
 
 import os
+import re
 import struct
 import warnings
 from pathlib import Path
@@ -37,6 +38,7 @@ from ssse import (
     train,
 )
 from ssse import models
+from ssse._container import CONTAINER_VERSION, MODEL_MAGIC
 from ssse._splitmix import SplitMix64
 
 TWO_BLOBS = [(-2.0, 0.0), (2.0, 0.0)]
@@ -330,7 +332,8 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("epoch", [2.7, float("nan"), float("inf"), -float("inf")])
 def test_lr_schedule_refuses_an_epoch_that_is_not_a_whole_number(epoch):
-    with pytest.raises(InputError, match="whole numbers"):
+    refusal = f"^lr_schedule epoch must be a whole number, got {epoch}$"
+    with pytest.raises(InputError, match=refusal):
         TrainConfig(lr=0.1, epochs=5, batch_size=1, seed=0, lr_schedule=((epoch, 0.5),))
 
 
@@ -338,7 +341,15 @@ def test_lr_schedule_refuses_an_epoch_that_is_not_a_whole_number(epoch):
 @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"), "3"])
 def test_train_config_refuses_a_count_that_is_not_a_whole_number(name, value):
     settings = {"lr": 0.1, "epochs": 2, "batch_size": 4, "seed": 0, name: value}
-    with pytest.raises(InputError, match=f"{name} must be a whole number"):
+    bound = "" if name == "seed" else " >= 1"
+    with pytest.raises(InputError, match=f"^{name} must be a whole number{bound}, got {value}$"):
+        TrainConfig(**settings)
+
+
+@pytest.mark.parametrize("name", ["epochs", "batch_size"])
+def test_train_config_counts_start_at_one(name):
+    settings = {"lr": 0.1, "epochs": 2, "batch_size": 4, "seed": -5, name: 0}
+    with pytest.raises(InputError, match=f"^{name} must be a whole number >= 1, got 0$"):
         TrainConfig(**settings)
 
 
@@ -428,6 +439,21 @@ def test_model_file_rejects_a_nonzero_unused_dim(tmp_path, shape):
     struct.pack_into("<Q", blob, 26, 7)  # dim 2, unused by single-layer shapes
     path.write_bytes(bytes(blob))
     with pytest.raises(ContainerError, match="dim 2 is 7"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind, dims, refusal", [
+    (1, (0, 4, 0), "MultiAttrLinear.n_attrs must be a whole number >= 1, got 0"),
+    (2, (2, 0, 0), "MultinomialLinear.n_features must be a whole number >= 1, got 0"),
+    (3, (3, 0, 2), "MLP.n_hidden must be a whole number >= 1, got 0"),
+], ids=["multi_attr", "multinomial", "mlp"])
+def test_model_file_with_an_impossible_shape_is_refused_naming_its_path(tmp_path, kind, dims,
+                                                                        refusal):
+    path = tmp_path / "m.bin"
+    # magic, version, shape kind, dims, seed, l2_coeff, and d = 0 (the shape's n_params)
+    path.write_bytes(MODEL_MAGIC + struct.pack("<BB3QqdQ", CONTAINER_VERSION, kind, *dims,
+                                               0, 0.0, 0))
+    with pytest.raises(ContainerError, match=f"^{re.escape(f'{path}: {refusal}')}$"):
         load_model(str(path))
 
 
