@@ -19,21 +19,20 @@ __version__ = "0.1.0"
 # submodule -> the public names it owns
 _EXPORTS = {
     "data": """RemovalSpec SplitSet build_splits load_csv make_attributes make_blobs
-        make_gaussian_classes make_ids make_parallel_planes_binary make_separable_subspace
-        save_csv""",
+        make_gaussian_classes make_ids save_csv""",
     "erasure": """ErasureRequest diag_scrub_update gradient_ascent_step influence_update
         ssse_update""",
     "errors": "ContainerError InputError NumericError SsseError StaleFisherError TrainingError",
     "evaluation": """EvalReport GridSpec SplitData SweepResult accuracy auc_per_attribute
         boundary_disagreement confusion_distance confusion_matrix epsilon_sweep
         evaluate_erasure mean_loss normalized_confusion_distance normalized_param_distance
-        performance_similarity roc_auc similarity_ratio sweep_csv_text sweep_report_text""",
+        roc_auc similarity_ratio sweep_csv_text sweep_report_text""",
     "fisher": """BlockSpec InverseFisher apply_inverse build_inverse_fisher
         diagonal_inverse_fisher load_inverse_fisher save_inverse_fisher
         sherman_morrison_step""",
-    "models": """Dataset LossConfig MLP ModelParams MultiAttrLinear MultinomialLinear
-        RatioCheck Shape fisher_hessian_ratio_check grad grad_matrix grad_mean grad_sum
-        hessian_dense loss onehot params_digest predict_labels predict_proba""",
+    "models": """Dataset LossConfig MLP ModelParams MultiAttrLinear MultinomialLinear Shape
+        grad_matrix grad_mean grad_sum hessian_dense loss onehot params_digest
+        predict_labels predict_proba""",
     "training": "TrainConfig TrainResult init_params load_model retrain_scratch save_model train",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}

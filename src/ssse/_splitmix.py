@@ -33,9 +33,6 @@ class SplitMix64:
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         return z ^ (z >> np.uint64(31))
 
-    def next_u64(self) -> int:
-        return int(self._draws(1)[0])
-
     def uniform_vector(self, size: int, low: float, high: float) -> np.ndarray:
         # 53 significant bits per draw, uniform in [low, high).
         return low + (high - low) * ((self._draws(size) >> np.uint64(11)) * 2.0**-53)

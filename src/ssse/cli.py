@@ -68,6 +68,20 @@ log = logging.getLogger("ssse")
 MISSING = object()
 
 
+def whole_number(text: str) -> int:
+    """A count, index or seed: an integer, or a float with no fraction (40.0 reads as 40).
+
+    ``int`` comes first, so a 64-bit seed stays exact.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
 def float_list(text: str) -> list[float]:
     """Comma-separated numbers; empty cells are skipped."""
     return [float(cell) for cell in text.split(",") if cell.strip()]
@@ -139,14 +153,15 @@ _SOURCES = {
     ),
     "gaussian_classes": (
         data_mod.make_gaussian_classes, "n_per_class", "test_n_per_class",
-        {"n_features": (int, MISSING), "n_classes": (int, MISSING),
-         "center_scale": (float, 3.0), "spread": (float, 1.0), "center_seed": (int, _DATA_SEED)},
+        {"n_features": (whole_number, MISSING), "n_classes": (whole_number, MISSING),
+         "center_scale": (float, 3.0), "spread": (float, 1.0),
+         "center_seed": (whole_number, _DATA_SEED)},
     ),
     "attributes": (
         data_mod.make_attributes, "n", "test_n",
-        {"n_features": (int, MISSING), "n_attrs": (int, MISSING),
+        {"n_features": (whole_number, MISSING), "n_attrs": (whole_number, MISSING),
          "frequencies": (float_list, MISSING), "overlap": (float, 0.3),
-         "direction_seed": (int, _DATA_SEED)},
+         "direction_seed": (whole_number, _DATA_SEED)},
     ),
 }
 
@@ -162,14 +177,15 @@ def build_dataset(cfg: ConfigView, test: bool = False) -> Dataset:
     if source not in _SOURCES:
         raise InputError(f"unknown data.source: {source!r}")
     generator, size_key, test_size_key, shared = _SOURCES[source]
-    seed = cfg.get("data", "seed", int)
+    seed = cfg.get("data", "seed", whole_number)
     kwargs = {
         key: cfg.get("data", key, parse, seed if default is _DATA_SEED else default)
         for key, (parse, default) in shared.items()
     }
-    n = cfg.get("data", size_key, int)
+    n = cfg.get("data", size_key, whole_number)
     if test:
-        seed, n = cfg.get("data", "test_seed", int), cfg.get("data", test_size_key, int, n)
+        seed = cfg.get("data", "test_seed", whole_number)
+        n = cfg.get("data", test_size_key, whole_number, n)
     return generator(seed, n, id_prefix=tag, **kwargs)
 
 
@@ -188,11 +204,12 @@ def model_shape(cfg: ConfigView, train_ds: Dataset, test_ds: Dataset) -> Shape:
     if train_ds.kind != "multinomial":
         raise InputError(f"{family} requires multinomial class data")
     inferred = int(max(train_ds.labels.max(), test_ds.labels.max()))
-    n_classes = cfg.get("model", "n_classes", int, inferred)
+    n_classes = cfg.get("model", "n_classes", whole_number, inferred)
     if family == "multinomial_linear":
         return MultinomialLinear(n_classes=n_classes, n_features=m)
     if family == "mlp":
-        return MLP(n_features=m, n_hidden=cfg.get("model", "n_hidden", int), n_classes=n_classes)
+        n_hidden = cfg.get("model", "n_hidden", whole_number)
+        return MLP(n_features=m, n_hidden=n_hidden, n_classes=n_classes)
     raise InputError(f"unknown model.family: {family!r}")
 
 
@@ -203,9 +220,9 @@ def loss_config(cfg: ConfigView) -> LossConfig:
 def train_config(cfg: ConfigView) -> TrainConfig:
     return TrainConfig(
         lr=cfg.get("train", "lr", float),
-        epochs=cfg.get("train", "epochs", int),
-        batch_size=cfg.get("train", "batch_size", int),
-        seed=cfg.get("train", "seed", int),
+        epochs=cfg.get("train", "epochs", whole_number),
+        batch_size=cfg.get("train", "batch_size", whole_number),
+        seed=cfg.get("train", "seed", whole_number),
         momentum=cfg.get("train", "momentum", float, 0.0),
         grad_tol=cfg.get("train", "grad_tol", float, 1e-5),
         lr_schedule=cfg.get("train", "lr_schedule", float_pairs, ()),
@@ -215,9 +232,9 @@ def train_config(cfg: ConfigView) -> TrainConfig:
 def removal_spec(cfg: ConfigView) -> data_mod.RemovalSpec:
     return data_mod.RemovalSpec(
         kind=cfg.get("removal", "kind"),
-        index=cfg.get("removal", "index", int),
+        index=cfg.get("removal", "index", whole_number),
         fraction=cfg.get("removal", "fraction", float),
-        seed=cfg.get("removal", "seed", int),
+        seed=cfg.get("removal", "seed", whole_number),
     )
 
 
@@ -225,7 +242,8 @@ def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int]:
     dampening = cfg.get("fisher", "dampening", float, loss_cfg.l2_coeff)
     if dampening <= 0:
         raise InputError("fisher.dampening must be > 0 (set it explicitly when l2_coeff is 0)")
-    return dampening, _whole(cfg.get("fisher", "batch_size", int, 1), "fisher.batch_size", 1)
+    batch_size = cfg.get("fisher", "batch_size", whole_number, 1)
+    return dampening, _whole(batch_size, "fisher.batch_size", 1)
 
 
 def _removed_only(text: str) -> str:
@@ -394,8 +412,8 @@ def cmd_demo_boundary(args) -> int:
         x_max=cfg.get("boundary", "x_max", float, 6.0),
         y_min=cfg.get("boundary", "y_min", float, -6.0),
         y_max=cfg.get("boundary", "y_max", float, 6.0),
-        nx=cfg.get("boundary", "nx", int, 161),
-        ny=cfg.get("boundary", "ny", int, 161),
+        nx=cfg.get("boundary", "nx", whole_number, 161),
+        ny=cfg.get("boundary", "ny", whole_number, 161),
     )
     run = Pipeline.fit(cfg, train_ds, test_ds)
     sweep = run.sweep(grid, criterion)
@@ -437,7 +455,7 @@ def cmd_compare_baselines(args) -> int:
     scrub = dict(
         epsilon=cfg.get("baselines", "scrub_epsilon", float, eps),
         noise_sigma=cfg.get("baselines", "scrub_noise_sigma", float, 0.0),
-        noise_seed=_whole(cfg.get("baselines", "scrub_noise_seed", int, 0),
+        noise_seed=_whole(cfg.get("baselines", "scrub_noise_seed", whole_number, 0),
                           "baselines.scrub_noise_seed", 0),
     )
     run = Pipeline.fit(cfg, *build_datasets(cfg))

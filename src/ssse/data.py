@@ -5,6 +5,10 @@ Synthetic generators are pure functions of their seed, a whole number
 zero-padded strings so lexicographic id order equals generation order;
 an optional prefix keeps id spaces disjoint when an experiment carries
 separate train and test datasets.
+
+The uniform-margin generators (every sample at one classification
+margin, for checking the Hessian against the empirical Fisher) are test
+data only and live in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -15,17 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericError
-from .models import (
-    Dataset,
-    ModelParams,
-    MultiAttrLinear,
-    MultinomialLinear,
-    _whole,
-    predict_proba,
-)
-
-_MARGIN_RESIDUAL_TOL = 1e-9
+from .errors import InputError
+from .models import Dataset, _whole
 
 
 def make_ids(n: int, prefix: str = "") -> tuple[str, ...]:
@@ -159,115 +154,6 @@ def _quantile(values: np.ndarray, q: float) -> float:
     t = pos - lo
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
-
-
-def _rank_c_matrix(rng: np.random.Generator, c: int, m: int) -> np.ndarray:
-    for _ in range(8):
-        w = rng.standard_normal((c, m))
-        sv = np.linalg.svd(w, compute_uv=False)
-        if sv[-1] > 1e-8 * sv[0]:
-            return w
-    raise NumericError("could not draw a full-rank weight matrix")
-
-
-def make_separable_subspace(
-    c: int,
-    m: int,
-    eps_margin: float,
-    n_per_class: int,
-    seed: int,
-    id_prefix: str = "",
-) -> tuple[Dataset, ModelParams]:
-    """Softmax dataset where every sample has the same classification margin.
-
-    Returns a rank-c weight matrix theta and samples placed on the affine
-    subspaces where the logits hit the exact target pattern: the true
-    class gets probability 1 - (c-1) eps and every other class eps. Data
-    within a class therefore varies only along the (m - c)-dimensional
-    null space of theta.
-    """
-    c = _whole(c, "c", 2)
-    m = _whole(m, "m")
-    n_per_class = _whole(n_per_class, "n_per_class", 1)
-    if m <= c:
-        raise InputError(f"need m > c, got m = {m} and c = {c}")
-    if eps_margin <= 0 or 1.0 - (c - 1) * eps_margin <= 0:
-        raise InputError("eps_margin must satisfy 0 < eps and 1 - (c-1) eps > 0")
-    rng = np.random.default_rng(_whole(seed, "seed", 0))
-    theta = _rank_c_matrix(rng, c, m)
-    _, _, vt = np.linalg.svd(theta, full_matrices=True)
-    null_basis = vt[c:].T
-    pinv = np.linalg.pinv(theta)
-
-    rows = []
-    labels = []
-    for cls in range(c):
-        pattern = np.full(c, eps_margin)
-        pattern[cls] = 1.0 - (c - 1) * eps_margin
-        x0 = pinv @ np.log(pattern)
-        offsets = rng.standard_normal((n_per_class, m - c))
-        rows.append(x0 + offsets @ null_basis.T)
-        labels.extend([cls + 1] * n_per_class)
-    features = np.vstack(rows)
-    dataset = Dataset(
-        features=features,
-        labels=np.asarray(labels, dtype=np.int64),
-        ids=make_ids(c * n_per_class, id_prefix),
-    )
-    params = ModelParams(
-        values=theta.reshape(-1), shape=MultinomialLinear(n_classes=c, n_features=m)
-    )
-    probs = predict_proba(params, dataset.features)
-    wrong = 1.0 - probs[np.arange(dataset.n), dataset.labels - 1]
-    residual = float(np.abs(wrong / (c - 1) - eps_margin).max())
-    if residual > _MARGIN_RESIDUAL_TOL:
-        raise NumericError(f"margin construction residual {residual:.3e} exceeds tolerance")
-    return dataset, params
-
-
-def make_parallel_planes_binary(
-    m: int,
-    eps_margin: float,
-    n_per_class: int,
-    seed: int,
-    id_prefix: str = "",
-) -> tuple[Dataset, ModelParams]:
-    """Single sigmoid head with |p - y| = eps on every sample.
-
-    Positive and negative samples sit on two parallel hyperplanes where
-    the logit equals +/- log((1 - eps) / eps), varying freely along the
-    (m - 1)-dimensional orthogonal complement of the weight vector.
-    """
-    m = _whole(m, "m", 2)
-    n_per_class = _whole(n_per_class, "n_per_class", 1)
-    if not 0 < eps_margin < 0.5:
-        raise InputError("eps_margin must lie in (0, 0.5)")
-    rng = np.random.default_rng(_whole(seed, "seed", 0))
-    w = rng.standard_normal(m)
-    w /= np.linalg.norm(w)
-    logit = math.log((1.0 - eps_margin) / eps_margin)
-    _, _, vt = np.linalg.svd(w[None, :], full_matrices=True)
-    null_basis = vt[1:].T
-
-    rows = []
-    labels = []
-    for y, sign in ((1, 1.0), (0, -1.0)):
-        base = sign * logit * w
-        offsets = rng.standard_normal((n_per_class, m - 1))
-        rows.append(base + offsets @ null_basis.T)
-        labels.extend([y] * n_per_class)
-    features = np.vstack(rows)
-    dataset = Dataset(
-        features=features,
-        labels=np.asarray(labels, dtype=np.uint8).reshape(-1, 1),
-        ids=make_ids(2 * n_per_class, id_prefix),
-    )
-    params = ModelParams(values=w.copy(), shape=MultiAttrLinear(n_attrs=1, n_features=m))
-    probs = predict_proba(params, dataset.features)[:, 0]
-    residual = float(np.abs(np.abs(probs - dataset.labels[:, 0]) - eps_margin).max())
-    if residual > _MARGIN_RESIDUAL_TOL:
-        raise NumericError(f"margin construction residual {residual:.3e} exceeds tolerance")
-    return dataset, params
 
 
 # ---------------------------------------------------------------------------

@@ -157,11 +157,6 @@ def auc_per_attribute(params: ModelParams, dataset: Dataset) -> np.ndarray:
     return _profile(params, dataset, "binary")
 
 
-def performance_similarity(a: ModelParams, b: ModelParams, samples: Dataset) -> float:
-    """L1 distance between the two models' per-attribute AUC profiles."""
-    return float(np.abs(auc_per_attribute(a, samples) - auc_per_attribute(b, samples)).sum())
-
-
 def similarity_ratio(
     theta_hat: ModelParams,
     theta_star: ModelParams,

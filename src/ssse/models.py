@@ -15,6 +15,11 @@ vector, row-major per weight matrix (output row by output row, layer by
 layer). Every per-sample loss includes the full L2 term, so the mean
 training loss is ``mean_i nll_i + (l2_coeff / 2) * ||theta||^2`` and each
 per-sample gradient carries ``l2_coeff * theta``.
+
+The check of the paper's uniform-margin premise (with equal margins the
+Hessian is a scalar multiple of the empirical Fisher) is not part of the
+package: it lives in the test suite's ``tests/helpers.py``, beside the
+generators of such data.
 """
 
 from __future__ import annotations
@@ -689,16 +694,6 @@ def grad_matrix(
     return _grad_sums(shape, params.values, features, targets, cfg.l2_coeff, 1, out=out)
 
 
-def grad(params: ModelParams, x: np.ndarray, y, cfg: LossConfig) -> np.ndarray:
-    """Gradient of one sample's regularized loss."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if isinstance(params.shape, MultiAttrLinear):
-        labels = np.atleast_2d(np.asarray(y))
-    else:
-        labels = np.asarray([y], dtype=np.int64)
-    return grad_matrix(params, x, labels, cfg)[0]
-
-
 def grad_mean(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.ndarray:
     """Full gradient of the mean regularized loss."""
     _check_task_match(params, dataset)
@@ -777,99 +772,3 @@ def hessian_dense(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.
     if not np.all(np.isfinite(h)):
         raise NumericError("Hessian has non-finite entries")
     return h
-
-
-# ---------------------------------------------------------------------------
-# Hessian / empirical-Fisher proportionality check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RatioCheck:
-    """Outcome of the Hessian vs scaled-Fisher comparison.
-
-    ``predicted_multiple`` is the scalar rho such that the data-term
-    Hessian should match ``rho * gradient-outer-product`` on the dominant
-    entries; deviations are relative to the predicted entries.
-    """
-
-    mean_rel_dev: float
-    max_rel_dev: float
-    predicted_multiple: float
-    margin_mean: float
-    margin_spread: float
-    warning: str | None = None
-
-
-_MARGIN_UNIFORMITY_TOL = 1e-6
-
-
-def fisher_hessian_ratio_check(params: ModelParams, dataset: Dataset) -> RatioCheck:
-    """Compare per-sample Hessian factors against the scaled gradient outer product.
-
-    Requires a linear shape and a dataset whose samples share a common
-    classification margin: for softmax models every wrong class gets
-    probability eps and the true class 1 - (c-1) eps, for a single binary
-    head |p - y| = eps. Under that margin the data-term Hessian equals a
-    scalar multiple of the per-sample gradient outer product on the
-    entries where the outer product carries its mass; the multiple is
-    1 / (eps (c-1)) for softmax and (1 - eps) / eps for the binary head.
-
-    The comparison is entrywise on the per-sample class factors (the
-    feature outer product cancels) restricted to entries of magnitude at
-    least max / c, which drops the rank-deficient residual the rank-one
-    outer product cannot represent. Non-uniform margins produce a warning
-    string, not an error.
-    """
-    shape = params.shape
-    if isinstance(shape, MLP):
-        raise InputError("ratio check requires a linear shape")
-    _check_task_match(params, dataset)
-    if dataset.n == 0:
-        raise InputError("ratio check needs at least one sample")
-
-    p = predict_proba(params, dataset.features)
-    if isinstance(shape, MultiAttrLinear):
-        if shape.n_attrs != 1:
-            raise InputError("binary ratio check requires a single attribute head")
-        y = dataset.labels[:, 0].astype(np.float64)
-        q = np.abs(p[:, 0] - y)
-        margin = float(q.mean())
-        rho = (1.0 - margin) / margin
-        hess_fac = p[:, 0] * (1.0 - p[:, 0])
-        outer_fac = q * q
-        devs = np.abs(hess_fac - rho * outer_fac) / np.abs(rho * outer_fac)
-        mean_dev = float(devs.mean())
-        max_dev = float(devs.max())
-        spread = float(np.abs(q - margin).max() / margin)
-    else:
-        c = shape.n_classes
-        y_idx = dataset.labels - 1
-        rows = np.arange(dataset.n)
-        eps_i = (1.0 - p[rows, y_idx]) / (c - 1)
-        margin = float(eps_i.mean())
-        rho = 1.0 / (margin * (c - 1))
-        # Per row: the softmax Hessian factor diag(p) - p p^T against the
-        # outer product r r^T of the residual r = p - onehot(y), compared
-        # on the entries of at least the row's max |r r^T| / c.
-        a = np.einsum("ni,ij->nij", p, np.eye(c)) - p[:, :, None] * p[:, None, :]
-        r = p.copy()
-        r[rows, y_idx] -= 1.0
-        g = r[:, :, None] * r[:, None, :]
-        keep = np.abs(g) >= np.abs(g).max(axis=(1, 2), keepdims=True) / c
-        pred = rho * g[keep]
-        devs = np.abs(a[keep] - pred) / np.abs(pred)
-        mean_dev = float(devs.mean())
-        max_dev = float(devs.max())
-        spread = float(np.abs(eps_i - margin).max() / margin)
-
-    warning = None
-    if spread > _MARGIN_UNIFORMITY_TOL:
-        warning = f"non-uniform margins: relative spread {spread:.3e}"
-    return RatioCheck(
-        mean_rel_dev=mean_dev,
-        max_rel_dev=max_dev,
-        predicted_multiple=rho,
-        margin_mean=margin,
-        margin_spread=spread,
-        warning=warning,
-    )

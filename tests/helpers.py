@@ -3,6 +3,13 @@
 The finite-difference routines here are the independent ground truth for
 every analytic gradient and Hessian in the package: they know nothing
 about the model families beyond "loss is a function of a flat vector".
+
+It also holds what only the tests call and the package does not ship:
+the uniform-margin generators (``make_separable_subspace``,
+``make_parallel_planes_binary``) and ``uniform_margin_ratio_check``, which
+checks on their data that the Hessian is a scalar multiple of the
+empirical Fisher, and ``performance_similarity``, the L1 distance between
+two AUC profiles. Their inputs come only from tests, so they check none.
 """
 
 import math
@@ -18,17 +25,16 @@ from ssse import (
     ErasureRequest,
     EvalReport,
     InputError,
-    LossConfig,
     MLP,
     ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
     NumericError,
-    RatioCheck,
     SplitData,
     StaleFisherError,
     SweepResult,
     accuracy,
+    auc_per_attribute,
     grad_mean,
     loss,
     make_ids,
@@ -496,6 +502,11 @@ def similarity_ratio_oracle(theta_hat, theta_star, theta_retrain, samples):
     return 0.5 if total == 0.0 else to_retrain / total
 
 
+def performance_similarity(a, b, samples):
+    """L1 distance between the two models' per-attribute AUC profiles."""
+    return float(np.abs(auc_per_attribute(a, samples) - auc_per_attribute(b, samples)).sum())
+
+
 def confusion_matrix_oracle(params, dataset):
     """Confusion counts through ``np.add.at``: true classes as rows, predictions as columns."""
     c = params.shape.n_classes
@@ -525,35 +536,137 @@ def sweep_oracle(theta_star, finv, train, test, splits, grid, criterion, theta_r
     return SweepResult(criterion=criterion, best_epsilon=float(grid[best]), reports=tuple(reports))
 
 
-def softmax_ratio_check_oracle(params, dataset):
-    """``fisher_hessian_ratio_check`` on a softmax model, one sample at a time."""
+# ---------------------------------------------------------------------------
+# Uniform-margin data, where the data-term Hessian is a scalar multiple of the
+# empirical Fisher, and the per-sample check of that multiple
+# ---------------------------------------------------------------------------
+
+_MARGIN_RESIDUAL_TOL = 1e-9
+
+
+def _rank_c_matrix(rng, c, m):
+    """The first of up to eight standard-normal c x m draws that has full rank c."""
+    for _ in range(8):
+        w = rng.standard_normal((c, m))
+        sv = np.linalg.svd(w, compute_uv=False)
+        if sv[-1] > 1e-8 * sv[0]:
+            return w
+    raise AssertionError("could not draw a full-rank weight matrix")
+
+
+def make_separable_subspace(c, m, eps_margin, n_per_class, seed, id_prefix=""):
+    """Softmax dataset where every sample has the same classification margin.
+
+    Returns a rank-c weight matrix theta (m > c) and samples placed on the
+    affine subspaces where the logits hit the exact target pattern: the
+    true class gets probability 1 - (c-1) eps and every other class eps.
+    Data within a class therefore varies only along the (m - c)-dimensional
+    null space of theta.
+    """
+    rng = np.random.default_rng(seed)
+    theta = _rank_c_matrix(rng, c, m)
+    _, _, vt = np.linalg.svd(theta, full_matrices=True)
+    null_basis = vt[c:].T
+    pinv = np.linalg.pinv(theta)
+
+    rows = []
+    labels = []
+    for cls in range(c):
+        pattern = np.full(c, eps_margin)
+        pattern[cls] = 1.0 - (c - 1) * eps_margin
+        x0 = pinv @ np.log(pattern)
+        offsets = rng.standard_normal((n_per_class, m - c))
+        rows.append(x0 + offsets @ null_basis.T)
+        labels.extend([cls + 1] * n_per_class)
+    features = np.vstack(rows)
+    dataset = Dataset(
+        features=features,
+        labels=np.asarray(labels, dtype=np.int64),
+        ids=make_ids(c * n_per_class, id_prefix),
+    )
+    params = ModelParams(
+        values=theta.reshape(-1), shape=MultinomialLinear(n_classes=c, n_features=m)
+    )
+    probs = predict_proba(params, dataset.features)
+    wrong = 1.0 - probs[np.arange(dataset.n), dataset.labels - 1]
+    residual = float(np.abs(wrong / (c - 1) - eps_margin).max())
+    assert residual <= _MARGIN_RESIDUAL_TOL, f"margin construction residual {residual:.3e}"
+    return dataset, params
+
+
+def make_parallel_planes_binary(m, eps_margin, n_per_class, seed, id_prefix=""):
+    """Single sigmoid head with |p - y| = eps on every sample.
+
+    Positive and negative samples sit on two parallel hyperplanes where
+    the logit equals +/- log((1 - eps) / eps), varying freely along the
+    (m - 1)-dimensional orthogonal complement of the weight vector.
+    """
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    logit = math.log((1.0 - eps_margin) / eps_margin)
+    _, _, vt = np.linalg.svd(w[None, :], full_matrices=True)
+    null_basis = vt[1:].T
+
+    rows = []
+    labels = []
+    for y, sign in ((1, 1.0), (0, -1.0)):
+        base = sign * logit * w
+        offsets = rng.standard_normal((n_per_class, m - 1))
+        rows.append(base + offsets @ null_basis.T)
+        labels.extend([y] * n_per_class)
+    features = np.vstack(rows)
+    dataset = Dataset(
+        features=features,
+        labels=np.asarray(labels, dtype=np.uint8).reshape(-1, 1),
+        ids=make_ids(2 * n_per_class, id_prefix),
+    )
+    params = ModelParams(values=w.copy(), shape=MultiAttrLinear(n_attrs=1, n_features=m))
+    probs = predict_proba(params, dataset.features)[:, 0]
+    residual = float(np.abs(np.abs(probs - dataset.labels[:, 0]) - eps_margin).max())
+    assert residual <= _MARGIN_RESIDUAL_TOL, f"margin construction residual {residual:.3e}"
+    return dataset, params
+
+
+def uniform_margin_ratio_check(params, dataset):
+    """(mean deviation, max deviation, rho, margin spread) of H against rho times the Fisher.
+
+    Under a common margin eps (softmax: every wrong class at eps; one
+    sigmoid head: |p - y| = eps) the data-term Hessian of a linear model is
+    rho times the empirical Fisher on the entries where the Fisher carries
+    its mass, with rho = 1 / ((c-1) eps) for softmax and (1 - eps) / eps
+    for the head, eps being the mean margin. Per sample the feature outer
+    product cancels, leaving the class factor diag(p) - p p^T against rho
+    r r^T with r = p - onehot(y); the head has r = p - y and c = 1, so it
+    compares p - p^2 with rho r^2. Entries below max |r r^T| / c are
+    dropped: that is the rank-deficient residual the rank-one r r^T cannot
+    represent. Deviations are relative to rho r r^T, and the spread is the
+    largest margin's distance from eps, relative to eps.
+    """
     p = predict_proba(params, dataset.features)
-    c = params.shape.n_classes
-    y_idx = dataset.labels - 1
-    eps_i = (1.0 - p[np.arange(dataset.n), y_idx]) / (c - 1)
-    margin = float(eps_i.mean())
-    rho = 1.0 / (margin * (c - 1))
-    devs_all = []
-    for i in range(dataset.n):
-        pi = p[i]
+    if isinstance(params.shape, MultiAttrLinear):
+        c, r = 1, p - dataset.labels
+        eps_i = np.abs(r[:, 0])
+        margin = float(eps_i.mean())
+        rho = (1.0 - margin) / margin
+    else:
+        c = params.shape.n_classes
+        y_idx = dataset.labels - 1
+        eps_i = (1.0 - p[np.arange(dataset.n), y_idx]) / (c - 1)
+        margin = float(eps_i.mean())
+        rho = 1.0 / (margin * (c - 1))
+        r = p.copy()
+        r[np.arange(dataset.n), y_idx] -= 1.0
+    devs = []
+    for pi, ri in zip(p, r):
         a = np.diag(pi) - np.outer(pi, pi)
-        r = pi.copy()
-        r[y_idx[i]] -= 1.0
-        g = np.outer(r, r)
+        g = np.outer(ri, ri)
         keep = np.abs(g) >= np.abs(g).max() / c
         pred = rho * g[keep]
-        devs_all.append(np.abs(a[keep] - pred) / np.abs(pred))
-    devs = np.concatenate(devs_all)
+        devs.append(np.abs(a[keep] - pred) / np.abs(pred))
+    devs = np.concatenate(devs)
     spread = float(np.abs(eps_i - margin).max() / margin)
-    warning = f"non-uniform margins: relative spread {spread:.3e}" if spread > 1e-6 else None
-    return RatioCheck(
-        mean_rel_dev=float(devs.mean()),
-        max_rel_dev=float(devs.max()),
-        predicted_multiple=rho,
-        margin_mean=margin,
-        margin_spread=spread,
-        warning=warning,
-    )
+    return float(devs.mean()), float(devs.max()), rho, spread
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +775,11 @@ __all__ = [
     "hessian_dense_oracle",
     "influence_update_oracle",
     "loss_of_values",
+    "make_parallel_planes_binary",
+    "make_separable_subspace",
     "masked_sigmoid",
     "multinomial_dataset",
+    "performance_similarity",
     "random_params",
     "random_shape",
     "roc_auc_oracle",
@@ -671,8 +787,8 @@ __all__ = [
     "sigmoid_oracle",
     "similarity_ratio_oracle",
     "softmax_oracle",
-    "softmax_ratio_check_oracle",
     "ssse_grid_oracle",
     "ssse_update_oracle",
     "sweep_oracle",
+    "uniform_margin_ratio_check",
 ]

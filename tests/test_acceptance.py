@@ -21,8 +21,11 @@ from helpers import (
     dataset_for_shape,
     dense_block,
     dense_fisher_inverse,
+    make_parallel_planes_binary,
+    make_separable_subspace,
     multinomial_dataset,
     random_params,
+    uniform_margin_ratio_check,
 )
 from ssse import (
     BlockSpec,
@@ -30,7 +33,6 @@ from ssse import (
     GridSpec,
     LossConfig,
     MLP,
-    ModelParams,
     MultiAttrLinear,
     MultinomialLinear,
     TrainConfig,
@@ -39,14 +41,11 @@ from ssse import (
     build_inverse_fisher,
     build_splits,
     epsilon_sweep,
-    fisher_hessian_ratio_check,
     grad_sum,
     influence_update,
     make_attributes,
     make_blobs,
     make_gaussian_classes,
-    make_parallel_planes_binary,
-    make_separable_subspace,
     retrain_scratch,
     ssse_update,
     train,
@@ -118,17 +117,18 @@ def test_uniform_margin_hessian_is_scalar_multiple_of_fisher():
         m = c + 10
         for eps in (1e-3, 1e-4):
             ds, params = make_separable_subspace(c, m, eps, n_per_class=3, seed=200 + c)
-            rc = fisher_hessian_ratio_check(params, ds)
+            _, max_dev, _, spread = uniform_margin_ratio_check(params, ds)
             bound = 5.0 * c * eps
-            if rc.max_rel_dev > bound or rc.warning is not None:
-                failures.append(f"softmax c={c} eps={eps}: {rc.max_rel_dev:.3e} > {bound:.3e}")
+            if max_dev > bound or spread > 1e-6:
+                failures.append(f"softmax c={c} eps={eps}: {max_dev:.3e} > {bound:.3e}"
+                                f" or margin spread {spread:.3e} > 1e-6")
     for eps in (1e-3, 1e-4):
         ds, params = make_parallel_planes_binary(12, eps, n_per_class=8, seed=77)
-        rc = fisher_hessian_ratio_check(params, ds)
-        if rc.max_rel_dev > 1e-10:
-            failures.append(f"binary eps={eps}: {rc.max_rel_dev:.3e} > 1e-10")
-        if not math.isclose(rc.predicted_multiple, (1.0 - eps) / eps, rel_tol=1e-12):
-            failures.append(f"binary eps={eps}: multiple {rc.predicted_multiple}")
+        _, max_dev, rho, _ = uniform_margin_ratio_check(params, ds)
+        if max_dev > 1e-10:
+            failures.append(f"binary eps={eps}: {max_dev:.3e} > 1e-10")
+        if not math.isclose(rho, (1.0 - eps) / eps, rel_tol=1e-12):
+            failures.append(f"binary eps={eps}: multiple {rho}")
     _gate(
         "uniform-margin-ratio-identity",
         not failures,

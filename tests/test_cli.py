@@ -1,9 +1,11 @@
 """Exit codes, file outputs, and determinism of the command pipelines."""
 
+import configparser
 import hashlib
 import json
 import logging
 import os
+import re
 import struct
 import textwrap
 import warnings
@@ -14,7 +16,7 @@ import pytest
 import ssse
 from helpers import random_params, run_fresh
 from ssse import BlockSpec, load_model, params_digest
-from ssse.cli import main
+from ssse.cli import main, whole_number
 
 BASE_CONFIG = textwrap.dedent(
     """
@@ -329,14 +331,17 @@ def test_erase_names_the_invalid_stored_factor_and_exits_three(tmp_path, capsys)
     assert not os.path.exists(e)
 
 
-def _attribute_config(tmp_path, attrs):
+def _attribute_text(attrs):
     """BASE_CONFIG on ``attrs`` attributes of 4 features, 60 training rows."""
     data = ("[data]\nsource = attributes\nseed = 7\ntest_seed = 8\nn = 60\ntest_n = 20\n"
             f"n_features = 4\nn_attrs = {attrs}\nfrequencies = {', '.join(['0.4'] * attrs)}\n\n")
     text = data + BASE_CONFIG[BASE_CONFIG.index("[model]"):]
     text = text.replace("multinomial_linear", "multi_attr_linear")
-    text = text.replace("kind = class\nindex = 2", "kind = attribute\nindex = 1")
-    return write_config(tmp_path, text, f"attrs_{attrs}.cfg")
+    return text.replace("kind = class\nindex = 2", "kind = attribute\nindex = 1")
+
+
+def _attribute_config(tmp_path, attrs):
+    return write_config(tmp_path, _attribute_text(attrs), f"attrs_{attrs}.cfg")
 
 
 @pytest.mark.parametrize("command", ["fisher", "erase"])
@@ -477,6 +482,123 @@ def test_lr_schedule_epoch_that_is_not_a_whole_number_exits_two(tmp_path, capsys
     epoch = float(schedule.split(":")[0])
     assert f"error: lr_schedule epoch must be a whole number, got {epoch}\n" in err
     assert "Traceback" not in err and not os.path.exists(out)
+
+
+def _outputs(out):
+    """Each output file's bytes; a JSON manifest's without the config digest it records,
+    which hashes the config file's own bytes."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        data = read_bytes(os.path.join(out, name))
+        if name.endswith(".json"):
+            data = re.sub(rb'"config_digest": "[0-9a-f]{64}"', b"", data)
+        files[name] = data
+    return files
+
+
+@pytest.mark.parametrize("command, old, new, value", [
+    ("train", "epochs = 40", "epochs = {}", 40),
+    ("fisher", "[baselines]", "[fisher]\nbatch_size = {}\n\n[baselines]", 3),
+    ("demo-boundary", "[baselines]", "[boundary]\nnx = {}\nny = 3\n\n[baselines]", 41),
+], ids=["train-epochs", "fisher-batch_size", "boundary-nx"])
+def test_a_whole_float_count_in_a_config_reads_as_its_int(tmp_path, command, old, new, value):
+    model = str(tmp_path / "model")
+    extra = []
+    if command == "fisher":
+        assert main(["train", "--config", write_config(tmp_path), "--out", model]) == 0
+        extra = ["--model", os.path.join(model, "model.bin")]
+    outputs = []
+    for text in (str(value), f"{value}.0"):
+        cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new.format(text)), f"{text}.cfg")
+        out = str(tmp_path / text)
+        assert main([command, "--config", cfg, "--out", out, *extra]) == 0
+        outputs.append(_outputs(out))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("epochs", ["2.5", "nan", "inf"])
+def test_a_count_that_is_not_a_whole_number_exits_two_naming_the_key(tmp_path, capsys, epochs):
+    out = str(tmp_path / "o")
+    cfg = write_config(tmp_path, BASE_CONFIG.replace("epochs = 40", f"epochs = {epochs}"))
+    assert main(["train", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: train.epochs: bad value '{epochs}' (not a whole number)\n" in err
+    assert "Traceback" not in err and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("40", 40), ("40.0", 40), ("-3.0", -3), ("1e3", 1000),
+    ("9007199254740993", 2**53 + 1), ("18446744073709551615", 2**64 - 1),
+])
+def test_whole_number_reads_an_int_or_a_float_with_no_fraction(text, value):
+    # An int literal never passes through float, so a 64-bit seed keeps every bit.
+    result = whole_number(text)
+    assert result == value and type(result) is int
+
+
+@pytest.mark.parametrize("text", ["2.5", "nan", "inf", "-inf", "1e400", "forty"])
+def test_whole_number_refuses_a_fraction_or_a_non_finite_value(text):
+    with pytest.raises(ValueError):
+        whole_number(text)
+
+
+_BASES = {
+    "blobs": BASE_CONFIG + "\n[fisher]\nbatch_size = 3\n",
+    "gaussian": BASE_CONFIG.replace(
+        "source = blobs", "source = gaussian_classes\nn_features = 2\nn_classes = 2"),
+    "mlp": BASE_CONFIG.replace("family = multinomial_linear", "family = mlp\nn_hidden = 3"),
+    "attributes": _attribute_text(2),
+    "boundary": BASE_CONFIG + "\n[boundary]\nnx = 21\nny = 21\n",
+    "scrub": BASE_CONFIG.replace("ga_lr = 0.05", "ga_lr = 0.05\nscrub_noise_sigma = 0.1"),
+}
+
+# Every count, index and seed the CLI reads: (command, base config, key, a valid value).
+_WHOLE_KEYS = [
+    ("compare-baselines", "blobs", "data.seed", 7),
+    ("compare-baselines", "blobs", "data.test_seed", 8),
+    ("compare-baselines", "blobs", "data.n_per_class", 20),
+    ("compare-baselines", "blobs", "data.test_n_per_class", 10),
+    ("compare-baselines", "gaussian", "data.n_features", 2),
+    ("compare-baselines", "gaussian", "data.n_classes", 2),
+    ("compare-baselines", "gaussian", "data.center_seed", 5),
+    ("compare-baselines", "attributes", "data.n", 60),
+    ("compare-baselines", "attributes", "data.test_n", 20),
+    ("compare-baselines", "attributes", "data.n_features", 4),
+    ("compare-baselines", "attributes", "data.n_attrs", 2),
+    ("compare-baselines", "attributes", "data.direction_seed", 5),
+    ("compare-baselines", "blobs", "model.n_classes", 2),
+    ("compare-baselines", "mlp", "model.n_hidden", 3),
+    ("compare-baselines", "blobs", "train.epochs", 40),
+    ("compare-baselines", "blobs", "train.batch_size", 10),
+    ("compare-baselines", "blobs", "train.seed", 1),
+    ("compare-baselines", "blobs", "removal.index", 2),
+    ("compare-baselines", "blobs", "removal.seed", 11),
+    ("compare-baselines", "blobs", "fisher.batch_size", 3),
+    ("demo-boundary", "boundary", "boundary.nx", 21),
+    ("demo-boundary", "boundary", "boundary.ny", 21),
+    ("compare-baselines", "scrub", "baselines.scrub_noise_seed", 4),
+]
+
+
+@pytest.mark.parametrize("command, base, key, value", _WHOLE_KEYS,
+                         ids=[f"{base}-{key}" for _, base, key, _ in _WHOLE_KEYS])
+def test_every_count_key_reads_a_whole_float_and_refuses_a_fraction(tmp_path, capsys, command,
+                                                                     base, key, value):
+    section, option = key.split(".")
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(_BASES[base])
+    outputs, codes = [], []
+    for text in (str(value), f"{value}.0", "2.5"):
+        parser.set(section, option, text)
+        cfg = tmp_path / f"{text}.cfg"
+        with open(cfg, "w") as fh:
+            parser.write(fh)
+        out = str(tmp_path / text)
+        codes.append(main([command, "--config", str(cfg), "--out", out]))
+        outputs.append(_outputs(out) if os.path.exists(out) else None)
+    assert codes == [0, 0, 2]
+    assert outputs[0] == outputs[1] and outputs[2] is None
+    assert f"error: {key}: bad value '2.5' (not a whole number)\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", [",", "1, -1"], ids=["empty", "negative"])

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import binary_dataset, multinomial_dataset, random_params, run_fresh, select_oracle
+from helpers import (
+    binary_dataset,
+    make_parallel_planes_binary,
+    make_separable_subspace,
+    multinomial_dataset,
+    random_params,
+    run_fresh,
+    select_oracle,
+)
 from ssse import (
     MLP,
     Dataset,
@@ -25,8 +33,6 @@ from ssse import (
     make_blobs,
     make_gaussian_classes,
     make_ids,
-    make_parallel_planes_binary,
-    make_separable_subspace,
     predict_proba,
     save_csv,
 )
@@ -166,11 +172,8 @@ def test_make_parallel_planes_binary_margin():
     (lambda s: make_gaussian_classes(1, 3, 2, 2, center_seed=s), "center_seed"),
     (lambda s: make_attributes(s, 10, 3, 1, [0.5]), "seed"),
     (lambda s: make_attributes(1, 10, 3, 1, [0.5], direction_seed=s), "direction_seed"),
-    (lambda s: make_separable_subspace(2, 3, 0.1, 2, s), "seed"),
-    (lambda s: make_parallel_planes_binary(3, 0.1, 2, s), "seed"),
     (lambda s: RemovalSpec(kind="class", index=1, fraction=0.5, seed=s), "removal seed"),
-], ids=["blobs", "gaussian", "center", "attributes", "direction", "subspace", "planes",
-        "removal"])
+], ids=["blobs", "gaussian", "center", "attributes", "direction", "removal"])
 def test_seeds_are_whole_numbers_from_zero(draw, name, seed):
     with pytest.raises(InputError, match=f"^{name} must be a whole number >= 0, got {seed}$"):
         draw(seed)
@@ -204,10 +207,6 @@ _GRID = (-1.0, 1.0, -1.0, 1.0)
     (lambda v: make_attributes(1, v, 3, 1, [0.5]), "n", 2),
     (lambda v: make_attributes(1, 10, v, 1, [0.5]), "n_features", 1),
     (lambda v: make_attributes(1, 10, 3, v, [0.5]), "n_attrs", 1),
-    (lambda v: make_separable_subspace(v, 5, 0.1, 2, 0), "c", 2),
-    (lambda v: make_separable_subspace(2, 5, 0.1, v, 0), "n_per_class", 1),
-    (lambda v: make_parallel_planes_binary(v, 0.1, 2, 0), "m", 2),
-    (lambda v: make_parallel_planes_binary(3, 0.1, v, 0), "n_per_class", 1),
     (lambda v: RemovalSpec(kind="class", index=v, fraction=0.5, seed=0), "removal index", 1),
     (lambda v: GridSpec(*_GRID, nx=v, ny=3), "nx", 2),
     (lambda v: GridSpec(*_GRID, nx=3, ny=v), "ny", 2),
@@ -223,7 +222,6 @@ _GRID = (-1.0, 1.0, -1.0, 1.0)
     (lambda v: MLP(n_features=2, n_hidden=2, n_classes=v), "MLP.n_classes", 2),
 ], ids=["ids-n", "blobs-n_per_class", "gaussian-n_per_class", "gaussian-n_features",
         "gaussian-n_classes", "attributes-n", "attributes-n_features", "attributes-n_attrs",
-        "subspace-c", "subspace-n_per_class", "planes-m", "planes-n_per_class",
         "removal-index", "grid-nx", "grid-ny", "build-fisher-batch_size",
         "fisher-n_samples", "fisher-batch_size", "multi_attr-n_attrs",
         "multi_attr-n_features", "multinomial-n_classes", "multinomial-n_features",
@@ -233,13 +231,6 @@ def test_counts_are_whole_numbers_from_their_least(build, name, least, bad):
     refusal = f"{name} must be a whole number >= {least}, got {value}"
     with pytest.raises(InputError, match=f"^{re.escape(refusal)}$"):
         build(value)
-
-
-def test_subspace_dimension_must_exceed_the_class_count():
-    with pytest.raises(InputError, match="^need m > c, got m = 3 and c = 3$"):
-        make_separable_subspace(3, 3.0, 0.1, 2, 0)
-    with pytest.raises(InputError, match="^m must be a whole number, got 4.5$"):
-        make_separable_subspace(3, 4.5, 0.1, 2, 0)
 
 
 def _same_dataset(a, b):
@@ -254,13 +245,6 @@ def test_whole_float_counts_draw_what_their_ints_draw():
                   make_gaussian_classes(1, 3, 2, 2))
     _same_dataset(make_attributes(1, 20.0, np.float64(3), 2.0, [0.3, 0.5]),
                   make_attributes(1, 20, 3, 2, [0.3, 0.5]))
-    for (a, a_params), (b, b_params) in [
-        (make_separable_subspace(2.0, 5.0, 0.1, np.float64(3), 0),
-         make_separable_subspace(2, 5, 0.1, 3, 0)),
-        (make_parallel_planes_binary(3.0, 0.1, 2.0, 0), make_parallel_planes_binary(3, 0.1, 2, 0)),
-    ]:
-        _same_dataset(a, b)
-        assert a_params == b_params and type(a_params.shape.n_features) is int
 
 
 @pytest.mark.parametrize("kind, index", [("class", 2.0), ("attribute", np.float64(2))])
@@ -298,10 +282,6 @@ def test_a_shape_stores_whole_float_fields_as_ints(floats, ints):
 def test_generator_input_validation():
     with pytest.raises(InputError):
         make_blobs(1, 0, [(0.0, 0.0)], 1.0)
-    with pytest.raises(InputError):
-        make_separable_subspace(c=3, m=2, eps_margin=1e-3, n_per_class=2, seed=1)  # m < c
-    with pytest.raises(InputError):
-        make_separable_subspace(c=3, m=8, eps_margin=0.6, n_per_class=2, seed=1)
     with pytest.raises(InputError):
         make_attributes(1, 10, n_features=3, n_attrs=2, frequencies=[0.5])
 

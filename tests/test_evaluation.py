@@ -8,6 +8,7 @@ from helpers import (
     binary_dataset,
     confusion_matrix_oracle,
     multinomial_dataset,
+    performance_similarity,
     random_params,
     roc_auc_oracle,
     similarity_ratio_oracle,
@@ -36,7 +37,6 @@ from ssse import (
     make_ids,
     normalized_confusion_distance,
     normalized_param_distance,
-    performance_similarity,
     roc_auc,
     similarity_ratio,
     ssse_update,

@@ -24,13 +24,15 @@ from helpers import (
     forward_oracle,
     hessian_dense_oracle,
     loss_of_values,
+    make_parallel_planes_binary,
+    make_separable_subspace,
     masked_sigmoid,
     multinomial_dataset,
     random_params,
     random_shape,
     sigmoid_oracle,
     softmax_oracle,
-    softmax_ratio_check_oracle,
+    uniform_margin_ratio_check,
 )
 from ssse import (
     BlockSpec,
@@ -46,16 +48,12 @@ from ssse import (
     TrainResult,
     build_inverse_fisher,
     diagonal_inverse_fisher,
-    fisher_hessian_ratio_check,
-    grad,
     grad_matrix,
     grad_mean,
     grad_sum,
     hessian_dense,
     loss,
     make_ids,
-    make_parallel_planes_binary,
-    make_separable_subspace,
     onehot,
     params_digest,
     predict_labels,
@@ -333,16 +331,6 @@ def test_grad_matrix_rows_are_per_sample_gradients(seed):
         )
 
 
-def test_grad_single_sample_wrapper_matches_matrix():
-    shape = MultinomialLinear(n_classes=3, n_features=2)
-    params = random_params(shape, 5)
-    cfg = LossConfig(l2_coeff=0.1)
-    x = np.array([0.3, -1.2])
-    g_one = grad(params, x, 2, cfg)
-    g_row = grad_matrix(params, x[None, :], np.array([2]), cfg)[0]
-    np.testing.assert_array_equal(g_one, g_row)
-
-
 def test_grad_sum_adds_selected_rows():
     ds = multinomial_dataset(7, 8, 3, 3)
     shape = MultinomialLinear(n_classes=3, n_features=3)
@@ -403,13 +391,13 @@ def test_two_class_softmax_gradient_mirrors_binary_head():
 
     bshape = MultiAttrLinear(n_attrs=1, n_features=m)
     bparams = ModelParams(values=w.copy(), shape=bshape)
-    g_binary = grad(bparams, x, np.array([1], dtype=np.uint8), cfg)
+    g_binary = grad_matrix(bparams, x[None, :], np.array([[1]], dtype=np.uint8), cfg)[0]
 
     mshape = MultinomialLinear(n_classes=2, n_features=m)
     theta = np.zeros((2, m))
     theta[1] = w
     mparams = ModelParams(values=theta.ravel(), shape=mshape)
-    g_soft = grad(mparams, x, 2, cfg).reshape(2, m)
+    g_soft = grad_matrix(mparams, x[None, :], np.array([2]), cfg)[0].reshape(2, m)
 
     np.testing.assert_allclose(g_soft[1], g_binary, atol=1e-12)
     np.testing.assert_allclose(g_soft[0], -g_binary, atol=1e-12)
@@ -529,39 +517,26 @@ def test_hessian_dense_refuses_d_above_the_cap_before_allocating(monkeypatch):
 def test_ratio_check_binary_planes():
     eps = 1e-3
     ds, params = make_parallel_planes_binary(m=4, eps_margin=eps, n_per_class=6, seed=2)
-    check = fisher_hessian_ratio_check(params, ds)
-    assert check.predicted_multiple == pytest.approx((1 - eps) / eps, rel=1e-6)
-    assert check.max_rel_dev < 1e-6
-    assert check.warning is None
+    _, max_dev, rho, spread = uniform_margin_ratio_check(params, ds)
+    assert rho == pytest.approx((1 - eps) / eps, rel=1e-6)
+    assert max_dev < 1e-6
+    assert spread <= 1e-6
 
 
 def test_ratio_check_softmax_margin():
     c, eps = 3, 1e-3
     ds, params = make_separable_subspace(c=c, m=c + 4, eps_margin=eps, n_per_class=4, seed=3)
-    check = fisher_hessian_ratio_check(params, ds)
-    assert check.predicted_multiple == pytest.approx(1.0 / (eps * (c - 1)), rel=1e-6)
-    assert check.mean_rel_dev <= 5 * c * eps
-    assert check.warning is None
+    mean_dev, _, rho, spread = uniform_margin_ratio_check(params, ds)
+    assert rho == pytest.approx(1.0 / (eps * (c - 1)), rel=1e-6)
+    assert mean_dev <= 5 * c * eps
+    assert spread <= 1e-6
 
 
 def test_ratio_check_flags_nonuniform_margins():
     ds = multinomial_dataset(12, 10, 3, 3)
     params = random_params(MultinomialLinear(n_classes=3, n_features=3), 13)
-    check = fisher_hessian_ratio_check(params, ds)
-    assert check.warning is not None
-    assert check.margin_spread > 1e-6
-
-
-@pytest.mark.parametrize("c", [2, 3, 5])
-def test_softmax_ratio_check_equals_the_per_sample_loop(c):
-    for seed in range(20):
-        ds, params = make_separable_subspace(c=c, m=c + 3, eps_margin=1e-3, n_per_class=3, seed=seed)
-        assert fisher_hessian_ratio_check(params, ds) == softmax_ratio_check_oracle(params, ds)
-    ds = multinomial_dataset(12, 10, 3, c)
-    params = random_params(MultinomialLinear(n_classes=c, n_features=3), 13)
-    check = fisher_hessian_ratio_check(params, ds)
-    assert check.warning is not None
-    assert check == softmax_ratio_check_oracle(params, ds)
+    *_, spread = uniform_margin_ratio_check(params, ds)
+    assert spread > 1e-6
 
 
 @pytest.mark.parametrize("shape, ds, found, expected", [
@@ -581,13 +556,6 @@ def test_every_gradient_path_refuses_labels_of_another_layout(shape, ds, found, 
                     lambda: build_inverse_fisher(params, ds, cfg, 0.1)):
         with pytest.raises(InputError, match=message):
             compute()
-
-
-def test_ratio_check_rejects_mlp_and_multi_head():
-    ds = binary_dataset(6, 5, 2, 2)
-    params = random_params(MultiAttrLinear(n_attrs=2, n_features=2), 1)
-    with pytest.raises(InputError):
-        fisher_hessian_ratio_check(params, ds)
 
 
 # ---------------------------------------------------------------------------

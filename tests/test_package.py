@@ -31,6 +31,17 @@ def test_every_public_name_is_its_owner_modules_object(name):
     assert getattr(ssse, name) is vars(owner)[name]
 
 
+@pytest.mark.parametrize("name, owner", [
+    ("RatioCheck", "models"), ("fisher_hessian_ratio_check", "models"), ("grad", "models"),
+    ("make_parallel_planes_binary", "data"), ("make_separable_subspace", "data"),
+    ("performance_similarity", "evaluation"),
+])
+def test_a_name_only_the_tests_call_is_not_in_the_package(name, owner):
+    assert name not in ssse.__all__ and name not in ssse._OWNER
+    assert not hasattr(ssse, name)
+    assert not hasattr(importlib.import_module(f"ssse.{owner}"), name)
+
+
 def test_star_import_and_dir_cover_all_public_names():
     namespace = {}
     exec("from ssse import *", namespace)
