@@ -582,6 +582,7 @@ def _backward(
     its tanh activation x is then overwritten with 1 - x^2 to form the
     layer below's delta without a fresh array. So a ``forward`` passed
     in is consumed; its hidden activations must not be read afterwards.
+    Its probabilities are left intact.
     """
     weights = _weights(shape, values)
     inputs, p = _forward(shape, values, features, weights) if forward is None else forward

@@ -11,6 +11,7 @@ vector because initialization depends only on the seed and the shape.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _container as cont
 from ._splitmix import SplitMix64
-from .errors import ContainerError, InputError, TrainingError
+from .errors import ContainerError, InputError, NumericError, TrainingError
 from .models import (
     Dataset,
     LossConfig,
@@ -54,8 +55,8 @@ class TrainConfig:
     stopping. Each epoch's gradient is computed layer by layer, last layer
     first, only until one layer's block rules out a stop (its own norm is
     already above ``grad_tol``); with ``grad_tol`` = 0 only the last epoch
-    computes one. ``final_grad_norm`` is always the exact full norm at the
-    last epoch run.
+    makes a full-data pass at all. ``final_grad_norm`` is always the exact
+    full norm at the last epoch run.
 
     Full-batch runs (batch_size >= n, momentum 0) decrease the loss every
     epoch when the learning rate is below the curvature bound of the
@@ -94,15 +95,14 @@ class TrainConfig:
 class TrainResult:
     """Final parameters plus convergence diagnostics.
 
-    ``loss_history`` holds the full-data regularized loss measured at the
-    end of each completed epoch.
+    ``final_loss`` is the full-data regularized loss at the end of the last
+    epoch run, the only epoch whose loss :func:`train` computes.
     """
 
     params: ModelParams
     final_loss: float
     final_grad_norm: float
     epochs_run: int
-    loss_history: tuple[float, ...]
 
 
 def init_params(shape: Shape, seed: int) -> ModelParams:
@@ -136,9 +136,7 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
     # A list, so the shuffle swaps its items without a round trip through numpy.
     order = list(range(dataset.n))
 
-    history: list[float] = []
     grad_norm = float("inf")
-    epochs_run = 0
     for epoch in range(1, cfg.epochs + 1):
         if epoch in schedule:
             lr *= schedule[epoch]
@@ -164,14 +162,16 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
                 np.subtract(theta, step, out=theta)
         if not np.isfinite(theta).all():
             raise TrainingError(f"training diverged at epoch {epoch}: non-finite parameters")
+        # The loss is computed only after the last epoch, but the L2 term
+        # of a finite theta can overflow before theta does; this names the
+        # epoch where it first does, as an epoch-end loss would.
+        if not math.isfinite(0.5 * loss_cfg.l2_coeff * float(theta @ theta)):
+            raise TrainingError(f"training diverged at epoch {epoch}: loss is not finite")
 
-        epochs_run = epoch
-        # One full-data forward pass gives the epoch's loss and its gradient.
-        forward, value = _epoch_loss(shape, theta, dataset, loss_cfg, epoch)
-        history.append(value)
         last = epoch == cfg.epochs
         if not (cfg.grad_tol or last):
             continue
+        forward = _forward(shape, theta, dataset.features)
         # Before the last epoch the gradient is built layer by layer only
         # until one block proves its norm is above grad_tol.
         total = _grad_sums(shape, theta, dataset.features, targets, loss_cfg.l2_coeff,
@@ -182,26 +182,15 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
         if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
             break
 
-    final = ModelParams(values=theta, shape=shape, seed=cfg.seed)
-    return TrainResult(
-        params=final,
-        final_loss=history[-1],
-        final_grad_norm=grad_norm,
-        epochs_run=epochs_run,
-        loss_history=tuple(history),
-    )
-
-
-def _epoch_loss(
-    shape: Shape, theta: np.ndarray, dataset: Dataset, loss_cfg: LossConfig, epoch: int
-):
-    """The full-data forward pass at theta and the loss it gives; divergence is a TrainingError."""
+    # The gradient pass overwrote only the hidden activations, so the
+    # probabilities of the last epoch's forward pass are intact.
     try:
-        forward = _forward(shape, theta, dataset.features)
-        value = _loss_from_proba(forward[1], dataset, theta, loss_cfg)
-    except Exception as exc:
+        final_loss = _loss_from_proba(forward[1], dataset, theta, loss_cfg)
+    except NumericError as exc:
         raise TrainingError(f"training diverged at epoch {epoch}: {exc}") from exc
-    return forward, value
+    final = ModelParams(values=theta, shape=shape, seed=cfg.seed)
+    return TrainResult(params=final, final_loss=final_loss, final_grad_norm=grad_norm,
+                       epochs_run=epoch)
 
 
 def retrain_scratch(

@@ -205,11 +205,16 @@ def binary_loss_oracle(p, labels, values, cfg):
 
 
 class OracleDiverged(Exception):
-    """:func:`train_oracle`'s per-step check found non-finite parameters in ``epoch``."""
+    """:func:`train_oracle` diverged in ``epoch``; ``reason`` says how.
 
-    def __init__(self, epoch):
-        super().__init__(f"non-finite parameters after a step of epoch {epoch}")
+    It is "non-finite parameters" when a step left a non-finite entry, and
+    the loss's own message when the epoch-end loss was not finite.
+    """
+
+    def __init__(self, epoch, reason="non-finite parameters"):
+        super().__init__(f"{reason} in epoch {epoch}")
         self.epoch = epoch
+        self.reason = reason
 
 
 def train_oracle(dataset, shape, loss_cfg, cfg):
@@ -219,7 +224,7 @@ def train_oracle(dataset, shape, loss_cfg, cfg):
     full gradient norm from the public ``loss`` and ``grad_mean``. Returns
     ``(theta, loss_history, final_grad_norm, epochs_run)``; every step is
     checked, and the first that leaves non-finite parameters raises
-    :class:`OracleDiverged`.
+    :class:`OracleDiverged`, as does the first non-finite epoch-end loss.
     """
     stream = ScalarSplitMix64(cfg.seed)
     bound = 1.0 / np.sqrt(shape.n_features)
@@ -247,7 +252,10 @@ def train_oracle(dataset, shape, loss_cfg, cfg):
                 raise OracleDiverged(epoch)
         epochs_run = epoch
         params = ModelParams(values=theta, shape=shape, seed=cfg.seed)
-        history.append(loss(params, dataset, loss_cfg))
+        try:
+            history.append(loss(params, dataset, loss_cfg))
+        except NumericError as exc:
+            raise OracleDiverged(epoch, str(exc)) from exc
         grad_norm = float(np.linalg.norm(grad_mean(params, dataset, loss_cfg)))
         if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
             break

@@ -206,6 +206,22 @@ def test_grad_sums_norm_above_ends_the_pass_only_when_a_block_proves_the_norm_ex
         assert h < f
 
 
+@pytest.mark.parametrize("family", ["mlp", "multinomial", "multi_attr"])
+@pytest.mark.parametrize("norm_above", [None, 0.0])
+def test_a_consumed_forward_keeps_its_probabilities(family, norm_above):
+    shape = {"mlp": MLP(n_features=5, n_hidden=4, n_classes=3),
+             "multinomial": MultinomialLinear(n_classes=3, n_features=5),
+             "multi_attr": MultiAttrLinear(n_attrs=3, n_features=5)}[family]
+    ds = dataset_for_shape(shape, 5, n=40)
+    values = random_params(shape, 6).values
+    forward = _forward(shape, values, ds.features)
+    before = forward[1].copy()
+    # norm_above = 0 ends the MLP's pass after its head block
+    _grad_sums(shape, values, ds.features, _targets(shape, ds.labels), 0.05,
+               forward=forward, norm_above=norm_above)
+    assert forward[1].tobytes() == before.tobytes()
+
+
 def test_mlp_gradient_sum_from_a_forward_pass_allocates_one_hidden_sized_array():
     shape = MLP(n_features=50, n_hidden=64, n_classes=10)
     n = 2000
@@ -646,8 +662,7 @@ def test_containers_of_arrays_compare_by_identity():
     twin_finv = dataclasses.replace(finv)
     assert finv == finv and finv != twin_finv and hash(finv) != hash(twin_finv)
     # the dataclasses that hold them compare and hash by field again
-    result = TrainResult(params=params, final_loss=1.0, final_grad_norm=0.5, epochs_run=2,
-                         loss_history=(2.0, 1.0))
+    result = TrainResult(params=params, final_loss=1.0, final_grad_norm=0.5, epochs_run=2)
     assert result == dataclasses.replace(result, params=params.with_values(params.values))
     assert hash(result) == hash(dataclasses.replace(result))
     assert result != dataclasses.replace(result, epochs_run=3)

@@ -37,7 +37,7 @@ from ssse import (
     save_model,
     train,
 )
-from ssse import models
+from ssse import models, training
 from ssse._container import CONTAINER_VERSION, MODEL_MAGIC
 from ssse._splitmix import SplitMix64
 
@@ -106,7 +106,7 @@ def test_same_seed_is_bitwise_identical():
     a = train(ds, shape, LossConfig(0.01), cfg)
     b = train(ds, shape, LossConfig(0.01), cfg)
     np.testing.assert_array_equal(a.params.values, b.params.values)
-    assert a.loss_history == b.loss_history
+    assert np.float64(a.final_loss).tobytes() == np.float64(b.final_loss).tobytes()
 
 
 def test_two_seeds_agree_on_a_convex_problem():
@@ -125,11 +125,15 @@ def test_two_seeds_agree_on_a_convex_problem():
 def test_full_batch_loss_decreases_monotonically():
     ds = blob_data(seed=9)
     shape = MultinomialLinear(n_classes=2, n_features=2)
-    # full batch, no momentum, lr under the curvature bound
-    cfg = TrainConfig(lr=0.2, epochs=60, batch_size=ds.n, seed=3, grad_tol=0.0)
-    result = train(ds, shape, LossConfig(0.01), cfg)
-    assert result.epochs_run == 60
-    diffs = np.diff(result.loss_history)
+    # full batch, no momentum, lr under the curvature bound; the first k
+    # epochs do not depend on ``epochs``, so run k's final loss is epoch k's
+    losses = []
+    for epochs in range(1, 61):
+        cfg = TrainConfig(lr=0.2, epochs=epochs, batch_size=ds.n, seed=3, grad_tol=0.0)
+        result = train(ds, shape, LossConfig(0.01), cfg)
+        assert result.epochs_run == epochs
+        losses.append(result.final_loss)
+    diffs = np.diff(losses)
     assert np.all(diffs <= 1e-12)
 
 
@@ -140,7 +144,6 @@ def test_grad_tol_stops_early_and_zero_disables():
     stopped = train(ds, shape, lc, TrainConfig(lr=0.4, epochs=500, batch_size=50, seed=1, grad_tol=1e-3))
     assert stopped.epochs_run < 500
     assert stopped.final_grad_norm <= 1e-3
-    assert len(stopped.loss_history) == stopped.epochs_run
     ran_out = train(ds, shape, lc, TrainConfig(lr=0.4, epochs=20, batch_size=50, seed=1, grad_tol=0.0))
     assert ran_out.epochs_run == 20
 
@@ -177,6 +180,30 @@ def test_divergence_names_the_epoch_of_the_first_non_finite_step(family):
     assert caught == []
 
 
+@pytest.mark.parametrize("factor", [1e150, 1e160, 1e170, 1e180, 1e200])
+@pytest.mark.parametrize("batch_size", [40, 8])
+@pytest.mark.parametrize("family", ["multi_attr", "multinomial", "mlp"])
+def test_divergence_names_the_epoch_and_reason_the_epoch_end_loss_would(family, batch_size,
+                                                                        factor):
+    # a finite theta whose squared norm overflows makes the loss's L2 term
+    # non-finite an epoch before theta itself overflows
+    shape = LOOP_FAMILIES[family](4)
+    ds = dataset_for_shape(shape, 3, 40)
+    loss_cfg = LossConfig(l2_coeff=0.01)
+    cfg = TrainConfig(lr=0.1, epochs=6, batch_size=batch_size, seed=3, momentum=0.0,
+                      lr_schedule=((2, factor),))
+    with np.errstate(all="ignore"), pytest.raises(OracleDiverged) as oracle:
+        train_oracle(ds, shape, loss_cfg, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(TrainingError) as err:
+            train(ds, shape, loss_cfg, cfg)
+    assert str(err.value) == (
+        f"training diverged at epoch {oracle.value.epoch}: {oracle.value.reason}")
+    if (family, batch_size, factor) == ("multinomial", 40, 1e160):
+        assert str(err.value) == "training diverged at epoch 2: loss is not finite"
+
+
 def test_divergence_raises_training_error_naming_epoch():
     ds = blob_data()
     shape = MultinomialLinear(n_classes=2, n_features=2)
@@ -199,8 +226,6 @@ def test_epoch_diagnostics_equal_loss_and_grad_mean_bit_for_bit(shape, grad_tol)
                                                momentum=0.5, grad_tol=grad_tol))
     assert result.final_loss == loss(result.params, ds, cfg)
     assert result.final_grad_norm == float(np.linalg.norm(grad_mean(result.params, ds, cfg)))
-    assert result.loss_history[-1] == result.final_loss
-    assert len(result.loss_history) == result.epochs_run
 
 
 LOOP_FAMILIES = {
@@ -226,7 +251,7 @@ def assert_train_equals_oracle(ds, shape, loss_cfg, cfg):
     result = train(ds, shape, loss_cfg, cfg)
     theta, history, grad_norm, epochs_run = train_oracle(ds, shape, loss_cfg, cfg)
     assert result.params.values.tobytes() == theta.tobytes()
-    assert np.array(result.loss_history).tobytes() == np.array(history).tobytes()
+    assert np.float64(result.final_loss).tobytes() == np.float64(history[-1]).tobytes()
     assert np.float64(result.final_grad_norm).tobytes() == np.float64(grad_norm).tobytes()
     assert result.epochs_run == epochs_run
     return result
@@ -313,6 +338,35 @@ def test_epoch_gradient_reaches_the_first_layer_on_the_last_epoch_only(monkeypat
     assert result.epochs_run == cfg.epochs
     assert result.final_grad_norm == float(np.linalg.norm(
         grad_mean(result.params, ds, LossConfig(0.01))))
+
+
+@pytest.mark.parametrize("grad_tol", [1e-12, 0.0])
+@pytest.mark.parametrize("family", LOOP_FAMILIES)
+def test_train_takes_one_loss_per_call_and_a_full_data_pass_only_where_it_stops(
+        monkeypatch, family, grad_tol):
+    shape = LOOP_FAMILIES[family](4)
+    ds = dataset_for_shape(shape, 4, 23)
+    cfg = TrainConfig(lr=0.3, epochs=5, batch_size=8, seed=3, momentum=0.5, grad_tol=grad_tol)
+    # "b" a minibatch forward, "F" a forward over the whole training set, "L" a data loss
+    events = []
+    real_forward, real_loss = models._forward, models._loss_from_proba
+
+    def forward_spy(shape, values, features, weights=None):
+        events.append("F" if features is ds.features else "b")
+        return real_forward(shape, values, features, weights)
+
+    def loss_spy(p, dataset, values, cfg):
+        events.append("L")
+        return real_loss(p, dataset, values, cfg)
+
+    for module in (models, training):
+        monkeypatch.setattr(module, "_forward", forward_spy)
+        monkeypatch.setattr(module, "_loss_from_proba", loss_spy)
+    result = train(ds, shape, LossConfig(0.05), cfg)
+    monkeypatch.undo()
+    assert result.epochs_run == cfg.epochs
+    epoch = "bbb" + "F" * (grad_tol > 0)
+    assert "".join(events) == epoch * (cfg.epochs - 1) + "bbbFL"
 
 
 def test_train_config_validation():
