@@ -10,11 +10,13 @@ All three are one tanh network of depth 0 or 1: each shape's ``layers``
 lists the (out, in) shape of every weight matrix in parameter order, and one
 forward pass, one backward pass, their R-op (exact Hessian-vector products)
 and the Fisher's block layout follow ``layers`` for every family; only the
-head (a clipped sigmoid or a softmax) differs. Parameters are a flat float64
-vector, row-major per weight matrix (output row by output row, layer by
-layer). Every per-sample loss includes the full L2 term, so the mean
-training loss is ``mean_i nll_i + (l2_coeff / 2) * ||theta||^2`` and each
-per-sample gradient carries ``l2_coeff * theta``.
+head (a clipped sigmoid or a softmax) differs. Every pass runs on a network
+bound once to a parameter vector (``_BoundNet``): training binds once per
+call for all its steps, every other caller once per pass. Parameters are a
+flat float64 vector, row-major per weight matrix (output row by output row,
+layer by layer). Every per-sample loss includes the full L2 term, so the
+mean training loss is ``mean_i nll_i + (l2_coeff / 2) * ||theta||^2`` and
+each per-sample gradient carries ``l2_coeff * theta``.
 
 The check of the paper's uniform-margin premise (with equal margins the
 Hessian is a scalar multiple of the empirical Fisher) is not part of the
@@ -89,6 +91,15 @@ class _Network:
     def n_params(self) -> int:
         return sum(rows * cols for rows, cols in self.layers)
 
+    @functools.cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Each weight's (start, stop) in the flat parameter vector, in parameter order."""
+        spans, cut = [], 0
+        for rows, cols in self.layers:
+            spans.append((cut, cut + rows * cols))
+            cut += rows * cols
+        return tuple(spans)
+
 
 @dataclass(frozen=True)
 class MultiAttrLinear(_Network):
@@ -97,7 +108,7 @@ class MultiAttrLinear(_Network):
     n_attrs: int
     n_features: int
 
-    @property
+    @functools.cached_property
     def layers(self) -> tuple[tuple[int, int], ...]:
         return ((self.n_attrs, self.n_features),)
 
@@ -109,7 +120,7 @@ class MultinomialLinear(_Network):
     n_classes: int
     n_features: int
 
-    @property
+    @functools.cached_property
     def layers(self) -> tuple[tuple[int, int], ...]:
         return ((self.n_classes, self.n_features),)
 
@@ -122,7 +133,7 @@ class MLP(_Network):
     n_hidden: int
     n_classes: int
 
-    @property
+    @functools.cached_property
     def layers(self) -> tuple[tuple[int, int], ...]:
         return ((self.n_hidden, self.n_features), (self.n_classes, self.n_hidden))
 
@@ -409,11 +420,8 @@ def _check_task_match(params: ModelParams, dataset: Dataset) -> None:
 
 def _weights(shape: Shape, values: np.ndarray) -> list[np.ndarray]:
     """Views of the weight matrices of ``shape.layers`` into the flat vector."""
-    weights, cut = [], 0
-    for rows, cols in shape.layers:
-        weights.append(values[cut:cut + rows * cols].reshape(rows, cols))
-        cut += rows * cols
-    return weights
+    return [values[start:stop].reshape(layer)
+            for (start, stop), layer in zip(shape.spans, shape.layers)]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -476,8 +484,88 @@ def _checked_features(shape: Shape, features: np.ndarray) -> np.ndarray:
     return features
 
 
+class _BoundNet:
+    """A network bound once to a flat parameter vector, for any number of passes.
+
+    It holds the weight views into ``values`` and, given a gradient buffer
+    ``grad``, that buffer's per-layer blocks, so a pass does no slicing,
+    feature check, allocation of the gradient or per-layer reshape. The views
+    follow in-place updates of ``values``: :func:`~ssse.training.train`
+    binds once per call for all its steps and epoch-end passes, while
+    :func:`_forward`, :func:`_grad_sums` and :func:`_hvp` bind once per
+    call. Features reach a pass already checked.
+    """
+
+    def __init__(self, shape: Shape, values: np.ndarray, l2_coeff: float = 0.0,
+                 grad: np.ndarray | None = None) -> None:
+        self.weights = _weights(shape, values)
+        *self.hidden, self.head = self.weights
+        self.sigmoid = isinstance(shape, MultiAttrLinear)
+        self.l2_coeff = l2_coeff
+        self.grad = grad
+        if grad is not None:
+            self.blocks = _weights(shape, grad)
+
+    def forward(self, features: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """The input of every layer, then the head's probabilities; see :func:`_forward`."""
+        inputs = [features]
+        for w in self.hidden:
+            a = inputs[-1] @ w.T
+            inputs.append(np.tanh(a, out=a))
+        if self.sigmoid:
+            return inputs, _clamp(_sigmoid(inputs[-1] @ self.head.T))
+        return inputs, _softmax((self.head @ inputs[-1].T).T)
+
+    def backward(self, forward, targets: np.ndarray):
+        """Yield ``(layer, delta, layer_input)`` for each layer, last layer first.
+
+        ``delta`` is the data loss's gradient with respect to the layer's
+        pre-activation, so sample i's data gradient in the layer's span of
+        the flat layout is ``outer(delta[i], layer_input[i])``. ``forward``
+        is :meth:`forward` of the rows ``targets`` belong to.
+
+        A hidden layer's input is valid only until the next item is drawn:
+        its tanh activation x is then overwritten with 1 - x^2 to form the
+        layer below's delta without a fresh array. So ``forward`` is
+        consumed; its hidden activations must not be read afterwards. Its
+        probabilities are left intact.
+        """
+        inputs, p = forward
+        delta = p - targets
+        for layer in reversed(range(len(self.weights))):
+            yield layer, delta, inputs[layer]
+            if layer:
+                x = inputs[layer]
+                delta = delta @ self.weights[layer]
+                np.multiply(x, x, out=x)
+                np.subtract(1.0, x, out=x)
+                delta *= x
+
+    def grad_sum(self, forward, targets: np.ndarray,
+                 norm_above: float | None = None) -> np.ndarray | None:
+        """The regularized gradient sum over the rows of ``forward``, written to ``grad``.
+
+        Each block is one product delta^T x, then its share of
+        ``n * l2_coeff * values``. It returns ``grad``, or None when
+        ``norm_above`` ended the pass early (see :func:`_grad_sums`); the
+        blocks it skipped keep whatever they held.
+        """
+        n = len(targets)
+        if norm_above is not None:
+            bound = max(norm_above, _NORM_FLOOR) * _NORM_MARGIN
+        for layer, delta, x in self.backward(forward, targets):
+            block = np.matmul(delta.T, x, out=self.blocks[layer])
+            if self.l2_coeff:
+                block += (n * self.l2_coeff) * self.weights[layer]
+            if norm_above is not None and layer:
+                mean = block.reshape(-1) / n
+                if math.sqrt(mean @ mean) > bound:
+                    return None
+        return self.grad
+
+
 def _forward(
-    shape: Shape, values: np.ndarray, features: np.ndarray, weights=None
+    shape: Shape, values: np.ndarray, features: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """The input of every layer, then the head's probabilities.
 
@@ -485,9 +573,8 @@ def _forward(
     the multi-attribute family and a softmax otherwise. Each hidden layer's
     tanh and the head's clip run in place on the array they act on, so a
     pass allocates one array per layer and a few for the head. The hidden
-    activations it returns belong to the caller; :func:`_backward` reuses
-    them as scratch. ``weights`` is :func:`_weights` of ``values`` when the
-    caller already has it.
+    activations it returns belong to the caller; a backward pass reuses
+    them as scratch.
 
     Hidden layers and the sigmoid head are sample-major (C-ordered). The
     softmax head is class-major: its logits are the transpose of
@@ -495,15 +582,7 @@ def _forward(
     stored F-ordered, so the softmax's per-sample reductions run along
     contiguous memory and the probabilities come back F-ordered.
     """
-    features = _checked_features(shape, features)
-    *hidden, head = _weights(shape, values) if weights is None else weights
-    inputs = [features]
-    for w in hidden:
-        a = inputs[-1] @ w.T
-        inputs.append(np.tanh(a, out=a))
-    if isinstance(shape, MultiAttrLinear):
-        return inputs, _clamp(_sigmoid(inputs[-1] @ head.T))
-    return inputs, _softmax((head @ inputs[-1].T).T)
+    return _BoundNet(shape, values).forward(_checked_features(shape, features))
 
 
 def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -568,39 +647,6 @@ def _targets(shape: Shape, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.float64) if heads else onehot(labels, shape.n_classes)
 
 
-def _backward(
-    shape: Shape, values: np.ndarray, features: np.ndarray, targets: np.ndarray, forward=None
-):
-    """Yield ``(start, stop, delta, layer_input)`` for each layer, last layer first.
-
-    ``delta`` is the data loss's gradient with respect to the layer's
-    pre-activation, so sample i's data gradient in columns start:stop is
-    ``outer(delta[i], layer_input[i])`` in the flat layout. ``forward`` is
-    :func:`_forward` of the same arguments when the caller already has it.
-
-    A hidden layer's input is valid only until the next item is drawn:
-    its tanh activation x is then overwritten with 1 - x^2 to form the
-    layer below's delta without a fresh array. So a ``forward`` passed
-    in is consumed; its hidden activations must not be read afterwards.
-    Its probabilities are left intact.
-    """
-    weights = _weights(shape, values)
-    inputs, p = _forward(shape, values, features, weights) if forward is None else forward
-    delta = p - targets
-    stop = shape.n_params
-    for layer in reversed(range(len(weights))):
-        rows, cols = weights[layer].shape
-        start = stop - rows * cols
-        yield start, stop, delta, inputs[layer]
-        if layer:
-            x = inputs[layer]
-            delta = delta @ weights[layer]
-            np.multiply(x, x, out=x)
-            np.subtract(1.0, x, out=x)
-            delta *= x
-        stop = start
-
-
 def _grad_sums(
     shape: Shape,
     values: np.ndarray,
@@ -615,11 +661,13 @@ def _grad_sums(
     """Regularized gradient sums of consecutive groups of ``size`` rows, one row per group.
 
     The last group may be short; ``size=None`` is one group of all rows
-    (one zero row for zero rows). A group of one row is a per-sample
-    gradient, one einsum per layer; larger groups take one stacked
-    product delta^T x per layer, and one more for a short last group.
-    ``out`` is a C-contiguous float64 (groups, n_params) array to write.
-    A ``forward`` passed in is consumed, as in :func:`_backward`.
+    (one zero row for zero rows), :meth:`_BoundNet.grad_sum` into
+    ``out[0]``. A group of one row is a per-sample gradient, one einsum
+    per layer; larger groups take one stacked product delta^T x per layer,
+    and one more for a short last group. ``out`` is a C-contiguous float64
+    (groups, n_params) array to write. ``forward`` is :func:`_forward` of
+    the same arguments when the caller already has it; it is consumed, as
+    in :meth:`_BoundNet.backward`.
 
     ``norm_above``, given with ``size=None`` on n > 0 rows, ends the pass
     as soon as one layer block shows that the mean gradient's norm,
@@ -637,14 +685,18 @@ def _grad_sums(
     that relative bound does not hold.
     """
     n = features.shape[0]
-    full = 0 if size is None else n // size
-    cut = 0 if size is None else full * size
-    groups = full + (size is None or cut < n)
+    groups = 1 if size is None else -(-n // size)
     if out is None:
         out = np.empty((groups, shape.n_params), dtype=np.float64)
-    if norm_above is not None:
-        bound = max(norm_above, _NORM_FLOOR) * _NORM_MARGIN
-    for start, stop, delta, x in _backward(shape, values, features, targets, forward):
+    net = _BoundNet(shape, values, l2_coeff, out[0] if size is None else None)
+    if forward is None:
+        forward = net.forward(_checked_features(shape, features))
+    if size is None:
+        return None if net.grad_sum(forward, targets, norm_above) is None else out
+    full = n // size
+    cut = full * size
+    for layer, delta, x in net.backward(forward, targets):
+        start, stop = shape.spans[layer]
         r, c = delta.shape[1], x.shape[1]
         sums = out[:, start:stop].reshape(groups, r, c)
         if size == 1:
@@ -660,10 +712,6 @@ def _grad_sums(
                 out[:full, start:stop] += (size * l2_coeff) * values[start:stop]
             if groups > full:
                 out[full, start:stop] += ((n - cut) * l2_coeff) * values[start:stop]
-        if norm_above is not None and start:
-            mean = out[0, start:stop] / n
-            if math.sqrt(mean @ mean) > bound:
-                return None
     return out
 
 
@@ -679,8 +727,9 @@ def grad_matrix(
 
     Row i is the gradient of ``nll_i + (l2_coeff / 2) * ||theta||^2``, so
     the mean over rows equals the full-batch gradient of :func:`loss`.
-    Every gradient in the package is a group sum of :func:`_grad_sums`;
-    these rows are its groups of one row.
+    Every gradient in the package is a group sum of :func:`_grad_sums`
+    or, for one group, :meth:`_BoundNet.grad_sum`, on the same backward
+    pass; these rows are its groups of one row.
     ``out``, a C-contiguous float64 (rows, n_params) array, receives the
     rows in place of a fresh array.
     """
@@ -724,10 +773,11 @@ def _hvp(shape: Shape, values, features, targets, vectors: np.ndarray) -> np.nda
 
     The r directions are the leading axis of every product: R(.) of (n, w) is (r, n, w).
     """
-    r, weights = len(vectors), _weights(shape, values)
-    cuts = np.cumsum([w.size for w in weights])[:-1]
-    dirs = [u.reshape(r, *w.shape) for u, w in zip(np.split(vectors, cuts, axis=1), weights)]
-    inputs, p = forward = _forward(shape, values, features, weights)
+    net = _BoundNet(shape, values)
+    r, weights = len(vectors), net.weights
+    dirs = [vectors[:, start:stop].reshape(r, *w.shape)
+            for (start, stop), w in zip(shape.spans, weights)]
+    inputs, p = forward = net.forward(_checked_features(shape, features))
     r_xs, r_a = [None], inputs[0] @ dirs[0].swapaxes(1, 2)  # the features do not move
     for x, w, u in zip(inputs[1:], weights[1:], dirs[1:]):
         r_xs.append(r_a * (1.0 - x * x))  # R(tanh(a)) = (1 - tanh(a)^2) R(a)
@@ -739,12 +789,13 @@ def _hvp(shape: Shape, values, features, targets, vectors: np.ndarray) -> np.nda
         r_delta -= np.einsum("nc,rnc->rn", p, r_delta)[..., None]
         r_delta *= p
     out = np.empty((r, shape.n_params), dtype=np.float64)
-    backward = _backward(shape, values, features, targets, forward)
-    for (start, stop, delta, x), w, u, r_x in zip(backward, weights[::-1], dirs[::-1], r_xs[::-1]):
+    backward = net.backward(forward, targets)
+    for (layer, delta, x), w, u, r_x in zip(backward, weights[::-1], dirs[::-1], r_xs[::-1]):
         block = r_delta.swapaxes(1, 2) @ x
         if r_x is not None:  # x is the tanh activation until the next item; R(x^2) = 2 x R(x)
             block += delta.T @ r_x
             r_delta = (r_delta @ w + delta @ u) * (1.0 - x * x) - r_x * (2.0 * x * (delta @ w))
+        start, stop = shape.spans[layer]
         out[:, start:stop] = block.reshape(r, -1)
     return out
 

@@ -3,10 +3,13 @@
 Reproducibility is the point of this trainer: initialization draws come
 from a counter-based stream (:mod:`ssse._splitmix`) seeded by the config
 seed, epoch shuffles continue the same stream, and batches are visited
-in shuffled order with plain float64 numpy arithmetic. Training twice
-with the same config on the same data yields bit-identical parameters,
-and retraining after sample removal starts from the exact same initial
-vector because initialization depends only on the seed and the shape.
+in shuffled order with plain float64 numpy arithmetic. Every step and
+epoch-end pass of a call runs on one network bound to the parameter
+vector once per call (``models._BoundNet``), which the steps update in
+place. Training twice with the same config on the same data yields
+bit-identical parameters, and retraining after sample removal starts
+from the exact same initial vector because initialization depends only
+on the seed and the shape.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from .models import (
     LossConfig,
     ModelParams,
     Shape,
+    _BoundNet,
     _check_task_match,
-    _forward,
-    _grad_sums,
     _loss_from_proba,
     _targets,
     _whole,
@@ -57,6 +59,14 @@ class TrainConfig:
     already above ``grad_tol``); with ``grad_tol`` = 0 only the last epoch
     makes a full-data pass at all. ``final_grad_norm`` is always the exact
     full norm at the last epoch run.
+
+    Divergence raises TrainingError naming the epoch: "non-finite
+    parameters" after the epoch whose steps left one, and "loss is not
+    finite" where the epoch-end loss would not be (its L2 term overflows,
+    or an epoch-end pass finds non-finite probabilities). With ``grad_tol``
+    = 0 no epoch-end pass runs before the last epoch, so probabilities that
+    turn non-finite while the parameters stay finite are named one epoch
+    late, as non-finite parameters.
 
     Full-batch runs (batch_size >= n, momentum 0) decrease the loss every
     epoch when the learning rate is below the curvature bound of the
@@ -129,6 +139,10 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
     theta = start.values.copy()
     targets = _targets(shape, dataset.labels)
 
+    # Every step and epoch-end pass runs on this one binding: its weight
+    # views follow theta's in-place updates, and each step overwrites every
+    # block of its gradient buffer, so an epoch-end pass leaves nothing behind.
+    net = _BoundNet(shape, theta, loss_cfg.l2_coeff, np.empty_like(theta))
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
     lr = cfg.lr
@@ -153,8 +167,7 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, dataset.n, cfg.batch_size):
                 hi = min(lo + cfg.batch_size, dataset.n)
-                g = _grad_sums(shape, theta, epoch_features[lo:hi], epoch_targets[lo:hi],
-                               loss_cfg.l2_coeff)[0]
+                g = net.grad_sum(net.forward(epoch_features[lo:hi]), epoch_targets[lo:hi])
                 g /= hi - lo
                 velocity *= cfg.momentum
                 velocity += g
@@ -171,14 +184,18 @@ def train(dataset: Dataset, shape: Shape, loss_cfg: LossConfig, cfg: TrainConfig
         last = epoch == cfg.epochs
         if not (cfg.grad_tol or last):
             continue
-        forward = _forward(shape, theta, dataset.features)
+        forward = net.forward(dataset.features)
         # Before the last epoch the gradient is built layer by layer only
         # until one block proves its norm is above grad_tol.
-        total = _grad_sums(shape, theta, dataset.features, targets, loss_cfg.l2_coeff,
-                           forward=forward, norm_above=None if last else cfg.grad_tol)
+        total = net.grad_sum(forward, targets, None if last else cfg.grad_tol)
         if total is None:
             continue
-        grad_norm = float(np.linalg.norm(total[0] / dataset.n))
+        grad_norm = float(np.linalg.norm(total / dataset.n))
+        # A non-finite probability makes the gradient and the loss
+        # non-finite alike (a finite one keeps every log finite); the
+        # norm is the cheap test, so the probabilities are read only after it.
+        if not math.isfinite(grad_norm) and not np.isfinite(forward[1]).all():
+            raise TrainingError(f"training diverged at epoch {epoch}: loss is not finite")
         if cfg.grad_tol > 0 and grad_norm <= cfg.grad_tol:
             break
 

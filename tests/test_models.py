@@ -64,7 +64,7 @@ from ssse.cli import Pipeline
 from ssse.models import (
     DENSE_HESSIAN_CAP,
     PROB_FLOOR,
-    _backward,
+    _BoundNet,
     _forward,
     _grad_sums,
     _hvp,
@@ -145,8 +145,9 @@ def test_forward_and_backward_are_bit_identical_to_the_out_of_place_oracle(shape
     assert np.array_equal(p, want_p)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, want_inputs, strict=True))
     # a hidden layer's input is overwritten once the next layer is drawn
-    got = [(start, stop, delta.copy(), x.copy())
-           for start, stop, delta, x in _backward(shape, values, ds.features, targets)]
+    net = _BoundNet(shape, values)
+    got = [(*shape.spans[layer], delta.copy(), x.copy())
+           for layer, delta, x in net.backward(net.forward(ds.features), targets)]
     want = backward_oracle(shape, values, ds.features, targets)
     assert len(got) == len(want) == len(shape.layers)
     for (start, stop, delta, x), (w_start, w_stop, w_delta, w_x) in zip(got, want):

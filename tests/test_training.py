@@ -19,6 +19,7 @@ from helpers import (
 )
 from ssse import (
     ContainerError,
+    Dataset,
     InputError,
     LossConfig,
     MLP,
@@ -204,6 +205,33 @@ def test_divergence_names_the_epoch_and_reason_the_epoch_end_loss_would(family, 
         assert str(err.value) == "training diverged at epoch 2: loss is not finite"
 
 
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("lr", [1e-300, 1e-200])
+@pytest.mark.parametrize("family", ["multi_attr", "multinomial", "mlp"])
+def test_divergence_at_an_epoch_end_pass_names_the_epoch_its_loss_would(family, lr, momentum):
+    # features near the float64 limit: a step on finite parameters gives
+    # non-finite probabilities, which the epoch-end pass sees before any
+    # parameter is non-finite
+    shape = LOOP_FAMILIES[family](4)
+    base = dataset_for_shape(shape, 3, 40)
+    ds = Dataset(np.clip(base.features, -1.0, 1.0) * 1e307, base.labels, base.ids)
+    cfg = TrainConfig(lr=lr, epochs=4, batch_size=40, seed=1, momentum=momentum, grad_tol=1e-5)
+    want = got = None  # no divergence
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            train_oracle(ds, shape, LossConfig(), cfg)
+        except OracleDiverged as exc:
+            want = f"training diverged at epoch {exc.epoch}: {exc.reason}"
+        try:
+            train(ds, shape, LossConfig(), cfg)
+        except TrainingError as exc:
+            got = str(exc)
+    assert got == want
+    if family == "multinomial":
+        assert got == "training diverged at epoch 1: loss is not finite"
+
+
 def test_divergence_raises_training_error_naming_epoch():
     ds = blob_data()
     shape = MultinomialLinear(n_classes=2, n_features=2)
@@ -244,6 +272,8 @@ LOOP_CASES = {
     "grad-tol-stop": (4, 30, dict(batch_size=30, momentum=0.5, epochs=400, grad_tol=2e-3)),
     # 56-byte rows in 3-row batches: every other slice starts 8 bytes off a 16-byte boundary
     "7-features": (7, 25, dict(batch_size=3, momentum=0.9)),
+    # one-row steps: the softmax's one-row class sums and a one-row delta^T x
+    "batch-1": (4, 23, dict(batch_size=1, momentum=0.9)),
 }
 
 
@@ -268,6 +298,21 @@ def test_train_equals_the_plain_loop_byte_for_byte(family, case):
     result = assert_train_equals_oracle(ds, shape, loss_cfg, cfg)
     if case == "grad-tol-stop":
         assert result.epochs_run < cfg.epochs
+
+
+@pytest.mark.parametrize("family", LOOP_FAMILIES)
+def test_the_epoch_end_pass_leaves_no_trace_in_the_trained_model(family):
+    # a grad_tol no epoch meets runs an epoch-end pass after every epoch
+    # (on the MLP one that ends after the head block); 0 runs it after the last only
+    shape = LOOP_FAMILIES[family](4)
+    ds = dataset_for_shape(shape, 4, 30)
+    settings = dict(lr=0.3, epochs=8, batch_size=8, seed=3, momentum=0.9)
+    a, b = (train(ds, shape, LossConfig(0.05), TrainConfig(grad_tol=grad_tol, **settings))
+            for grad_tol in (0.0, 1e-300))
+    assert a.params.values.tobytes() == b.params.values.tobytes()
+    assert np.float64(a.final_loss).tobytes() == np.float64(b.final_loss).tobytes()
+    assert np.float64(a.final_grad_norm).tobytes() == np.float64(b.final_grad_norm).tobytes()
+    assert a.epochs_run == b.epochs_run == settings["epochs"]
 
 
 MLP_TOL_SHAPE = MLP(n_features=4, n_hidden=3, n_classes=3)
@@ -317,17 +362,19 @@ def test_epoch_gradient_reaches_the_first_layer_on_the_last_epoch_only(monkeypat
     ds = make_gaussian_classes(31, 200, 50, 10, spread=2.0, center_seed=31)
     shape = MLP(n_features=50, n_hidden=64, n_classes=10)
     cfg = TrainConfig(lr=0.1, epochs=6, batch_size=100, seed=5, momentum=0.9, grad_tol=grad_tol)
-    calls = []
-    real = models._backward
+    calls, nets = [], []
+    real = models._BoundNet.backward
 
-    def spy(shape, values, features, targets, forward=None):
+    def spy(net, forward, targets):
+        # an epoch-end pass is the one whose first layer input is the training set
         starts = []
-        calls.append((forward is not None, starts))
-        for item in real(shape, values, features, targets, forward):
-            starts.append(item[0])
+        calls.append((forward[0][0] is ds.features, starts))
+        nets.append(net)
+        for item in real(net, forward, targets):
+            starts.append(shape.spans[item[0]][0])
             yield item
 
-    monkeypatch.setattr(models, "_backward", spy)
+    monkeypatch.setattr(models._BoundNet, "backward", spy)
     result = train(ds, shape, LossConfig(0.01), cfg)
     monkeypatch.undo()
     head_start = shape.n_params - 10 * 64
@@ -335,6 +382,7 @@ def test_epoch_gradient_reaches_the_first_layer_on_the_last_epoch_only(monkeypat
     ends = [starts for epoch_end, starts in calls if epoch_end]
     assert len(steps) == cfg.epochs * 20 and all(s == [head_start, 0] for s in steps)
     assert ends == [[head_start]] * (cfg.epochs - 1) * (grad_tol > 0) + [[head_start, 0]]
+    assert all(net is nets[0] for net in nets)  # one binding per call
     assert result.epochs_run == cfg.epochs
     assert result.final_grad_norm == float(np.linalg.norm(
         grad_mean(result.params, ds, LossConfig(0.01))))
@@ -349,18 +397,18 @@ def test_train_takes_one_loss_per_call_and_a_full_data_pass_only_where_it_stops(
     cfg = TrainConfig(lr=0.3, epochs=5, batch_size=8, seed=3, momentum=0.5, grad_tol=grad_tol)
     # "b" a minibatch forward, "F" a forward over the whole training set, "L" a data loss
     events = []
-    real_forward, real_loss = models._forward, models._loss_from_proba
+    real_forward, real_loss = models._BoundNet.forward, models._loss_from_proba
 
-    def forward_spy(shape, values, features, weights=None):
+    def forward_spy(net, features):
         events.append("F" if features is ds.features else "b")
-        return real_forward(shape, values, features, weights)
+        return real_forward(net, features)
 
     def loss_spy(p, dataset, values, cfg):
         events.append("L")
         return real_loss(p, dataset, values, cfg)
 
+    monkeypatch.setattr(models._BoundNet, "forward", forward_spy)
     for module in (models, training):
-        monkeypatch.setattr(module, "_forward", forward_spy)
         monkeypatch.setattr(module, "_loss_from_proba", loss_spy)
     result = train(ds, shape, LossConfig(0.05), cfg)
     monkeypatch.undo()
