@@ -90,14 +90,10 @@ class BlockSpec:
     @staticmethod
     def from_shape(shape: Shape) -> "BlockSpec":
         """One interval per unit: an output row of a single-layer model, a layer otherwise."""
-        layers = shape.layers
-        if len(layers) == 1:
-            rows, cols = layers[0]
-            units = [cols] * rows
-        else:
-            units = [rows * cols for rows, cols in layers]
-        edges = list(itertools.accumulate(units, initial=0))
-        return BlockSpec(ranges=tuple(zip(edges, edges[1:])))
+        if len(shape.layers) > 1:
+            return BlockSpec(ranges=shape.spans)
+        rows, cols = shape.layers[0]
+        return BlockSpec(ranges=tuple((i * cols, (i + 1) * cols) for i in range(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ PROB_FLOOR = 1e-12
 # Dense Hessians above this parameter count are refused.
 DENSE_HESSIAN_CAP = 4096
 
-# The rounding margin and floor of _grad_sums's norm_above early exit.
+# The rounding margin and floor of _BoundNet.grad_sum's norm_above early exit.
 _NORM_MARGIN = 1.0 + 1e-6
 _NORM_FLOOR = 1e-150
 
@@ -541,22 +541,44 @@ class _BoundNet:
                 np.subtract(1.0, x, out=x)
                 delta *= x
 
+    def block(self, layer: int, delta: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One layer's regularized gradient sum over the rows of ``x``, written to ``out``.
+
+        It is one product delta^T x, then those rows' share
+        ``rows * l2_coeff * weights`` of the L2 term.
+        """
+        np.matmul(delta.T, x, out=out)
+        if self.l2_coeff:
+            out += (len(x) * self.l2_coeff) * self.weights[layer]
+        return out
+
     def grad_sum(self, forward, targets: np.ndarray,
                  norm_above: float | None = None) -> np.ndarray | None:
         """The regularized gradient sum over the rows of ``forward``, written to ``grad``.
 
-        Each block is one product delta^T x, then its share of
-        ``n * l2_coeff * values``. It returns ``grad``, or None when
-        ``norm_above`` ended the pass early (see :func:`_grad_sums`); the
+        Each layer's block is :meth:`block` of that layer. It returns
+        ``grad``, or None when ``norm_above`` ended the pass early; the
         blocks it skipped keep whatever they held.
+
+        ``norm_above``, given on n > 0 rows, ends the pass as soon as one
+        layer block shows that the mean gradient's norm,
+        ``np.linalg.norm(grad / n)``, exceeds it: after every block but the
+        last one computed (layers run last first), the block's own norm,
+        divided by n, is compared with ``max(norm_above, 1e-150) * (1 + 1e-6)``,
+        and above it the remaining layers are skipped. The block's entries,
+        its share of the L2 term included, are the same floats as in the
+        full vector, and both norms are the square root of a dot product
+        over them, each with relative error below about n_params * 2^-53
+        (4e-13 at 3840 entries). So for fewer than about 1e9 parameters the
+        1e-6 margin covers the rounding of both, and the full norm would
+        exceed ``norm_above``. The floor keeps the squares clear of
+        subnormals, where that relative bound does not hold.
         """
         n = len(targets)
         if norm_above is not None:
             bound = max(norm_above, _NORM_FLOOR) * _NORM_MARGIN
         for layer, delta, x in self.backward(forward, targets):
-            block = np.matmul(delta.T, x, out=self.blocks[layer])
-            if self.l2_coeff:
-                block += (n * self.l2_coeff) * self.weights[layer]
+            block = self.block(layer, delta, x, self.blocks[layer])
             if norm_above is not None and layer:
                 mean = block.reshape(-1) / n
                 if math.sqrt(mean @ mean) > bound:
@@ -656,33 +678,18 @@ def _grad_sums(
     size: int | None = None,
     forward=None,
     out: np.ndarray | None = None,
-    norm_above: float | None = None,
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Regularized gradient sums of consecutive groups of ``size`` rows, one row per group.
 
     The last group may be short; ``size=None`` is one group of all rows
     (one zero row for zero rows), :meth:`_BoundNet.grad_sum` into
     ``out[0]``. A group of one row is a per-sample gradient, one einsum
     per layer; larger groups take one stacked product delta^T x per layer,
-    and one more for a short last group. ``out`` is a C-contiguous float64
+    then the L2 term, and a short last group :meth:`_BoundNet.block`, the
+    one-group sum. ``out`` is a C-contiguous float64
     (groups, n_params) array to write. ``forward`` is :func:`_forward` of
     the same arguments when the caller already has it; it is consumed, as
     in :meth:`_BoundNet.backward`.
-
-    ``norm_above``, given with ``size=None`` on n > 0 rows, ends the pass
-    as soon as one layer block shows that the mean gradient's norm,
-    ``np.linalg.norm(out[0] / n)``, exceeds it: after every block but the
-    last one computed (layers run last first), the block's own norm,
-    divided by n, is compared with ``max(norm_above, 1e-150) * (1 + 1e-6)``,
-    and above it the remaining layers are skipped and None is returned.
-    The block's entries, its share of the L2 term included (added layer
-    by layer, elementwise), are the same floats as in the full vector, and
-    both norms are the square root of a dot product over them, each with
-    relative error below about n_params * 2^-53 (4e-13 at 3840 entries).
-    So for fewer than about 1e9 parameters the 1e-6 margin covers the
-    rounding of both, and the full norm computed from ``out`` would exceed
-    ``norm_above``. The floor keeps the squares clear of subnormals, where
-    that relative bound does not hold.
     """
     n = features.shape[0]
     groups = 1 if size is None else -(-n // size)
@@ -692,7 +699,8 @@ def _grad_sums(
     if forward is None:
         forward = net.forward(_checked_features(shape, features))
     if size is None:
-        return None if net.grad_sum(forward, targets, norm_above) is None else out
+        net.grad_sum(forward, targets)
+        return out
     full = n // size
     cut = full * size
     for layer, delta, x in net.backward(forward, targets):
@@ -701,17 +709,15 @@ def _grad_sums(
         sums = out[:, start:stop].reshape(groups, r, c)
         if size == 1:
             np.einsum("nr,nc->nrc", delta, x, out=sums)
-        else:
-            if full:
-                np.matmul(delta[:cut].reshape(full, size, r).transpose(0, 2, 1),
-                          x[:cut].reshape(full, size, c), out=sums[:full])
-            if groups > full:
-                np.matmul(delta[cut:].T, x[cut:], out=sums[full])
-        if l2_coeff:
-            if full:
-                out[:full, start:stop] += (size * l2_coeff) * values[start:stop]
-            if groups > full:
-                out[full, start:stop] += ((n - cut) * l2_coeff) * values[start:stop]
+        elif full:
+            np.matmul(delta[:cut].reshape(full, size, r).transpose(0, 2, 1),
+                      x[:cut].reshape(full, size, c), out=sums[:full])
+        # on the 2-D view: numpy copies the whole stack for an in-place
+        # add of a broadcast (r, c) term to the strided 3-D one
+        if l2_coeff and full:
+            out[:full, start:stop] += (size * l2_coeff) * values[start:stop]
+        if groups > full:
+            net.block(layer, delta[cut:], x[cut:], sums[full])
     return out
 
 

@@ -198,11 +198,12 @@ def test_grad_sums_norm_above_ends_the_pass_only_when_a_block_proves_the_norm_ex
     h, f = np.linalg.norm(head), np.linalg.norm(full[0] / ds.n)
     # the margin is 1e-6: a head norm 2e-6 above a bound ends the pass, 5e-7 above does not
     for above in (0.0, h / 2, h / (1 + 2e-6), h / (1 + 5e-7), h, (h + f) / 2, f, 2 * f):
-        got = _grad_sums(shape, values, ds.features, targets, 0.05, norm_above=above)
+        net = _BoundNet(shape, values, 0.05, np.empty(shape.n_params))
+        got = net.grad_sum(net.forward(ds.features), targets, above)
         if len(shape.layers) > 1 and above < h / (1 + 1e-6):
             assert got is None and f > above
         else:
-            assert got.tobytes() == full.tobytes()
+            assert got.tobytes() == full[0].tobytes()
     if len(shape.layers) > 1:
         assert h < f
 
@@ -218,8 +219,8 @@ def test_a_consumed_forward_keeps_its_probabilities(family, norm_above):
     forward = _forward(shape, values, ds.features)
     before = forward[1].copy()
     # norm_above = 0 ends the MLP's pass after its head block
-    _grad_sums(shape, values, ds.features, _targets(shape, ds.labels), 0.05,
-               forward=forward, norm_above=norm_above)
+    net = _BoundNet(shape, values, 0.05, np.empty(shape.n_params))
+    net.grad_sum(forward, _targets(shape, ds.labels), norm_above)
     assert forward[1].tobytes() == before.tobytes()
 
 
@@ -233,6 +234,24 @@ def test_mlp_gradient_sum_from_a_forward_pass_allocates_one_hidden_sized_array()
     tracemalloc.start()
     try:
         _grad_sums(shape, values, ds.features, targets, 0.1, forward=forward)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * shape.n_hidden * 8
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_grouped_mlp_gradient_sums_add_the_l2_term_without_a_copy_of_the_groups(size):
+    shape = MLP(n_features=50, n_hidden=64, n_classes=10)
+    n = 500
+    ds = dataset_for_shape(shape, 3, n=n)
+    values = random_params(shape, 4).values
+    targets = _targets(shape, ds.labels)
+    forward = _forward(shape, values, ds.features)
+    out = np.empty((-(-n // size), shape.n_params))
+    tracemalloc.start()
+    try:
+        _grad_sums(shape, values, ds.features, targets, 0.1, size, forward=forward, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
