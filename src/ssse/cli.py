@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from . import data as data_mod
 from ._container import write_atomic
 from .erasure import (
+    _GRAD_SOURCES,
     ErasureRequest,
     check_epsilon_grid,
     diag_scrub_update,
@@ -85,6 +86,14 @@ def whole_number(text: str) -> int:
 def float_list(text: str) -> list[float]:
     """Comma-separated numbers; empty cells are skipped."""
     return [float(cell) for cell in text.split(",") if cell.strip()]
+
+
+def _nonneg_float(text: str) -> float:
+    """A finite number >= 0."""
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise ValueError("must be finite and >= 0")
+    return value
 
 
 def float_pairs(text: str) -> list[tuple[float, float]]:
@@ -246,6 +255,13 @@ def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int]:
     return dampening, _whole(batch_size, "fisher.batch_size", 1)
 
 
+def _grad_source(text: str) -> str:
+    """``sweep.grad_source`` for ``erase``, checked before any file is read."""
+    if text not in _GRAD_SOURCES:
+        raise ValueError(f"expected one of {', '.join(_GRAD_SOURCES)}")
+    return text
+
+
 def _removed_only(text: str) -> str:
     """``sweep.grad_source`` for sweep and demo-boundary, which evaluate only
     the removed-gradient update; ``erase`` also accepts ``remaining``."""
@@ -359,14 +375,15 @@ def cmd_fisher(args) -> int:
 def cmd_erase(args) -> int:
     cfg = ConfigView(args.config)
     train_ds = build_dataset(cfg)
+    grad_source = cfg.get("sweep", "grad_source", _grad_source, "removed")
     params, loss_cfg = load_model(args.model)
     finv = load_inverse_fisher(args.fisher)
     removed = data_mod.draw_removed(train_ds, removal_spec(cfg))
     grid, _ = sweep_settings(cfg, train_ds)
-    grad_source = cfg.get("sweep", "grad_source", default="removed")
+    req = ErasureRequest(removed_ids=removed, epsilon=grid[-1], grad_source=grad_source)
     # Every update is computed, from one erasure direction, before the first
     # file is written, so a failing grid point leaves --out untouched.
-    erased = ssse_grid(params, finv, train_ds, removed, grid, loss_cfg, grad_source)
+    erased = ssse_grid(params, finv, train_ds, req, loss_cfg, grid)
     written = []
     for i, (eps, (theta, step_norm)) in enumerate(zip(grid, erased)):
         name = f"erased_{i:03d}_eps_{eps!r}.bin"
@@ -419,12 +436,13 @@ def cmd_demo_boundary(args) -> int:
     sweep = run.sweep(grid, criterion)
     theta, loss_cfg = run.theta_star, run.loss_cfg
     best_req = ErasureRequest(removed_ids=run.splits.removed, epsilon=sweep.best_epsilon)
+    influence_req = ErasureRequest(removed_ids=run.splits.removed)
     variants = {
         "original": theta,
         "retrain": run.retrain,
         "ssse": ssse_update(theta, run.finv, train_ds, best_req, loss_cfg),
-        "influence_full": influence_update(theta, train_ds, best_req, loss_cfg, "full"),
-        "influence_lko": influence_update(theta, train_ds, best_req, loss_cfg, "lko"),
+        "influence_full": influence_update(theta, train_ds, influence_req, loss_cfg, "full"),
+        "influence_lko": influence_update(theta, train_ds, influence_req, loss_cfg, "lko"),
     }
 
     pts = gspec.points()
@@ -450,11 +468,11 @@ def cmd_compare_baselines(args) -> int:
     from . import evaluation as eval_mod
 
     cfg = ConfigView(args.config)
-    eps = cfg.get("baselines", "ssse_epsilon", float, 1.0)
-    ga_lr = cfg.get("baselines", "ga_lr", float)
-    scrub = dict(
-        epsilon=cfg.get("baselines", "scrub_epsilon", float, eps),
-        noise_sigma=cfg.get("baselines", "scrub_noise_sigma", float, 0.0),
+    eps = cfg.get("baselines", "ssse_epsilon", _nonneg_float, 1.0)
+    ga_lr = cfg.get("baselines", "ga_lr", _nonneg_float)
+    scrub_eps = cfg.get("baselines", "scrub_epsilon", _nonneg_float, eps)
+    noise = dict(
+        noise_sigma=cfg.get("baselines", "scrub_noise_sigma", _nonneg_float, 0.0),
         noise_seed=_whole(cfg.get("baselines", "scrub_noise_seed", whole_number, 0),
                           "baselines.scrub_noise_seed", 0),
     )
@@ -462,15 +480,16 @@ def cmd_compare_baselines(args) -> int:
     theta, train_ds, loss_cfg = run.theta_star, run.train_ds, run.loss_cfg
     removed = run.splits.removed
 
-    req = ErasureRequest(removed_ids=removed, epsilon=eps)
-    scrub_req = ErasureRequest(removed_ids=removed, **scrub)
+    req, ga_req, scrub_req = (ErasureRequest(removed_ids=removed, epsilon=e)
+                              for e in (eps, ga_lr, scrub_eps))
     diag_finv = diagonal_inverse_fisher(theta, train_ds, loss_cfg, run.finv.dampening)
     rows = {
         "original": theta,
         "retrain": run.retrain,
         "ssse": ssse_update(theta, run.finv, train_ds, req, loss_cfg),
-        "gradient_ascent": gradient_ascent_step(theta, train_ds, removed, ga_lr, loss_cfg),
-        "diag_scrub": diag_scrub_update(theta, diag_finv, train_ds, scrub_req, loss_cfg),
+        "gradient_ascent": gradient_ascent_step(theta, train_ds, ga_req, loss_cfg),
+        "diag_scrub": diag_scrub_update(theta, diag_finv, train_ds, scrub_req, loss_cfg,
+                                        **noise),
     }
 
     split_sets = vars(eval_mod.SplitData.from_splits(train_ds, run.test_ds, run.splits))

@@ -1,7 +1,7 @@
 """Closed-form removal of training samples from a trained model.
 
-Every update is one step from the trained parameters theta*, taken by
-one private function:
+Every update reads one :class:`ErasureRequest` whole and takes one step
+from the trained parameters theta*, computed by one private function:
 
     theta_new = theta* + (epsilon / m) * P(g),    g = sum_{i in S} grad_i
 
@@ -12,21 +12,16 @@ rows' gradient sum instead, formed as the removed rows' sum minus G, the
 gradient sum over all n rows at theta*. G is computed by the first such
 request and kept on the dataset for its theta* and l2_coeff, so every
 request sums only its k removed rows. The updates differ only in their
-input checks, the divisor m and the direction P, and in which request
-fields they read:
+input checks, the divisor m and the direction P:
 
 - :func:`ssse_update` (and :func:`ssse_grid`, one step per epsilon of a
   grid): m = n - k, P(g) = F_inv g through the inverse Fisher estimate.
-  Reads ``removed_ids``, ``epsilon`` and ``grad_source``.
-- :func:`influence_update`: m = 1 at epsilon 1, P(g) = H_inv g / (n - k)
-  through the exact dense Hessian (any family; it must be positive definite)
-  of the full or the retained data. Reads ``removed_ids``, ``grad_source``.
-- :func:`gradient_ascent_step`: m = 1 at epsilon = ``lr``, P(g) = g / k.
-  Takes ids and ``lr``, no request.
+- :func:`influence_update`: m = 1, P(g) = H_inv g / (n - k) through the
+  exact dense Hessian (any family; it must be positive definite) of the
+  full or the retained data.
+- :func:`gradient_ascent_step`: m = 1, P(g) = g / k.
 - :func:`diag_scrub_update`: m = n - k, P(g) = diag(F_inv) * g, plus
-  seeded Gaussian noise. The only update that reads ``noise_sigma`` and
-  ``noise_seed``; ssse_update and influence_update refuse a request
-  with noise.
+  seeded Gaussian noise.
 
 All updates are pure: inputs are never mutated.
 """
@@ -58,21 +53,18 @@ _GRAD_SOURCES = ("removed", "remaining")
 
 @dataclass(frozen=True)
 class ErasureRequest:
-    """Which samples to erase and how.
+    """Which samples to erase, how far to step, and along whose gradients.
 
-    ``epsilon`` scales the Fisher-based updates; 0 is allowed and leaves
-    the parameters untouched. ``grad_source`` selects whose gradients
-    feed the update: the removed samples themselves (default) or the
-    negated gradient sum of the retained samples, which agrees with the
-    default at an exact optimum where all per-sample gradients cancel.
-    ``noise_sigma`` and ``noise_seed`` are read by the diagonal scrub only;
-    ``noise_seed`` is a whole number >= 0, stored as an int.
+    Every update reads all three fields. ``epsilon`` scales the step; 0
+    is allowed and leaves the parameters untouched. ``grad_source``
+    selects whose gradients feed the update: the removed samples
+    themselves (default) or the negated gradient sum of the retained
+    samples, which agrees with the default at an exact optimum where all
+    per-sample gradients cancel.
     """
 
     removed_ids: tuple[str, ...]
     epsilon: float = 1.0
-    noise_sigma: float = 0.0
-    noise_seed: int = 0
     grad_source: str = "removed"
 
     def __post_init__(self) -> None:
@@ -85,9 +77,6 @@ class ErasureRequest:
         object.__setattr__(self, "removed_ids", ids)
         if not np.isfinite(self.epsilon) or self.epsilon < 0:
             raise InputError("epsilon must be finite and >= 0")
-        if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
-            raise InputError("noise_sigma must be finite and >= 0")
-        object.__setattr__(self, "noise_seed", _whole(self.noise_seed, "noise_seed", 0))
         if self.grad_source not in _GRAD_SOURCES:
             raise InputError(f"unknown grad_source: {self.grad_source!r}")
 
@@ -181,8 +170,11 @@ def check_epsilon_grid(grid: Sequence[float]) -> list[float]:
     return grid
 
 
-def _check_fisher(theta_star: ModelParams, finv: InverseFisher, dataset: Dataset) -> None:
-    """The estimate must have been built at ``theta_star`` on ``dataset``'s sample count."""
+def _ssse_steps(
+    theta_star: ModelParams, finv: InverseFisher, dataset: Dataset, req: ErasureRequest,
+    cfg: LossConfig, grid: Sequence[float],
+) -> list[tuple[ModelParams, np.ndarray | None]]:
+    """The single-step update's checks, then :func:`_steps` at each epsilon of a checked grid."""
     if finv.built_at_digest != params_digest(theta_star):
         raise StaleFisherError(
             "inverse Fisher was built at different parameters than supplied"
@@ -193,6 +185,9 @@ def _check_fisher(theta_star: ModelParams, finv: InverseFisher, dataset: Dataset
         )
     if finv.n_params != theta_star.shape.n_params:
         raise InputError("inverse Fisher size does not match the parameter vector")
+    rows = _check_removal(dataset, req.removed_ids)
+    return _steps(theta_star, dataset, req, rows, cfg, grid, dataset.n - len(rows),
+                  lambda g: apply_inverse(finv, g), "ssse update")
 
 
 def ssse_update(
@@ -201,39 +196,31 @@ def ssse_update(
 ) -> ModelParams:
     """Single-step erasure through the inverse Fisher estimate.
 
-    Refuses a request with noise, and an inverse Fisher whose stored
-    digest does not match ``theta_star`` or that was built on a different
-    number of samples than ``dataset`` holds: the estimate is only valid
-    at the exact parameters and for the training set it was built at.
+    Refuses an inverse Fisher whose stored digest does not match
+    ``theta_star`` or that was built on a different number of samples
+    than ``dataset`` holds: the estimate is only valid at the exact
+    parameters and for the training set it was built at.
     """
-    if req.noise_sigma > 0:
-        raise InputError("ssse_update adds no noise: noise_sigma must be 0")
-    _check_fisher(theta_star, finv, dataset)
-    rows = _check_removal(dataset, req.removed_ids)
-    return _steps(theta_star, dataset, req, rows, cfg, [req.epsilon], dataset.n - len(rows),
-                  lambda g: apply_inverse(finv, g), "ssse update")[0][0]
+    return _ssse_steps(theta_star, finv, dataset, req, cfg, [req.epsilon])[0][0]
 
 
 def ssse_grid(
-    theta_star: ModelParams, finv: InverseFisher, dataset: Dataset, removed_ids,
-    grid: Sequence[float], cfg: LossConfig, grad_source: str = "removed",
+    theta_star: ModelParams, finv: InverseFisher, dataset: Dataset, req: ErasureRequest,
+    cfg: LossConfig, grid: Sequence[float],
 ) -> list[tuple[ModelParams, float]]:
     """:func:`ssse_update` at every epsilon of the grid, each with its step's L2 norm.
 
-    The grid must pass :func:`check_epsilon_grid`; the other checks are
-    those of ssse_update. The direction F_inv g is computed once and each
-    point only scales it, so its model is bit-identical to ssse_update's
-    at that epsilon. The norm is that of (epsilon / (n - k)) F_inv g,
-    0.0 at epsilon 0.
+    The grid must pass :func:`check_epsilon_grid` and end at the
+    request's own epsilon; the other checks are those of ssse_update. The
+    direction F_inv g is computed once and each point only scales it, so
+    its model is bit-identical to ssse_update's at that epsilon. The norm
+    is that of (epsilon / (n - k)) F_inv g, 0.0 at epsilon 0.
     """
     grid = check_epsilon_grid(grid)
-    req = ErasureRequest(removed_ids=removed_ids, grad_source=grad_source)
-    _check_fisher(theta_star, finv, dataset)
-    rows = _check_removal(dataset, req.removed_ids)
-    points = _steps(theta_star, dataset, req, rows, cfg, grid, dataset.n - len(rows),
-                    lambda g: apply_inverse(finv, g), "ssse update")
+    if grid[-1] != req.epsilon:
+        raise InputError("epsilon grid must end at the request's epsilon")
     return [(theta, 0.0 if step is None else float(np.linalg.norm(step)))
-            for theta, step in points]
+            for theta, step in _ssse_steps(theta_star, finv, dataset, req, cfg, grid)]
 
 
 def influence_update(
@@ -245,52 +232,52 @@ def influence_update(
     ``hessian_source`` picks where the Hessian is evaluated: "full" uses
     the whole training set, "lko" the retained samples only. The solve is
     a Cholesky factorization: l2_coeff must be > 0, and a Hessian that is
-    not positive definite raises NumericError. ``req.epsilon`` is ignored,
-    and a request with noise is refused.
+    not positive definite raises NumericError. At epsilon 0 no Hessian is
+    built.
     """
-    if req.noise_sigma > 0:
-        raise InputError("influence_update adds no noise: noise_sigma must be 0")
     if hessian_source not in ("full", "lko"):
         raise InputError(f"unknown hessian_source: {hessian_source!r}")
     if cfg.l2_coeff <= 0:
         raise InputError("influence updates require l2_coeff > 0")
     rows = _check_removal(dataset, req.removed_ids)
-    kept = dataset.n - len(rows)
-    base = (dataset if hessian_source == "full"
-            else dataset._take(np.delete(np.arange(dataset.n), rows)))
-    h = hessian_dense(theta_star, base, cfg)
-    try:
-        lower = _cholesky(h, "Hessian")
-    except NumericError as exc:
-        raise NumericError(f"Hessian solve failed: {exc}") from exc
-    return _steps(theta_star, dataset, req, rows, cfg, [1.0], 1,
-                  lambda g: np.linalg.solve(lower.T, np.linalg.solve(lower, g)) / kept,
+
+    def direction(g: np.ndarray) -> np.ndarray:
+        base = (dataset if hessian_source == "full"
+                else dataset._take(np.delete(np.arange(dataset.n), rows)))
+        try:
+            lower = _cholesky(hessian_dense(theta_star, base, cfg), "Hessian")
+        except NumericError as exc:
+            raise NumericError(f"Hessian solve failed: {exc}") from exc
+        return np.linalg.solve(lower.T, np.linalg.solve(lower, g)) / (dataset.n - len(rows))
+
+    return _steps(theta_star, dataset, req, rows, cfg, [req.epsilon], 1, direction,
                   "influence update")[0][0]
 
 
 def gradient_ascent_step(
-    theta_star: ModelParams, dataset: Dataset, removed_ids, lr: float, cfg: LossConfig
+    theta_star: ModelParams, dataset: Dataset, req: ErasureRequest, cfg: LossConfig
 ) -> ModelParams:
-    """One ascent step on the mean loss of the removed samples (nonempty, unique ids)."""
-    req = ErasureRequest(removed_ids=removed_ids)
-    if not np.isfinite(lr) or lr < 0:
-        raise InputError("lr must be finite and >= 0")
+    """One ascent step of size ``req.epsilon`` on the mean loss of the removed samples."""
     rows = _check_removal(dataset, req.removed_ids)
-    return _steps(theta_star, dataset, req, rows, cfg, [lr], 1,
+    return _steps(theta_star, dataset, req, rows, cfg, [req.epsilon], 1,
                   lambda g: g / len(rows), "gradient ascent step")[0][0]
 
 
 def diag_scrub_update(
     theta_star: ModelParams, diag_finv: np.ndarray, dataset: Dataset, req: ErasureRequest,
-    cfg: LossConfig,
+    cfg: LossConfig, noise_sigma: float = 0.0, noise_seed: int = 0,
 ) -> ModelParams:
     """Diagonal-Fisher erasure with optional Gaussian smoothing noise.
 
     The deterministic part mirrors :func:`ssse_update` with the inverse
     Fisher replaced by its diagonal estimate; noise adds one draw per
     coordinate with standard deviation noise_sigma * sqrt(diag_finv_j),
-    seeded by ``noise_seed`` so reruns are reproducible.
+    seeded by ``noise_seed`` (a whole number >= 0) so reruns are
+    reproducible.
     """
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise InputError("noise_sigma must be finite and >= 0")
+    noise_seed = _whole(noise_seed, "noise_seed", 0)
     diag_finv = np.asarray(diag_finv, dtype=np.float64)
     if diag_finv.shape != (theta_star.shape.n_params,):
         raise InputError("diagonal inverse Fisher length does not match parameters")
@@ -299,8 +286,8 @@ def diag_scrub_update(
     rows = _check_removal(dataset, req.removed_ids)
     theta = _steps(theta_star, dataset, req, rows, cfg, [req.epsilon], dataset.n - len(rows),
                    lambda g: diag_finv * g, "diagonal scrub update")[0][0]
-    if req.noise_sigma == 0.0:
+    if noise_sigma == 0.0:
         return theta
-    rng = np.random.default_rng(req.noise_seed)
-    noise = req.noise_sigma * np.sqrt(diag_finv) * rng.standard_normal(theta.values.shape)
+    rng = np.random.default_rng(noise_seed)
+    noise = noise_sigma * np.sqrt(diag_finv) * rng.standard_normal(theta.values.shape)
     return _finite_params(theta_star, theta.values + noise, "diagonal scrub update")

@@ -27,8 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .erasure import (
+    ErasureRequest,
+    _ssse_steps,
     check_epsilon_grid,
-    ssse_grid,
     ssse_update,  # unused here; the benchmark's traced runs patch evaluation.ssse_update
 )
 from .errors import InputError
@@ -386,7 +387,8 @@ def epsilon_sweep(
     if criterion != ("max_gamma" if train.kind == "binary" else "min_delta"):
         raise InputError(f"{criterion} does not apply to a {train.kind} task")
 
-    erased = ssse_grid(theta_star, finv, train, splits.removed, grid, loss_cfg)
+    req = ErasureRequest(removed_ids=splits.removed, epsilon=grid[-1])
+    erased = _ssse_steps(theta_star, finv, train, req, loss_cfg, grid)
     split_data = SplitData.from_splits(train, test, splits)
     _check_splits(theta_star, split_data)  # every erased model has theta*'s shape
     references = _references(theta_star, theta_retrain, split_data.removed)

@@ -726,8 +726,6 @@ def grad_matrix(
     features: np.ndarray,
     labels: np.ndarray,
     cfg: LossConfig,
-    *,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample gradients of the regularized per-sample loss, one row each.
 
@@ -736,18 +734,10 @@ def grad_matrix(
     Every gradient in the package is a group sum of :func:`_grad_sums`
     or, for one group, :meth:`_BoundNet.grad_sum`, on the same backward
     pass; these rows are its groups of one row.
-    ``out``, a C-contiguous float64 (rows, n_params) array, receives the
-    rows in place of a fresh array.
     """
     shape = params.shape
     features = _checked_features(shape, features)
-    n, d = features.shape[0], shape.n_params
-    if out is not None and (
-        out.shape != (n, d) or out.dtype != np.float64 or not out.flags.c_contiguous
-    ):
-        raise InputError(f"out must be a C-contiguous float64 array of shape {(n, d)}")
-    targets = _targets(shape, labels)
-    return _grad_sums(shape, params.values, features, targets, cfg.l2_coeff, 1, out=out)
+    return _grad_sums(shape, params.values, features, _targets(shape, labels), cfg.l2_coeff, 1)
 
 
 def grad_mean(params: ModelParams, dataset: Dataset, cfg: LossConfig) -> np.ndarray:

@@ -712,9 +712,10 @@ def ssse_update_oracle(theta_star, finv, dataset, req, cfg):
     return _ssse_at_oracle(theta_star, v, kept, req.epsilon)[0]
 
 
-def ssse_grid_oracle(theta_star, finv, dataset, removed_ids, grid, cfg, grad_source="removed"):
+def ssse_grid_oracle(theta_star, finv, dataset, req, cfg, grid):
     grid = check_epsilon_grid(grid)
-    req = ErasureRequest(removed_ids=removed_ids, epsilon=grid[-1], grad_source=grad_source)
+    if grid[-1] != req.epsilon:
+        raise InputError("epsilon grid must end at the request's epsilon")
     v, kept = _ssse_direction_oracle(theta_star, finv, dataset, req, cfg)
     points = []
     for eps in grid:
@@ -725,8 +726,13 @@ def ssse_grid_oracle(theta_star, finv, dataset, removed_ids, grid, cfg, grad_sou
 
 def influence_update_oracle(theta_star, dataset, req, cfg, hessian_source="full",
                             hessian=hessian_dense_oracle):
-    """The influence step as a Cholesky solve on ``hessian`` (the closed form by default)."""
+    """The influence step as a Cholesky solve on ``hessian`` (the closed form by default).
+
+    At epsilon 0 it returns a copy of theta* and builds no Hessian.
+    """
     rows = _check_removal(dataset, req.removed_ids)
+    if req.epsilon == 0.0:
+        return theta_star.with_values(theta_star.values)
     base = dataset if hessian_source == "full" else dataset.without(req.removed_ids)
     h = hessian(theta_star, base, cfg)
     g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
@@ -735,32 +741,32 @@ def influence_update_oracle(theta_star, dataset, req, cfg, hessian_source="full"
     except NumericError as exc:
         raise NumericError(f"Hessian solve failed: {exc}") from exc
     step = np.linalg.solve(lower.T, np.linalg.solve(lower, g))
-    values = theta_star.values + step / (dataset.n - len(rows))
+    values = theta_star.values + req.epsilon * (step / (dataset.n - len(rows)))
     return _finite_params(theta_star, values, "influence update")
 
 
-def gradient_ascent_step_oracle(theta_star, dataset, removed_ids, lr, cfg):
-    ids = ErasureRequest(removed_ids=removed_ids).removed_ids
-    rows = _check_removal(dataset, ids)
-    if lr == 0.0:
+def gradient_ascent_step_oracle(theta_star, dataset, req, cfg):
+    rows = _check_removal(dataset, req.removed_ids)
+    if req.epsilon == 0.0:
         return theta_star.with_values(theta_star.values)
-    g = _erasure_direction(theta_star, dataset, rows, "removed", cfg)
-    values = theta_star.values + lr * (g / len(rows))
+    g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
+    values = theta_star.values + req.epsilon * (g / len(rows))
     return _finite_params(theta_star, values, "gradient ascent step")
 
 
-def diag_scrub_update_oracle(theta_star, diag_finv, dataset, req, cfg):
+def diag_scrub_update_oracle(theta_star, diag_finv, dataset, req, cfg, noise_sigma=0.0,
+                             noise_seed=0):
     rows = _check_removal(dataset, req.removed_ids)
     scale = req.epsilon / (dataset.n - len(rows))
-    if scale == 0.0 and req.noise_sigma == 0.0:
+    if scale == 0.0 and noise_sigma == 0.0:
         return theta_star.with_values(theta_star.values)
     values = theta_star.values.copy()
     if scale != 0.0:
         g = _erasure_direction(theta_star, dataset, rows, req.grad_source, cfg)
         values = values + scale * (diag_finv * g)
-    if req.noise_sigma > 0.0:
-        rng = np.random.default_rng(req.noise_seed)
-        values = values + req.noise_sigma * np.sqrt(diag_finv) * rng.standard_normal(values.shape)
+    if noise_sigma > 0.0:
+        rng = np.random.default_rng(noise_seed)
+        values = values + noise_sigma * np.sqrt(diag_finv) * rng.standard_normal(values.shape)
     return _finite_params(theta_star, values, "diagonal scrub update")
 
 

@@ -205,8 +205,9 @@ def test_blob_demo_erased_boundary_tracks_retraining():
     )
     req = ErasureRequest(removed_ids=splits.removed, epsilon=sweep.best_epsilon)
     erased = ssse_update(star.params, finv, train_ds, req, loss_cfg)
-    infl_full = influence_update(star.params, train_ds, req, loss_cfg, "full")
-    infl_lko = influence_update(star.params, train_ds, req, loss_cfg, "lko")
+    influence_req = ErasureRequest(removed_ids=splits.removed)  # the influence step, epsilon 1
+    infl_full = influence_update(star.params, train_ds, influence_req, loss_cfg, "full")
+    infl_lko = influence_update(star.params, train_ds, influence_req, loss_cfg, "lko")
 
     grid = GridSpec(x_min=-6.0, x_max=6.0, y_min=-6.0, y_max=6.0, nx=161, ny=161)
     d_orig = boundary_disagreement(star.params, retrained.params, grid)

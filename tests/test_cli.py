@@ -643,6 +643,34 @@ def test_command_sections_are_checked_before_training(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ssse_epsilon", "-1"), ("scrub_epsilon", "nan"), ("ga_lr", "-0.1"),
+    ("scrub_noise_sigma", "inf"),
+])
+def test_compare_baselines_checks_each_step_and_noise_key_before_training(tmp_path, capsys,
+                                                                          key, value):
+    # this training run would diverge with exit 3; the bad value must fail first
+    section = "\n".join(f"{k} = {v}" for k, v in {"ga_lr": "0.05", key: value}.items())
+    text = BASE_CONFIG.replace("lr = 0.4", "lr = 1e150").replace("ga_lr = 0.05", section)
+    out = str(tmp_path / "o")
+    assert main(["compare-baselines", "--config", write_config(tmp_path, text), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: baselines.{key}: bad value '{value}' (must be finite and >= 0)\n"
+    assert not os.path.exists(out)
+
+
+def test_erase_checks_grad_source_before_reading_the_model_or_fisher(tmp_path, capsys):
+    text = BASE_CONFIG.replace("criterion = min_delta", "grad_source = bogus")
+    missing = str(tmp_path / "missing.bin")
+    out = str(tmp_path / "o")
+    code = main(["erase", "--config", write_config(tmp_path, text), "--out", out,
+                 "--model", missing, "--fisher", missing])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: sweep.grad_source: bad value 'bogus' (expected one of removed, remaining)\n"
+    assert not os.path.exists(out)
+
+
 def test_demo_boundary_rejects_non_2d_data_without_writing(tmp_path, capsys):
     three_features = "source = gaussian_classes\nn_features = 3\nn_classes = 2"
     cfg = write_config(tmp_path, BASE_CONFIG.replace("source = blobs", three_features))

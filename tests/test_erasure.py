@@ -81,7 +81,8 @@ def test_update_is_linear_in_epsilon():
 def test_grid_updates_equal_ssse_update_bit_for_bit(seed, grad_source):
     _, ds, cfg, params, finv = _setup(seed=seed)
     grid = [0.0, 0.3, 1.0, 2.5]
-    points = erasure.ssse_grid(params, finv, ds, ds.ids[:3], grid, cfg, grad_source)
+    last = ErasureRequest(removed_ids=ds.ids[:3], epsilon=grid[-1], grad_source=grad_source)
+    points = erasure.ssse_grid(params, finv, ds, last, cfg, grid)
     for eps, (theta, step_norm) in zip(grid, points):
         req = ErasureRequest(removed_ids=ds.ids[:3], epsilon=eps, grad_source=grad_source)
         np.testing.assert_array_equal(theta.values, ssse_update(params, finv, ds, req, cfg).values)
@@ -92,13 +93,15 @@ def test_grid_updates_equal_ssse_update_bit_for_bit(seed, grad_source):
 
 def test_grid_checks_the_grid_and_the_request():
     _, ds, cfg, params, finv = _setup(seed=2)
+    req = ErasureRequest(removed_ids=ds.ids[:2])
     for grid in ([], [1.0, 0.5], [-1.0, 1.0], [float("nan")]):
-        with pytest.raises(InputError):
-            erasure.ssse_grid(params, finv, ds, ds.ids[:2], grid, cfg)
-    with pytest.raises(InputError):
-        erasure.ssse_grid(params, finv, ds, (), [1.0], cfg)
-    with pytest.raises(InputError):
-        erasure.ssse_grid(params, finv, ds, ds.ids[:2], [1.0], cfg, grad_source="all")
+        with pytest.raises(InputError, match="epsilon grid"):
+            erasure.ssse_grid(params, finv, ds, req, cfg, grid)
+    for grid in ([0.5], [0.5, 2.0]):  # the grid must end at the request's epsilon
+        with pytest.raises(InputError, match="must end at the request's epsilon"):
+            erasure.ssse_grid(params, finv, ds, req, cfg, grid)
+    with pytest.raises(InputError, match="not in the dataset"):
+        erasure.ssse_grid(params, finv, ds, ErasureRequest(removed_ids=("ghost",)), cfg, [1.0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -187,8 +190,9 @@ def test_remaining_requests_are_bit_identical_on_a_warm_and_a_cold_dataset(seed)
         updates = [
             lambda d: ssse_update(params, finv, d, req, cfg).values,
             lambda d: [t.values for t, _ in erasure.ssse_grid(
-                params, finv, d, ids, [0.0, 0.5, 2.0], cfg, "remaining")],
+                params, finv, d, replace(req, epsilon=2.0), cfg, [0.0, 0.5, 2.0])],
             lambda d: diag_scrub_update(params, diag, d, req, cfg).values,
+            lambda d: gradient_ascent_step(params, d, req, cfg).values,
         ]
         if linear:  # a random MLP's Hessian is indefinite, so its influence step fails
             updates.append(lambda d: influence_update(params, d, req, cfg).values)
@@ -237,11 +241,12 @@ def test_later_remaining_requests_sum_only_their_removed_rows(monkeypatch):
     assert calls == [3, ds.n]
     calls.clear()
     ssse_update(params, finv, ds, request(5), cfg)
-    erasure.ssse_grid(params, finv, ds, ds.ids[:4], [0.5, 1.0], cfg, "remaining")
+    erasure.ssse_grid(params, finv, ds, request(4), cfg, [0.5, 1.0])
     influence_update(params, ds, request(2), cfg)
     influence_update(params, ds, request(6), cfg, hessian_source="lko")
     diag_scrub_update(params, diag, ds, request(7), cfg)
-    assert calls == [5, 4, 2, 6, 7]
+    gradient_ascent_step(params, ds, request(8), cfg)
+    assert calls == [5, 4, 2, 6, 7, 8]
 
 
 def test_a_bare_string_is_not_an_id_collection():
@@ -250,15 +255,12 @@ def test_a_bare_string_is_not_an_id_collection():
                  ids=("1", "2", "12"))
     params = random_params(shape, 0)
     cfg = LossConfig(l2_coeff=0.1)
-    finv = build_inverse_fisher(params, ds, cfg, 0.5, BlockSpec.single(shape.n_params), 1)
     from ssse import retrain_scratch
 
     calls = [
         lambda ids: ErasureRequest(removed_ids=ids),
         ds.rows, ds.subset, ds.without,
         lambda ids: grad_sum(params, ds, ids, cfg),
-        lambda ids: erasure.ssse_grid(params, finv, ds, ids, [1.0], cfg),
-        lambda ids: gradient_ascent_step(params, ds, ids, 0.1, cfg),
         lambda ids: retrain_scratch(ds, ids, shape, cfg, TrainConfig(lr=0.1, epochs=1, batch_size=1, seed=0)),
     ]
     for ids in ("12", b"12"):
@@ -284,7 +286,7 @@ def test_requests_build_no_dataset(monkeypatch, grad_source):
         monkeypatch.setattr(Dataset, name, refuse)
     req = ErasureRequest(removed_ids=ds.ids[3:6], grad_source=grad_source)
     np.testing.assert_array_equal(ssse_update(params, finv, ds, req, cfg).values, want.values)
-    points = erasure.ssse_grid(params, finv, ds, ds.ids[3:6], [0.0, 1.0], cfg, grad_source)
+    points = erasure.ssse_grid(params, finv, ds, req, cfg, [0.0, 1.0])
     np.testing.assert_array_equal(points[-1][0].values, want.values)
 
 
@@ -300,16 +302,16 @@ def _points(update, fns, params, finv, diag, ds, req, cfg):
     """``update`` computed by ``fns`` (the package or the oracles) as (model, step norm) pairs."""
     if update == "ssse_grid":
         grid = [e for e in (0.0, 0.5, 0.7, 1.0) if e <= req.epsilon]
-        return fns["ssse_grid"](params, finv, ds, req.removed_ids, grid, cfg, req.grad_source)
+        return fns["ssse_grid"](params, finv, ds, req, cfg, grid)
     if update == "ssse":
         theta = fns["ssse_update"](params, finv, ds, req, cfg)
     elif update.startswith("influence_"):
         theta = fns["influence_update"](params, ds, req, cfg, update[len("influence_"):])
     elif update == "gradient_ascent":
-        theta = fns["gradient_ascent_step"](params, ds, req.removed_ids, req.epsilon, cfg)
+        theta = fns["gradient_ascent_step"](params, ds, req, cfg)
     else:
-        noisy = replace(req, noise_sigma=0.05, noise_seed=4) if update == "scrub_noise" else req
-        theta = fns["diag_scrub_update"](params, diag, ds, noisy, cfg)
+        noise = dict(noise_sigma=0.05, noise_seed=4) if update == "scrub_noise" else {}
+        theta = fns["diag_scrub_update"](params, diag, ds, req, cfg, **noise)
     return [(theta, None)]
 
 
@@ -318,10 +320,9 @@ def _points(update, fns, params, finv, diag, ds, req, cfg):
 @pytest.mark.parametrize("update", ["ssse", "ssse_grid", "influence_full", "influence_lko",
                                     "gradient_ascent", "scrub", "scrub_noise"])
 def test_updates_are_bit_identical_to_their_separate_bodies(update, grad_source, epsilon):
-    """Each update through the shared step equals its own scale-and-check body bit for bit.
+    """Each update of one request equals its own scale-and-check body bit for bit.
 
-    The gradient-ascent step takes epsilon as its learning rate; the
-    influence step ignores epsilon.
+    Every update reads the request whole: its ids, epsilon and grad_source.
     """
     cfg = LossConfig(l2_coeff=0.05)
     shapes = [MultinomialLinear(n_classes=3, n_features=3), MultiAttrLinear(n_attrs=2, n_features=3)]
@@ -339,20 +340,6 @@ def test_updates_are_bit_identical_to_their_separate_bodies(update, grad_source,
         for (theta, norm), (theta_want, norm_want) in zip(got, want):
             assert np.array_equal(theta.values, theta_want.values)
             assert (theta.shape, theta.seed, norm) == (theta_want.shape, theta_want.seed, norm_want)
-
-
-def test_updates_that_add_no_noise_refuse_a_noisy_request():
-    shape = MultinomialLinear(n_classes=3, n_features=3)
-    ds = multinomial_dataset(7, 9, 3, 3)
-    cfg = LossConfig(l2_coeff=0.1)
-    params = random_params(shape, 8)
-    finv = build_inverse_fisher(params, ds, cfg, 0.2, BlockSpec.from_shape(shape), 1)
-    req = ErasureRequest(removed_ids=ds.ids[:2], noise_sigma=0.1)
-    with pytest.raises(InputError, match="noise_sigma"):
-        ssse_update(params, finv, ds, req, cfg)
-    for source in ("full", "lko"):
-        with pytest.raises(InputError, match="noise_sigma"):
-            influence_update(params, ds, req, cfg, source)
 
 
 def test_stale_fisher_is_refused():
@@ -387,16 +374,8 @@ def test_request_validation():
     with pytest.raises(InputError):
         ErasureRequest(removed_ids=("a",), grad_source="elsewhere")
 
-
-@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "3"])
-def test_request_refuses_a_noise_seed_that_is_not_a_whole_number_from_zero(seed):
-    with pytest.raises(InputError, match="noise_seed must be a whole number >= 0"):
-        ErasureRequest(removed_ids=("a",), noise_seed=seed)
-
-
-def test_request_stores_a_whole_number_noise_seed_as_an_int():
-    req = ErasureRequest(removed_ids=("a",), noise_seed=np.float64(3.0))
-    assert type(req.noise_seed) is int and req == ErasureRequest(removed_ids=("a",), noise_seed=3)
+    assert set(vars(ErasureRequest(removed_ids=("a",)))) == {"removed_ids", "epsilon",
+                                                            "grad_source"}
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +424,22 @@ def test_influence_requires_l2():
     req = ErasureRequest(removed_ids=ds.ids[:1])
     with pytest.raises(InputError, match="l2_coeff"):
         influence_update(params, ds, req, LossConfig(), "full")
+
+
+@pytest.mark.parametrize("source", ["full", "lko"])
+def test_influence_at_epsilon_zero_builds_no_hessian(monkeypatch, source):
+    """An MLP whose Hessian is indefinite still takes the zero step: nothing is solved."""
+    shape = MLP(n_features=2, n_hidden=2, n_classes=3)
+    ds = multinomial_dataset(41, 12, 2, 3)
+    params = random_params(shape, 40)
+
+    def refuse(*args):
+        raise AssertionError("a Hessian was built at epsilon 0")
+
+    monkeypatch.setattr(erasure, "hessian_dense", refuse)
+    req = ErasureRequest(removed_ids=ds.ids[:2], epsilon=0.0)
+    out = influence_update(params, ds, req, LossConfig(l2_coeff=0.01), source)
+    np.testing.assert_array_equal(out.values, params.values)
 
 
 @pytest.mark.parametrize("shape", [MultinomialLinear(n_classes=3, n_features=3),
@@ -525,21 +520,24 @@ def test_influence_lko_tracks_retraining_on_a_convex_task():
 def test_gradient_ascent_formula_and_zero_lr():
     _, ds, cfg, params, _ = _setup(seed=6)
     removed = ds.ids[:4]
-    out = gradient_ascent_step(params, ds, removed, 0.3, cfg)
+    out = gradient_ascent_step(params, ds, ErasureRequest(removed_ids=removed, epsilon=0.3), cfg)
     expected = params.values + 0.3 * grad_sum(params, ds, removed, cfg) / 4
     np.testing.assert_allclose(out.values, expected, rtol=1e-12)
-    frozen = gradient_ascent_step(params, ds, removed, 0.0, cfg)
+    frozen = gradient_ascent_step(params, ds, ErasureRequest(removed_ids=removed, epsilon=0.0),
+                                  cfg)
     np.testing.assert_array_equal(frozen.values, params.values)
 
 
 def test_gradient_ascent_refuses_repeated_or_no_ids():
     _, ds, cfg, params, _ = _setup(seed=6)
     with pytest.raises(InputError, match="unique"):
-        gradient_ascent_step(params, ds, (ds.ids[0], ds.ids[0]), 0.3, cfg)
+        gradient_ascent_step(params, ds, ErasureRequest(removed_ids=(ds.ids[0], ds.ids[0])), cfg)
     with pytest.raises(InputError, match="nonempty"):
-        gradient_ascent_step(params, ds, (), 0.3, cfg)
+        gradient_ascent_step(params, ds, ErasureRequest(removed_ids=()), cfg)
     with pytest.raises(InputError, match="not in the dataset"):
-        gradient_ascent_step(params, ds, ("ghost",), 0.3, cfg)
+        gradient_ascent_step(params, ds, ErasureRequest(removed_ids=("ghost",)), cfg)
+    with pytest.raises(InputError, match="every training sample"):
+        gradient_ascent_step(params, ds, ErasureRequest(removed_ids=ds.ids), cfg)
 
 
 def test_diag_scrub_formula_and_noise_determinism():
@@ -553,12 +551,10 @@ def test_diag_scrub_formula_and_noise_determinism():
     expected = params.values + (0.9 / (ds.n - 2)) * (diag * g)
     np.testing.assert_allclose(out.values, expected, rtol=1e-12)
 
-    noisy = ErasureRequest(removed_ids=removed, epsilon=0.9, noise_sigma=0.1, noise_seed=5)
-    a = diag_scrub_update(params, diag, ds, noisy, cfg)
-    b = diag_scrub_update(params, diag, ds, noisy, cfg)
+    a = diag_scrub_update(params, diag, ds, quiet, cfg, noise_sigma=0.1, noise_seed=5)
+    b = diag_scrub_update(params, diag, ds, quiet, cfg, noise_sigma=0.1, noise_seed=5)
     np.testing.assert_array_equal(a.values, b.values)
-    other = ErasureRequest(removed_ids=removed, epsilon=0.9, noise_sigma=0.1, noise_seed=6)
-    c = diag_scrub_update(params, diag, ds, other, cfg)
+    c = diag_scrub_update(params, diag, ds, quiet, cfg, noise_sigma=0.1, noise_seed=6)
     assert not np.array_equal(a.values, c.values)
 
 
@@ -569,3 +565,29 @@ def test_diag_scrub_rejects_bad_diagonal():
         diag_scrub_update(params, np.ones(3), ds, req, cfg)
     with pytest.raises(InputError):
         diag_scrub_update(params, -np.ones(params.shape.n_params), ds, req, cfg)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+def test_diag_scrub_refuses_a_noise_sigma_that_is_not_finite_from_zero(sigma):
+    _, ds, cfg, params, _ = _setup(seed=8)
+    diag = np.ones(params.shape.n_params)
+    with pytest.raises(InputError, match="^noise_sigma must be finite and >= 0$"):
+        diag_scrub_update(params, diag, ds, ErasureRequest(removed_ids=ds.ids[:1]), cfg, sigma)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "3"])
+def test_diag_scrub_refuses_a_noise_seed_that_is_not_a_whole_number_from_zero(seed):
+    _, ds, cfg, params, _ = _setup(seed=8)
+    diag = np.ones(params.shape.n_params)
+    req = ErasureRequest(removed_ids=ds.ids[:1])
+    with pytest.raises(InputError, match="noise_seed must be a whole number >= 0"):
+        diag_scrub_update(params, diag, ds, req, cfg, noise_sigma=0.1, noise_seed=seed)
+
+
+def test_diag_scrub_reads_a_whole_float_noise_seed_as_its_int():
+    _, ds, cfg, params, _ = _setup(seed=8)
+    diag = np.ones(params.shape.n_params)
+    req = ErasureRequest(removed_ids=ds.ids[:1])
+    got = diag_scrub_update(params, diag, ds, req, cfg, noise_sigma=0.1, noise_seed=np.float64(3.0))
+    want = diag_scrub_update(params, diag, ds, req, cfg, noise_sigma=0.1, noise_seed=3)
+    np.testing.assert_array_equal(got.values, want.values)

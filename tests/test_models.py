@@ -398,25 +398,6 @@ def test_grad_mean_and_sum_match_the_per_sample_rows(shape, l2_coeff, n):
     np.testing.assert_allclose(grad_sum(params, ds, ds.ids[-1:], cfg), rows[-1], rtol=1e-12)
 
 
-def test_grad_matrix_writes_into_out_and_refuses_a_wrong_buffer():
-    shape = MultinomialLinear(n_classes=3, n_features=2)
-    ds = multinomial_dataset(2, 4, 2, 3)
-    params = random_params(shape, 3)
-    cfg = LossConfig(l2_coeff=0.1)
-    buf = np.empty((4, shape.n_params))
-    assert grad_matrix(params, ds.features, ds.labels, cfg, out=buf) is buf
-    np.testing.assert_array_equal(buf, grad_matrix(params, ds.features, ds.labels, cfg))
-    wrong = [
-        np.empty((3, shape.n_params)),
-        np.empty((4, shape.n_params + 1)),
-        np.empty((4, shape.n_params), dtype=np.float32),
-        np.empty((shape.n_params, 4)).T,
-    ]
-    for bad in wrong:
-        with pytest.raises(InputError, match="out must be"):
-            grad_matrix(params, ds.features, ds.labels, cfg, out=bad)
-
-
 def test_two_class_softmax_gradient_mirrors_binary_head():
     """A 2-class softmax with row one pinned at zero is the sigmoid model."""
     m = 3
