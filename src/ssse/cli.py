@@ -51,6 +51,7 @@ from .models import (
     MultiAttrLinear,
     MultinomialLinear,
     Shape,
+    _real,
     _whole,
     predict_labels,
 )
@@ -86,14 +87,6 @@ def whole_number(text: str) -> int:
 def float_list(text: str) -> list[float]:
     """Comma-separated numbers; empty cells are skipped."""
     return [float(cell) for cell in text.split(",") if cell.strip()]
-
-
-def _nonneg_float(text: str) -> float:
-    """A finite number >= 0."""
-    value = float(text)
-    if not 0 <= value < float("inf"):
-        raise ValueError("must be finite and >= 0")
-    return value
 
 
 def float_pairs(text: str) -> list[tuple[float, float]]:
@@ -143,6 +136,11 @@ class ConfigView:
             return parse(raw)
         except ValueError as exc:
             raise InputError(f"{section}.{key}: bad value {raw!r} ({exc})") from None
+
+
+def _config_real(cfg: ConfigView, section: str, key: str, default=MISSING, **bounds) -> float:
+    """A real number under ``_real``'s rule, named ``section.key`` when it is refused."""
+    return _real(cfg.get(section, key, float, default), f"{section}.{key}", **bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +246,7 @@ def removal_spec(cfg: ConfigView) -> data_mod.RemovalSpec:
 
 
 def fisher_settings(cfg: ConfigView, loss_cfg: LossConfig) -> tuple[float, int]:
-    dampening = cfg.get("fisher", "dampening", float, loss_cfg.l2_coeff)
-    if dampening <= 0:
-        raise InputError("fisher.dampening must be > 0 (set it explicitly when l2_coeff is 0)")
+    dampening = _config_real(cfg, "fisher", "dampening", loss_cfg.l2_coeff, gt=0)
     batch_size = cfg.get("fisher", "batch_size", whole_number, 1)
     return dampening, _whole(batch_size, "fisher.batch_size", 1)
 
@@ -468,11 +464,11 @@ def cmd_compare_baselines(args) -> int:
     from . import evaluation as eval_mod
 
     cfg = ConfigView(args.config)
-    eps = cfg.get("baselines", "ssse_epsilon", _nonneg_float, 1.0)
-    ga_lr = cfg.get("baselines", "ga_lr", _nonneg_float)
-    scrub_eps = cfg.get("baselines", "scrub_epsilon", _nonneg_float, eps)
+    eps = _config_real(cfg, "baselines", "ssse_epsilon", 1.0, ge=0)
+    ga_lr = _config_real(cfg, "baselines", "ga_lr", ge=0)
+    scrub_eps = _config_real(cfg, "baselines", "scrub_epsilon", eps, ge=0)
     noise = dict(
-        noise_sigma=cfg.get("baselines", "scrub_noise_sigma", _nonneg_float, 0.0),
+        noise_sigma=_config_real(cfg, "baselines", "scrub_noise_sigma", 0.0, ge=0),
         noise_seed=_whole(cfg.get("baselines", "scrub_noise_seed", whole_number, 0),
                           "baselines.scrub_noise_seed", 0),
     )

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .models import Dataset, _whole
+from .models import Dataset, _real, _whole
 
 
 def make_ids(n: int, prefix: str = "") -> tuple[str, ...]:
@@ -43,8 +43,7 @@ def make_blobs(
     if centers_arr.ndim != 2 or centers_arr.shape[1] != 2:
         raise InputError("centers must be a sequence of 2-d points")
     n_per_class = _whole(n_per_class, "n_per_class", 1)
-    if spread <= 0:
-        raise InputError("need spread > 0")
+    spread = _real(spread, "spread", gt=0)
     c = centers_arr.shape[0]
     rng = np.random.default_rng(_whole(seed, "seed", 0))
     features = np.vstack(
@@ -75,8 +74,8 @@ def make_gaussian_classes(
     n_per_class = _whole(n_per_class, "n_per_class", 1)
     n_features = _whole(n_features, "n_features", 1)
     n_classes = _whole(n_classes, "n_classes", 2)
-    if spread <= 0:
-        raise InputError("need spread > 0")
+    center_scale = _real(center_scale, "center_scale")
+    spread = _real(spread, "spread", gt=0)
     rng = np.random.default_rng(_whole(seed, "seed", 0))
     center_rng = (rng if center_seed is None
                   else np.random.default_rng([_whole(center_seed, "center_seed", 0), 1]))
@@ -117,11 +116,10 @@ def make_attributes(
     n = _whole(n, "n", 2)
     n_features = _whole(n_features, "n_features", 1)
     n_attrs = _whole(n_attrs, "n_attrs", 1)
-    freqs = np.asarray(frequencies, dtype=np.float64)
-    if freqs.shape != (n_attrs,) or np.any(freqs <= 0) or np.any(freqs >= 1):
-        raise InputError("frequencies must hold n_attrs values strictly inside (0, 1)")
-    if not 0 <= overlap < 1:
-        raise InputError("overlap must lie in [0, 1)")
+    if np.shape(frequencies) != (n_attrs,):
+        raise InputError("frequencies must hold n_attrs values")
+    freqs = [_real(f, "frequencies entry", gt=0, lt=1) for f in frequencies]
+    overlap = _real(overlap, "overlap", ge=0, lt=1)
     rng = np.random.default_rng(_whole(seed, "seed", 0))
     features = rng.standard_normal((n, n_features))
     dir_rng = (rng if direction_seed is None
@@ -253,7 +251,8 @@ class RemovalSpec:
 
     ``index`` is 1-based for both kinds: class labels are 1..c and
     attribute heads are numbered 1..n_attrs. ``index`` (>= 1) and ``seed``
-    (>= 0) are whole numbers, stored as ints.
+    (>= 0) are whole numbers, stored as ints; ``fraction`` is a finite
+    number > 0 and <= 1, stored as a float.
     """
 
     kind: str
@@ -265,8 +264,7 @@ class RemovalSpec:
         if self.kind not in ("class", "attribute"):
             raise InputError(f"removal kind must be 'class' or 'attribute', got {self.kind!r}")
         object.__setattr__(self, "index", _whole(self.index, "removal index", 1))
-        if not 0 < self.fraction <= 1:
-            raise InputError("removal fraction must lie in (0, 1]")
+        object.__setattr__(self, "fraction", _real(self.fraction, "removal fraction", gt=0, le=1))
         object.__setattr__(self, "seed", _whole(self.seed, "removal seed", 0))
 
 

@@ -41,6 +41,7 @@ from .models import (
     ModelParams,
     _check_id_collection,
     _grad_sums,
+    _real,
     _targets,
     _whole,
     grad_sum,  # unused here; the benchmark's traced runs wrap this name
@@ -55,8 +56,8 @@ _GRAD_SOURCES = ("removed", "remaining")
 class ErasureRequest:
     """Which samples to erase, how far to step, and along whose gradients.
 
-    Every update reads all three fields. ``epsilon`` scales the step; 0
-    is allowed and leaves the parameters untouched. ``grad_source``
+    Every update reads all three fields. ``epsilon``, a finite number >= 0
+    stored as a float, scales the step; 0 leaves the parameters untouched. ``grad_source``
     selects whose gradients feed the update: the removed samples
     themselves (default) or the negated gradient sum of the retained
     samples, which agrees with the default at an exact optimum where all
@@ -75,8 +76,7 @@ class ErasureRequest:
         if len(set(ids)) != len(ids):
             raise InputError("removed_ids must be unique")
         object.__setattr__(self, "removed_ids", ids)
-        if not np.isfinite(self.epsilon) or self.epsilon < 0:
-            raise InputError("epsilon must be finite and >= 0")
+        object.__setattr__(self, "epsilon", _real(self.epsilon, "epsilon", ge=0))
         if self.grad_source not in _GRAD_SOURCES:
             raise InputError(f"unknown grad_source: {self.grad_source!r}")
 
@@ -160,11 +160,9 @@ def _steps(
 
 def check_epsilon_grid(grid: Sequence[float]) -> list[float]:
     """The grid as floats; it must be nonempty, finite, >= 0 and strictly increasing."""
-    grid = [float(e) for e in grid]
+    grid = [_real(e, "epsilon grid entry", ge=0) for e in grid]
     if not grid:
         raise InputError("epsilon grid must be nonempty")
-    if any(not np.isfinite(e) or e < 0 for e in grid):
-        raise InputError("epsilon grid entries must be finite and >= 0")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("epsilon grid must be strictly increasing")
     return grid
@@ -275,8 +273,7 @@ def diag_scrub_update(
     seeded by ``noise_seed`` (a whole number >= 0) so reruns are
     reproducible.
     """
-    if not np.isfinite(noise_sigma) or noise_sigma < 0:
-        raise InputError("noise_sigma must be finite and >= 0")
+    noise_sigma = _real(noise_sigma, "noise_sigma", ge=0)
     noise_seed = _whole(noise_seed, "noise_seed", 0)
     diag_finv = np.asarray(diag_finv, dtype=np.float64)
     if diag_finv.shape != (theta_star.shape.n_params,):

@@ -44,6 +44,7 @@ from .models import (
     _grad_sums,
     _labels_from_proba,
     _loss_from_proba,
+    _real,
     _targets,
     _whole,
     loss,
@@ -322,7 +323,7 @@ def _report(
         theta_hat, split_data.removed_test, loss_cfg
     )
     return EvalReport(
-        epsilon=float(epsilon),
+        epsilon=_real(epsilon, "epsilon", ge=0),
         acc_lko_train=acc_lko_train,
         acc_removed=acc_removed,
         acc_lko_test=acc_lko_test,
@@ -409,7 +410,11 @@ def epsilon_sweep(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Regular 2-d evaluation grid, row-major from (x_min, y_min)."""
+    """Regular 2-d evaluation grid, row-major from (x_min, y_min).
+
+    The extents are finite numbers, stored as floats, with max > min;
+    ``nx`` and ``ny`` are whole numbers >= 2.
+    """
 
     x_min: float
     x_max: float
@@ -419,9 +424,10 @@ class GridSpec:
     ny: int
 
     def __post_init__(self) -> None:
-        extents = (self.x_min, self.x_max, self.y_min, self.y_max)
-        if not np.isfinite(extents).all() or self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise InputError("grid extents must be finite and satisfy max > min")
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.x_max <= self.x_min or self.y_max <= self.y_min:
+            raise InputError("grid extents must satisfy max > min")
         for name in ("nx", "ny"):
             object.__setattr__(self, name, _whole(getattr(self, name), name, 2))
 

@@ -51,6 +51,7 @@ from .models import (
     ModelParams,
     Shape,
     _grad_sums,
+    _real,
     _targets,
     _whole,
     grad_matrix,  # unused here; the benchmark's traced runs patch this name
@@ -126,8 +127,7 @@ class InverseFisher:
     def __post_init__(self) -> None:
         if len(self.blocks) != len(self.spec.ranges):
             raise InputError("block count does not match the block spec")
-        if self.dampening <= 0 or not np.isfinite(self.dampening):
-            raise InputError("dampening must be finite and > 0")
+        object.__setattr__(self, "dampening", _real(self.dampening, "dampening", gt=0))
         for name in ("n_samples", "batch_size"):
             object.__setattr__(self, name, _whole(getattr(self, name), name, 1))
         if len(self.built_at_digest) != 32:
@@ -314,8 +314,7 @@ def build_inverse_fisher(
     code-point string order). A block with fewer rows than its side is
     built in the dual form.
     """
-    if dampening <= 0 or not np.isfinite(dampening):
-        raise InputError("dampening must be finite and > 0")
+    dampening = _real(dampening, "dampening", gt=0)
     batch_size = _whole(batch_size, "batch_size", 1)
     if dataset.n == 0:
         raise InputError("cannot build a Fisher estimate from an empty dataset")
@@ -382,8 +381,7 @@ def diagonal_inverse_fisher(
     params: ModelParams, dataset: Dataset, cfg: LossConfig, dampening: float
 ) -> np.ndarray:
     """Elementwise reciprocal of ``dampening + mean_i g_i^2``."""
-    if dampening <= 0 or not np.isfinite(dampening):
-        raise InputError("dampening must be finite and > 0")
+    dampening = _real(dampening, "dampening", gt=0)
     if dataset.n == 0:
         raise InputError("cannot build a Fisher estimate from an empty dataset")
     acc = np.zeros(params.shape.n_params, dtype=np.float64)

@@ -29,7 +29,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import Iterable, Union
 
@@ -51,22 +53,45 @@ _NORM_FLOOR = 1e-150
 def _whole(value, name: str, least: int | None = None) -> int:
     """``value`` as an int: an integer, or a float with no fraction (40.0 counts as 40).
 
-    Anything else (2.5, NaN, an infinity, the string "3"), or a whole
+    Anything else (a bool, 2.5, NaN, an infinity, the string "3"), or a whole
     number below ``least``, raises InputError("<name> must be a whole
     number[ >= least], got <value>"). This is the one check of every count,
     index and seed the package takes.
     """
+    whole = None
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         whole = int(value)
-    else:
+    elif not isinstance(value, bool):
         try:
             whole = operator.index(value)
         except TypeError:
-            whole = None
+            pass
     if whole is None or (least is not None and whole < least):
         bound = "" if least is None else f" >= {least}"
         raise InputError(f"{name} must be a whole number{bound}, got {value}")
     return whole
+
+
+def _real(value, name: str, *, gt=None, ge=None, lt=None, le=None) -> float:
+    """``value`` as a float: a finite real number (an int, a float, a numpy scalar) in range.
+
+    ``gt``/``ge`` and ``lt``/``le`` are an optional open or closed lower
+    and upper bound. A bool, anything that is not a real number (the
+    string "1", None), NaN, an infinity, or a number out of range raises
+    InputError("<name> must be a finite number[ > gt][ and < lt], got
+    <value>"). This is the one check of every rate, scale and tolerance
+    the package takes.
+    """
+    # the magnitude test refuses NaN, the infinities and ints beyond the float range
+    if ((type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool))
+            and abs(value) <= sys.float_info.max):
+        real = float(value)
+        if ((gt is None or real > gt) and (ge is None or real >= ge)
+                and (lt is None or real < lt) and (le is None or real <= le)):
+            return real
+    bounds = " and".join(f" {op} {bound}" for op, bound in
+                         ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if bound is not None)
+    raise InputError(f"{name} must be a finite number{bounds}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +254,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """L2 penalty strength for the regularized mean loss."""
+    """L2 penalty strength for the regularized mean loss: a finite number >= 0, a float."""
 
     l2_coeff: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.l2_coeff) or self.l2_coeff < 0:
-            raise InputError("l2_coeff must be finite and >= 0")
+        object.__setattr__(self, "l2_coeff", _real(self.l2_coeff, "l2_coeff", ge=0))
 
 
 def params_digest(params: ModelParams) -> bytes:

@@ -31,6 +31,7 @@ from .models import (
     _BoundNet,
     _check_task_match,
     _loss_from_proba,
+    _real,
     _targets,
     _whole,
     # unused here; the benchmark's traced runs patch these three in training
@@ -49,16 +50,17 @@ class TrainConfig:
 
     ``epochs`` and ``batch_size`` (>= 1) and ``seed`` (any sign, since
     SplitMix64 masks it) are whole numbers, stored as ints (40.0 counts as
-    40, 2.7 is refused). ``lr_schedule`` is a tuple of (epoch, factor)
-    pairs with strictly increasing 1-based whole-number epochs; the
-    learning rate is multiplied by the factor at the start of the named
-    epoch. ``grad_tol`` > 0 stops training after any epoch
-    whose full-gradient norm falls to or below it; 0 disables early
-    stopping. Each epoch's gradient is computed layer by layer, last layer
-    first, only until one layer's block rules out a stop (its own norm is
-    already above ``grad_tol``); with ``grad_tol`` = 0 only the last epoch
-    makes a full-data pass at all. ``final_grad_norm`` is always the exact
-    full norm at the last epoch run.
+    40, 2.7 is refused); ``lr`` (> 0), ``momentum`` (>= 0 and < 1) and
+    ``grad_tol`` (>= 0) are finite numbers, stored as floats.
+    ``lr_schedule`` is a tuple of (epoch, factor) pairs with strictly
+    increasing 1-based whole-number epochs and factors > 0; the learning
+    rate is multiplied by the factor at the start of the named epoch.
+    ``grad_tol`` > 0 stops training after any epoch whose full-gradient norm
+    falls to or below it; 0 disables early stopping. Each epoch's gradient
+    is computed layer by layer, last layer first, only until one layer's
+    block rules out a stop (its own norm is already above ``grad_tol``);
+    with ``grad_tol`` = 0 only the last epoch makes a full-data pass at all.
+    ``final_grad_norm`` is always the exact full norm at the last epoch run.
 
     Divergence raises TrainingError naming the epoch: "non-finite
     parameters" after the epoch whose steps left one, and "loss is not
@@ -82,21 +84,17 @@ class TrainConfig:
     lr_schedule: tuple[tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.lr) or self.lr <= 0:
-            raise InputError("lr must be finite and > 0")
+        object.__setattr__(self, "lr", _real(self.lr, "lr", gt=0))
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", None)):
             object.__setattr__(self, name, _whole(getattr(self, name), name, least))
-        if not 0 <= self.momentum < 1:
-            raise InputError("momentum must lie in [0, 1)")
-        if not np.isfinite(self.grad_tol) or self.grad_tol < 0:
-            raise InputError("grad_tol must be finite and >= 0")
-        sched = tuple((_whole(e, "lr_schedule epoch"), float(f)) for e, f in self.lr_schedule)
+        object.__setattr__(self, "momentum", _real(self.momentum, "momentum", ge=0, lt=1))
+        object.__setattr__(self, "grad_tol", _real(self.grad_tol, "grad_tol", ge=0))
+        sched = tuple((_whole(e, "lr_schedule epoch"), _real(f, "lr_schedule factor", gt=0))
+                      for e, f in self.lr_schedule)
         last = 0
-        for epoch, factor in sched:
+        for epoch, _ in sched:
             if epoch <= last:
                 raise InputError("lr_schedule epochs must be strictly increasing and >= 1")
-            if not np.isfinite(factor) or factor <= 0:
-                raise InputError("lr_schedule factors must be finite and > 0")
             last = epoch
         object.__setattr__(self, "lr_schedule", sched)
 

@@ -379,14 +379,24 @@ def test_fisher_with_a_model_of_the_other_label_kind_exits_two(tmp_path, capsys,
     assert not os.path.exists(o)
 
 
-@pytest.mark.parametrize("spread", ["0", "-1"])
+@pytest.mark.parametrize("spread", ["0", "-1", "nan"])
 def test_gaussian_classes_with_a_spread_that_is_not_positive_exits_two(tmp_path, capsys, spread):
     source = f"source = gaussian_classes\nn_features = 3\nn_classes = 2\nspread = {spread}"
     cfg = write_config(tmp_path, BASE_CONFIG.replace("source = blobs", source)
                        .replace("spread = 1.0\n", ""))
     out = str(tmp_path / "o")
     assert main(["train", "--config", cfg, "--out", out]) == 2
-    assert "spread > 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: spread must be a finite number > 0, "
+                                       f"got {float(spread)}\n")
+    assert not os.path.exists(out)
+
+
+def test_a_nan_attribute_frequency_exits_two_naming_its_key(tmp_path, capsys):
+    text = _attribute_text(2).replace("frequencies = 0.4, 0.4", "frequencies = nan, 0.5")
+    out = str(tmp_path / "o")
+    assert main(["train", "--config", write_config(tmp_path, text), "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "error: frequencies entry must be a finite number > 0 and < 1, got nan\n")
     assert not os.path.exists(out)
 
 
@@ -397,7 +407,8 @@ def test_demo_boundary_with_a_non_finite_extent_exits_two_before_training(tmp_pa
     text = BASE_CONFIG.replace("lr = 0.4", "lr = 1e150") + f"\n[boundary]\n{extent}\n"
     out = str(tmp_path / "demo")
     assert main(["demo-boundary", "--config", write_config(tmp_path, text), "--out", out]) == 2
-    assert "error: grid extents must be finite" in capsys.readouterr().err
+    name, value = extent.split(" = ")
+    assert capsys.readouterr().err == f"error: {name} must be a finite number, got {value}\n"
     assert not os.path.exists(out)
 
 
@@ -628,17 +639,21 @@ def test_erase_rejects_bad_grid_before_writing(tmp_path, capsys, grid):
         ("sweep", "criterion", "grad_source = remaining\ncriterion", "sweep.grad_source"),
         ("demo-boundary", "criterion", "grad_source = remaining\ncriterion", "sweep.grad_source"),
         ("compare-baselines", "ga_lr = 0.05", "ga_lr = 0.05\nssse_epsilon = -1",
-         "baselines.ssse_epsilon: bad value '-1' (must be finite and >= 0)\n"),
+         "baselines.ssse_epsilon must be a finite number >= 0, got -1.0\n"),
         ("compare-baselines", "ga_lr = 0.05", "ga_lr = 0.05\nscrub_epsilon = nan",
-         "baselines.scrub_epsilon: bad value 'nan' (must be finite and >= 0)\n"),
+         "baselines.scrub_epsilon must be a finite number >= 0, got nan\n"),
         ("compare-baselines", "ga_lr = 0.05", "ga_lr = -0.1",
-         "baselines.ga_lr: bad value '-0.1' (must be finite and >= 0)\n"),
+         "baselines.ga_lr must be a finite number >= 0, got -0.1\n"),
         ("compare-baselines", "ga_lr = 0.05", "ga_lr = 0.05\nscrub_noise_sigma = inf",
-         "baselines.scrub_noise_sigma: bad value 'inf' (must be finite and >= 0)\n"),
+         "baselines.scrub_noise_sigma must be a finite number >= 0, got inf\n"),
+        *((command, "[baselines]", "[fisher]\ndampening = nan\n\n[baselines]",
+           "fisher.dampening must be a finite number > 0, got nan\n")
+          for command in ("sweep", "demo-boundary", "compare-baselines")),
     ],
     ids=["sweep", "demo-boundary", "compare-baselines", "sweep-grad_source",
          "demo-boundary-grad_source", "ssse_epsilon", "scrub_epsilon", "ga_lr",
-         "scrub_noise_sigma"],
+         "scrub_noise_sigma", "sweep-dampening", "demo-boundary-dampening",
+         "compare-baselines-dampening"],
 )
 def test_command_sections_are_checked_before_training(
     tmp_path, capsys, command, old, new, named

@@ -20,13 +20,19 @@ from helpers import (
 from ssse import (
     MLP,
     Dataset,
+    ErasureRequest,
     GridSpec,
     InputError,
     LossConfig,
     MultiAttrLinear,
     MultinomialLinear,
+    SplitData,
+    TrainConfig,
     build_inverse_fisher,
     build_splits,
+    diag_scrub_update,
+    diagonal_inverse_fisher,
+    evaluate_erasure,
     init_params,
     load_csv,
     make_attributes,
@@ -35,9 +41,12 @@ from ssse import (
     make_ids,
     predict_proba,
     save_csv,
+    ssse_update,
+    train,
 )
 from ssse import data
 from ssse.data import RemovalSpec, SplitSet, draw_removed
+from ssse.erasure import check_epsilon_grid
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,7 @@ def test_make_gaussian_classes_covers_all_classes():
 @pytest.mark.parametrize("generator", ["blobs", "gaussian_classes"])
 @pytest.mark.parametrize("spread", [0.0, -1.0])
 def test_class_generators_refuse_a_spread_that_is_not_positive(generator, spread):
-    with pytest.raises(InputError, match="spread > 0"):
+    with pytest.raises(InputError, match=f"^spread must be a finite number > 0, got {spread}$"):
         if generator == "blobs":
             make_blobs(1, 5, [(-2.0, 0.0), (2.0, 0.0)], spread)
         else:
@@ -165,7 +174,7 @@ def test_make_parallel_planes_binary_margin():
     np.testing.assert_allclose(np.abs(p - y), eps, atol=1e-10)
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, float("inf")])
+@pytest.mark.parametrize("seed", [-1, 2.5, float("inf"), True])
 @pytest.mark.parametrize("draw, name", [
     (lambda s: make_blobs(s, 3, [(0.0, 0.0), (1.0, 1.0)], 1.0), "seed"),
     (lambda s: make_gaussian_classes(s, 3, 2, 2), "seed"),
@@ -188,16 +197,18 @@ def test_a_whole_number_float_seed_draws_as_its_int():
                                                           seed=9)
 
 
+_TINY_PARAMS = random_params(MultinomialLinear(n_classes=2, n_features=2), 1)
+_TINY_DS = multinomial_dataset(2, 5, 2, 2)
+
+
 def _tiny_fisher(batch_size=1):
-    params = random_params(MultinomialLinear(n_classes=2, n_features=2), 1)
-    return build_inverse_fisher(params, multinomial_dataset(2, 5, 2, 2), LossConfig(), 0.1,
-                                batch_size=batch_size)
+    return build_inverse_fisher(_TINY_PARAMS, _TINY_DS, LossConfig(), 0.1, batch_size=batch_size)
 
 
 _GRID = (-1.0, 1.0, -1.0, 1.0)
 
 
-@pytest.mark.parametrize("bad", ["least", 2.5, float("nan"), float("inf"), "3"])
+@pytest.mark.parametrize("bad", ["least", 2.5, float("nan"), float("inf"), "3", True])
 @pytest.mark.parametrize("build, name, least", [
     (make_ids, "n", 0),
     (lambda v: make_blobs(1, v, [(0.0, 0.0), (1.0, 1.0)], 1.0), "n_per_class", 1),
@@ -231,6 +242,84 @@ def test_counts_are_whole_numbers_from_their_least(build, name, least, bad):
     refusal = f"{name} must be a whole number >= {least}, got {value}"
     with pytest.raises(InputError, match=f"^{re.escape(refusal)}$"):
         build(value)
+
+
+def _scrub(sigma):
+    req = ErasureRequest(removed_ids=_TINY_DS.ids[:1])
+    diag = np.ones(_TINY_PARAMS.shape.n_params)
+    return diag_scrub_update(_TINY_PARAMS, diag, _TINY_DS, req, LossConfig(), sigma)
+
+
+def _grid_with(name):
+    return lambda v: GridSpec(**{**dict(zip(("x_min", "x_max", "y_min", "y_max"), _GRID)),
+                                 name: v}, nx=2, ny=2)
+
+
+def _train_config(**settings):
+    return TrainConfig(**{"lr": 0.1, "epochs": 2, "batch_size": 4, "seed": 0, **settings})
+
+
+_REAL_SITES = [
+    # (build, name, range text, the open edge or a value just outside a closed one,
+    # None for any finite number)
+    (lambda v: LossConfig(l2_coeff=v), "l2_coeff", " >= 0", -0.1),
+    (lambda v: _train_config(lr=v), "lr", " > 0", 0.0),
+    (lambda v: _train_config(momentum=v), "momentum", " >= 0 and < 1", 1.0),
+    (lambda v: _train_config(grad_tol=v), "grad_tol", " >= 0", -0.1),
+    (lambda v: _train_config(lr_schedule=((1, v),)), "lr_schedule factor", " > 0", 0.0),
+    (lambda v: ErasureRequest(removed_ids=("a",), epsilon=v), "epsilon", " >= 0", -0.1),
+    (lambda v: check_epsilon_grid([0.5, v]), "epsilon grid entry", " >= 0", -0.1),
+    (_scrub, "noise_sigma", " >= 0", -0.1),
+    (lambda v: replace(_tiny_fisher(), dampening=v), "dampening", " > 0", 0.0),
+    (lambda v: build_inverse_fisher(_TINY_PARAMS, _TINY_DS, LossConfig(), v),
+     "dampening", " > 0", 0.0),
+    (lambda v: diagonal_inverse_fisher(_TINY_PARAMS, _TINY_DS, LossConfig(), v),
+     "dampening", " > 0", 0.0),
+    (lambda v: make_blobs(1, 3, [(0.0, 0.0), (1.0, 1.0)], v), "spread", " > 0", 0.0),
+    (lambda v: make_gaussian_classes(1, 3, 2, 2, spread=v), "spread", " > 0", 0.0),
+    (lambda v: make_gaussian_classes(1, 3, 2, 2, center_scale=v), "center_scale", "", None),
+    (lambda v: make_attributes(1, 10, 3, 2, [0.5, v]), "frequencies entry", " > 0 and < 1",
+     1.0),
+    (lambda v: make_attributes(1, 10, 3, 1, [0.5], overlap=v), "overlap", " >= 0 and < 1", 1.0),
+    (lambda v: RemovalSpec(kind="class", index=1, fraction=v, seed=0), "removal fraction",
+     " > 0 and <= 1", 0.0),
+    *((_grid_with(name), name, "", None) for name in ("x_min", "x_max", "y_min", "y_max")),
+    (lambda v: evaluate_erasure(_TINY_PARAMS, v, _TINY_PARAMS, _TINY_PARAMS,
+                                SplitData(*[_TINY_DS] * 4), LossConfig()), "epsilon", " >= 0", -0.1),
+]
+
+
+@pytest.mark.parametrize("build, name, bounds, value", [
+    pytest.param(build, name, bounds, value, id=f"{i}-{name}-{value!r}")
+    for i, (build, name, bounds, edge) in enumerate(_REAL_SITES)
+    for value in ([] if edge is None else [edge]) + [float("nan"), float("inf"), "1", None, True]
+])
+def test_reals_are_finite_numbers_in_their_range(build, name, bounds, value):
+    refusal = f"{name} must be a finite number{bounds}, got {value!r}"
+    with pytest.raises(InputError, match=f"^{re.escape(refusal)}$"):
+        build(value)
+
+
+def test_int_and_numpy_reals_are_stored_as_floats_and_act_as_those_floats():
+    shape = MultinomialLinear(n_classes=2, n_features=2)
+    ds = multinomial_dataset(2, 20, 2, 2)
+    as_given = dict(l2_coeff=np.float64(0.5), lr=1, momentum=np.float64(0.5), grad_tol=0,
+                    factor=np.float64(0.5), dampening=1, epsilon=np.float64(2), fraction=1)
+    erased = []
+    for values in (as_given, {k: float(v) for k, v in as_given.items()}):
+        loss_cfg = LossConfig(l2_coeff=values["l2_coeff"])
+        cfg = _train_config(lr=values["lr"], momentum=values["momentum"],
+                            grad_tol=values["grad_tol"], lr_schedule=((2, values["factor"]),))
+        spec = RemovalSpec(kind="class", index=1, fraction=values["fraction"], seed=0)
+        theta = train(ds, shape, loss_cfg, cfg).params
+        finv = build_inverse_fisher(theta, ds, loss_cfg, values["dampening"])
+        req = ErasureRequest(removed_ids=draw_removed(ds, spec), epsilon=values["epsilon"])
+        stored = (loss_cfg.l2_coeff, cfg.lr, cfg.momentum, cfg.grad_tol, cfg.lr_schedule[0][1],
+                  spec.fraction, finv.dampening, req.epsilon)
+        assert all(type(v) is float for v in stored)
+        erased.append((theta.values.tobytes(),
+                       ssse_update(theta, finv, ds, req, loss_cfg).values.tobytes()))
+    assert erased[0] == erased[1]
 
 
 def _same_dataset(a, b):

@@ -440,7 +440,7 @@ def test_lr_schedule_refuses_an_epoch_that_is_not_a_whole_number(epoch):
 
 
 @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
-@pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"), "3"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), -float("inf"), "3", True])
 def test_train_config_refuses_a_count_that_is_not_a_whole_number(name, value):
     settings = {"lr": 0.1, "epochs": 2, "batch_size": 4, "seed": 0, name: value}
     bound = "" if name == "seed" else " >= 1"
